@@ -317,7 +317,7 @@ pub fn fig8() -> Figure {
 }
 
 /// A prefaulted single-channel cached system behind the multi-channel
-/// front-end (fig9 runs the cached mode through the real scheduler).
+/// front-end (fig9 runs the cached mode through the scale-out executor).
 fn cached_front(span: u64) -> MultiChannelSystem {
     nvdimmc_check::assert_config_clean(&NvdimmCConfig::figure_scale());
     let mut sys =
@@ -331,8 +331,8 @@ fn cached_front(span: u64) -> MultiChannelSystem {
 
 /// Figure 9: thread-count scaling, *measured* by request-level concurrent
 /// simulation: one closed-loop worker per simulated thread, device phases
-/// queued through the front-end scheduler, each shard served on its own
-/// OS thread. (Earlier revisions projected this figure from an analytic
+/// queued on the `ShardExecutor`'s per-shard rings and served by its
+/// worker pool. (Earlier revisions projected this figure from an analytic
 /// closed-loop model; every row below is now a real run.)
 pub fn fig9() -> Figure {
     let mut f = Figure::new(
@@ -426,8 +426,8 @@ pub fn fig9() -> Figure {
 /// Figure 9-MC (beyond the paper): capacity and cached bandwidth scaling
 /// at 1/2/4 channels — the multi-module deployment §VII-A sketches.
 /// Every shard's bus trace from the measured run is verified with the
-/// full `nvdimmc-check` pass, and the scheduler's request-conservation
-/// invariant is checked across shards.
+/// full `nvdimmc-check` pass, and the executor's request-conservation
+/// invariant (`ShardExecutor::conservation`) is checked across shards.
 pub fn fig9_multichannel() -> Figure {
     let mut f = Figure::new(
         "Figure 9-MC",

@@ -4,9 +4,9 @@
 //! Each channel of a `MultiChannelSystem` has its own bus, so its trace
 //! is verified independently with the full single-channel pass — one
 //! shard's refresh phase tells you nothing about another's. What *is*
-//! global is the front-end scheduler's accounting: every request accepted
-//! into a shard queue must eventually complete there. A mismatch means
-//! the front-end dropped or double-counted work, which no per-shard
+//! global is the executor's accounting: every request accepted onto a
+//! shard ring must eventually complete there. A mismatch means the
+//! request path dropped or double-counted work, which no per-shard
 //! timing check would ever notice.
 
 use crate::diag::{Diagnostic, Report};
@@ -22,10 +22,10 @@ pub fn check_shards(traces: &[Vec<TraceEntry>], timing: &TimingParams) -> Vec<Re
         .collect()
 }
 
-/// Checks the scheduler's cross-shard request conservation: for every
+/// Checks the executor's cross-shard request conservation: for every
 /// shard, `enqueued == completed` once the system is quiescent. Input is
 /// the per-shard `(enqueued, completed)` pairs (e.g. from
-/// `RequestScheduler::conservation`).
+/// `ShardExecutor::conservation`).
 pub fn check_conservation(counts: &[(u64, u64)]) -> Report {
     let mut report = Report::new();
     for (shard, &(enqueued, completed)) in counts.iter().enumerate() {

@@ -28,7 +28,7 @@ use nvdimmc_sim::SimTime;
 /// One parent's slice of a coalesced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParentSpan {
-    /// The parent's scheduler sequence number.
+    /// The parent's executor-stamped sequence number.
     pub seq: u64,
     /// The issuing tenant.
     pub tenant: TenantId,

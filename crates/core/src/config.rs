@@ -52,9 +52,6 @@ pub struct NvdimmCConfig {
     pub eviction: EvictionPolicyKind,
     /// Backend realisation.
     pub backend: Backend,
-    /// CP mailbox command depth (the PoC supports 1; >1 is the paper's
-    /// §VII-C optimisation 2, modelled in the multi-thread projection).
-    pub cp_queue_depth: u32,
     /// §VII-C optimisation 4: merge an independent writeback and
     /// cachefill into one CP command processed in parallel by the device.
     pub merge_wb_cf: bool,
@@ -96,7 +93,6 @@ impl NvdimmCConfig {
             nvmc: NvmcConfig::small_for_tests(),
             eviction: EvictionPolicyKind::Lrc,
             backend: Backend::Znand,
-            cp_queue_depth: 1,
             merge_wb_cf: false,
             window_xfer_bytes: PAGE_BYTES,
             perf: PerfParams::poc(),
@@ -131,7 +127,6 @@ impl NvdimmCConfig {
             nvmc: NvmcConfig::znand_poc(),
             eviction: EvictionPolicyKind::Lrc,
             backend: Backend::Znand,
-            cp_queue_depth: 1,
             merge_wb_cf: false,
             window_xfer_bytes: PAGE_BYTES,
             perf: PerfParams::poc(),
@@ -182,9 +177,6 @@ impl NvdimmCConfig {
                 "{} slots need {} bytes of DRAM, only {} configured",
                 self.cache_slots, needed, self.dram_bytes
             ));
-        }
-        if self.cp_queue_depth == 0 {
-            return Err("cp_queue_depth must be at least 1".into());
         }
         if self.window_xfer_bytes == 0 || !self.window_xfer_bytes.is_multiple_of(PAGE_BYTES) {
             return Err("window_xfer_bytes must be a positive multiple of 4096".into());

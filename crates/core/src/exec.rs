@@ -65,8 +65,8 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 4 workers, 64-deep rings, 64 KiB DMA cap — matches the scheduler's
-    /// default queue depth and a typical controller's max transfer.
+    /// 4 workers, 64-deep rings, 64 KiB DMA cap — a typical
+    /// controller's max transfer.
     fn default() -> Self {
         ExecutorConfig {
             workers: 4,
@@ -375,11 +375,8 @@ impl ShardExecutor {
 
     /// Routes one *pre-split* request onto `shard`'s ring — for drivers
     /// that run the interleave splitter themselves. Stamps and returns
-    /// the sequence number; a full ring bounces the request back
-    /// (mirroring [`RequestScheduler::enqueue`]) so the caller can drain
-    /// and retry without losing it.
-    ///
-    /// [`RequestScheduler::enqueue`]: crate::sched::RequestScheduler::enqueue
+    /// the sequence number; a full ring bounces the request back so the
+    /// caller can drain and retry without losing it.
     ///
     /// # Errors
     ///

@@ -1,12 +1,15 @@
 //! The multi-channel front-end: N independent [`ChannelShard`]s behind
-//! an address interleaver and a request scheduler.
+//! an address interleaver.
 //!
 //! [`MultiChannelSystem`] is the multi-module generalisation the paper
 //! sketches in §VII-A (capacity and bandwidth scale with the number of
 //! modules, "similar to using multiple memory modules"): every global
 //! operation is split by the [`InterleaveMap`] into per-shard segments,
-//! routed through the bounded [`RequestScheduler`] queues, and served by
-//! the owning shard on its own clock. Shards share *no* mutable state —
+//! each served by the owning shard on its own clock. The blocking
+//! [`BlockDevice`] path calls the shard directly; concurrent drivers
+//! queue segments on the [`ShardExecutor`](crate::exec::ShardExecutor)
+//! instead ([`MultiChannelSystem::parts_mut`]), which holds the only
+//! request queue in the system. Shards share *no* mutable state —
 //! separate buses, iMCs, FPGA pipelines, caches and RNG streams — which
 //! is what lets the [`ShardExecutor`](crate::exec::ShardExecutor) worker
 //! pool serve many shards concurrently.
@@ -14,8 +17,7 @@
 //! The single-channel configuration ([`MultiChannelConfig::single`]) is
 //! the paper's artifact and stays bit-identical to driving a bare
 //! [`System`](crate::shard::System): one channel means one segment per
-//! operation, an empty queue in front of an idle shard, and the exact
-//! blocking call sequence of the monolith.
+//! operation and the exact blocking call sequence of the monolith.
 //!
 //! Cross-shard persistence ordering: [`MultiChannelSystem::persist`]
 //! flushes every involved shard first, then fences **all** shards, then
@@ -26,9 +28,7 @@
 use crate::config::{NvdimmCConfig, PAGE_BYTES};
 use crate::error::CoreError;
 use crate::health::{DegradeReason, FailoverPolicy, HealthState, HealthTransition, RebuildReport};
-use crate::interleave::{InterleaveMap, Segment};
-use crate::qos::TenantId;
-use crate::sched::{ArbitrationPolicy, ReqKind, RequestScheduler, ShardRequest};
+use crate::interleave::InterleaveMap;
 use crate::shard::{BlockDevice, ChannelShard, CrashPoint, PowerFailReport, SystemStats};
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_sim::{SimDuration, SimTime};
@@ -47,12 +47,8 @@ pub struct MultiChannelConfig {
     pub channels: u32,
     /// Interleave stripe in bytes (multiple of 4 KB).
     pub granularity_bytes: u64,
-    /// Bound on each shard's request queue.
-    pub queue_depth: usize,
-    /// Queue arbitration policy.
-    pub policy: ArbitrationPolicy,
-    /// Failover policy for degraded/overloaded shards. The default keeps
-    /// PR 4 behaviour (no auto repair, no shedding).
+    /// Failover policy for degraded shards. The default leaves repair to
+    /// the caller.
     pub failover: FailoverPolicy,
 }
 
@@ -62,14 +58,12 @@ impl MultiChannelConfig {
         Self::new(shard, 1)
     }
 
-    /// `channels` page-interleaved channels with FCFS queues of depth 64.
+    /// `channels` page-interleaved channels.
     pub fn new(shard: NvdimmCConfig, channels: u32) -> Self {
         MultiChannelConfig {
             shard,
             channels,
             granularity_bytes: PAGE_BYTES,
-            queue_depth: 64,
-            policy: ArbitrationPolicy::Fcfs,
             failover: FailoverPolicy::default(),
         }
     }
@@ -81,13 +75,6 @@ impl MultiChannelConfig {
         self
     }
 
-    /// Overrides the arbitration policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ArbitrationPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Overrides the failover policy.
     #[must_use]
     pub fn with_failover(mut self, failover: FailoverPolicy) -> Self {
@@ -96,7 +83,7 @@ impl MultiChannelConfig {
     }
 }
 
-/// N per-channel shards behind an interleaver and request scheduler.
+/// N per-channel shards behind an interleaver.
 ///
 /// # Example
 ///
@@ -118,7 +105,6 @@ impl MultiChannelConfig {
 pub struct MultiChannelSystem {
     shards: Vec<ChannelShard>,
     map: InterleaveMap,
-    sched: RequestScheduler,
     failover: FailoverPolicy,
 }
 
@@ -133,8 +119,6 @@ impl MultiChannelSystem {
             shard: base,
             channels,
             granularity_bytes,
-            queue_depth,
-            policy,
             failover,
         } = cfg;
         let map = InterleaveMap::new(channels, granularity_bytes)?;
@@ -148,11 +132,9 @@ impl MultiChannelSystem {
             shard.set_shard_index(i);
             shards.push(shard);
         }
-        let sched = RequestScheduler::new(channels as usize, queue_depth, policy);
         Ok(MultiChannelSystem {
             shards,
             map,
-            sched,
             failover,
         })
     }
@@ -172,11 +154,6 @@ impl MultiChannelSystem {
         &self.map
     }
 
-    /// The request scheduler (queue stats, conservation counters).
-    pub fn scheduler(&self) -> &RequestScheduler {
-        &self.sched
-    }
-
     /// The shards, immutably.
     pub fn shards(&self) -> &[ChannelShard] {
         &self.shards
@@ -188,10 +165,11 @@ impl MultiChannelSystem {
     }
 
     /// Split borrow for concurrent drivers: all shards mutably, the map,
-    /// and the scheduler — lets a driver split requests globally and
-    /// hand the shard slice to a [`ShardExecutor`](crate::exec::ShardExecutor).
-    pub fn parts_mut(&mut self) -> (&mut [ChannelShard], &InterleaveMap, &mut RequestScheduler) {
-        (&mut self.shards, &self.map, &mut self.sched)
+    /// and the failover policy — lets a driver split requests globally
+    /// and hand the shard slice to a
+    /// [`ShardExecutor`](crate::exec::ShardExecutor).
+    pub fn parts_mut(&mut self) -> (&mut [ChannelShard], &InterleaveMap, FailoverPolicy) {
+        (&mut self.shards, &self.map, self.failover)
     }
 
     /// Merged system statistics over all shards.
@@ -250,12 +228,10 @@ impl MultiChannelSystem {
             .collect()
     }
 
-    /// Repairs one degraded shard online: the scheduler's admission gate
-    /// closes for exactly the duration of the rebuild (queued work is
-    /// preserved; new arrivals bounce with a typed error), the shard runs
-    /// its quiesce → re-handshake → scrub → audit sequence, and the gate
-    /// reopens whether or not the shard was re-admitted — a still-degraded
-    /// shard keeps refusing work itself, as in the pre-repair design.
+    /// Repairs one degraded shard online: the shard runs its quiesce →
+    /// re-handshake → scrub → audit sequence. The call holds `&mut self`
+    /// throughout, so no request can reach the shard mid-rebuild; a shard
+    /// that fails the audit stays degraded and keeps refusing work itself.
     ///
     /// # Errors
     ///
@@ -263,10 +239,7 @@ impl MultiChannelSystem {
     /// audit failed, fault-path errors when the rebuild itself was
     /// interrupted.
     pub fn repair_shard(&mut self, idx: usize) -> Result<RebuildReport, CoreError> {
-        self.sched.set_admitted(idx, false);
-        let out = self.shards[idx].repair();
-        self.sched.set_admitted(idx, true);
-        out
+        self.shards[idx].repair()
     }
 
     /// Repairs every degraded shard once, in index order. Returns the
@@ -420,15 +393,13 @@ impl MultiChannelSystem {
     }
 
     /// Rebuilds every shard after a power failure, keeping the persistent
-    /// Z-NAND contents and the interleave/scheduler configuration.
+    /// Z-NAND contents, the interleave map and the failover policy.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors (none expected).
     pub fn into_recovered(self) -> Result<MultiChannelSystem, CoreError> {
         let map = self.map;
-        let sched =
-            RequestScheduler::new(self.sched.shards(), self.sched.depth(), self.sched.policy());
         let shards = self
             .shards
             .into_iter()
@@ -437,7 +408,6 @@ impl MultiChannelSystem {
         Ok(MultiChannelSystem {
             shards,
             map,
-            sched,
             failover: self.failover,
         })
     }
@@ -452,8 +422,6 @@ impl MultiChannelSystem {
     /// Propagates configuration errors (none expected).
     pub fn into_crash_recovered(self) -> Result<MultiChannelSystem, CoreError> {
         let map = self.map;
-        let sched =
-            RequestScheduler::new(self.sched.shards(), self.sched.depth(), self.sched.policy());
         let shards = self
             .shards
             .into_iter()
@@ -462,7 +430,6 @@ impl MultiChannelSystem {
         Ok(MultiChannelSystem {
             shards,
             map,
-            sched,
             failover: self.failover,
         })
     }
@@ -521,72 +488,6 @@ impl MultiChannelSystem {
         }
     }
 
-    /// The retry-after hint for every shed site, proportional to the
-    /// shard's actual queue pressure: the policy's base delay when the
-    /// queue is empty, twice it when the queue is full. One helper for
-    /// all three shed paths (closed gate, full queue, exhausted repair
-    /// budget), so the hint semantics cannot drift between them.
-    fn shed_retry_after(&self, idx: usize) -> SimDuration {
-        let base = self.failover.retry_after;
-        let pressure = self.sched.pending(idx) as f64 / self.sched.depth().max(1) as f64;
-        base + base.mul_f64(pressure.min(1.0))
-    }
-
-    /// Routes one segment through the scheduler for accounting. The queue
-    /// in front of an idle shard is empty, so the request passes straight
-    /// through — the scheduler still accounts it for the conservation
-    /// check. Returns whether the request was queued (and must be marked
-    /// complete after service).
-    ///
-    /// # Errors
-    ///
-    /// `Rebuilding` when the shard's admission gate is closed mid-repair,
-    /// `Overloaded` when the queue is full and the policy sheds load.
-    /// Both hints scale with queue pressure ([`Self::shed_retry_after`]).
-    fn enqueue_accounted(
-        &mut self,
-        idx: usize,
-        kind: ReqKind,
-        seg: &Segment,
-        t0: SimTime,
-    ) -> Result<bool, CoreError> {
-        let req = ShardRequest {
-            seq: 0,
-            tenant: TenantId::HOST,
-            thread: 0,
-            kind,
-            local_offset: seg.local_offset,
-            len: seg.len,
-            not_before: t0,
-            // The blocking path serves the payload in place; the queue
-            // entry carries only the accounting fields.
-            data: Vec::new(),
-        };
-        if !self.sched.is_admitted(idx) {
-            // The gate only closes while a repair is in flight.
-            let _ = self.sched.enqueue(idx, req);
-            return Err(CoreError::Rebuilding {
-                shard: idx as u32,
-                retry_after: self.shed_retry_after(idx),
-            });
-        }
-        match self.sched.enqueue(idx, req) {
-            Ok(()) => {
-                let _ = self.sched.pop(idx);
-                Ok(true)
-            }
-            Err(_) if self.failover.shed_on_overload => Err(CoreError::Overloaded {
-                shard: idx as u32,
-                retry_after: self.shed_retry_after(idx),
-                queued: self.sched.pending(idx),
-                queue_limit: self.sched.depth(),
-            }),
-            // A bounced request (full queue) is served directly anyway —
-            // the blocking path cannot defer.
-            Err(_) => Ok(false),
-        }
-    }
-
     /// Serves one shard operation under the failover policy: a degraded
     /// shard is repaired online (up to the attempt budget) and the
     /// operation retried; once the budget is spent the caller gets a
@@ -615,49 +516,14 @@ impl MultiChannelSystem {
                     }
                 }
                 Err(CoreError::DegradedShard { shard, .. }) if self.failover.auto_repair => {
-                    let retry_after = self.shed_retry_after(shard as usize);
-                    return Err(CoreError::Rebuilding { shard, retry_after });
+                    return Err(CoreError::Rebuilding {
+                        shard,
+                        retry_after: self.failover.retry_after,
+                    });
                 }
                 other => return other,
             }
         }
-    }
-
-    /// Routes one read segment: catch-up, scheduler accounting, then the
-    /// blocking shard call under the failover policy.
-    fn route_read(
-        &mut self,
-        seg: &Segment,
-        t0: SimTime,
-        buf: &mut [u8],
-    ) -> Result<SimTime, CoreError> {
-        let idx = seg.shard as usize;
-        self.catch_up(idx, t0);
-        let queued = self.enqueue_accounted(idx, ReqKind::Read, seg, t0)?;
-        let local = seg.local_offset;
-        self.serve_failover(idx, |shard| shard.read_at(local, buf))?;
-        if queued {
-            self.sched.complete(idx);
-        }
-        Ok(self.shards[idx].now())
-    }
-
-    /// Routes one write segment; see [`Self::route_read`].
-    fn route_write(
-        &mut self,
-        seg: &Segment,
-        t0: SimTime,
-        data: &[u8],
-    ) -> Result<SimTime, CoreError> {
-        let idx = seg.shard as usize;
-        self.catch_up(idx, t0);
-        let queued = self.enqueue_accounted(idx, ReqKind::Write, seg, t0)?;
-        let local = seg.local_offset;
-        self.serve_failover(idx, |shard| shard.write_at(local, data))?;
-        if queued {
-            self.sched.complete(idx);
-        }
-        Ok(self.shards[idx].now())
     }
 }
 
@@ -699,9 +565,11 @@ impl BlockDevice for MultiChannelSystem {
         let t0 = self.now();
         let mut done = t0;
         for seg in self.map.split_range(offset, len) {
+            let idx = seg.shard as usize;
+            self.catch_up(idx, t0);
             let slice = &mut buf[seg.pos..seg.pos + seg.len as usize];
-            let end = self.route_read(&seg, t0, slice)?;
-            done = done.max(end);
+            self.serve_failover(idx, |shard| shard.read_at(seg.local_offset, slice))?;
+            done = done.max(self.shards[idx].now());
         }
         Ok(done.since(t0))
     }
@@ -715,9 +583,11 @@ impl BlockDevice for MultiChannelSystem {
         let t0 = self.now();
         let mut done = t0;
         for seg in self.map.split_range(offset, len) {
+            let idx = seg.shard as usize;
+            self.catch_up(idx, t0);
             let slice = &data[seg.pos..seg.pos + seg.len as usize];
-            let end = self.route_write(&seg, t0, slice)?;
-            done = done.max(end);
+            self.serve_failover(idx, |shard| shard.write_at(seg.local_offset, slice))?;
+            done = done.max(self.shards[idx].now());
         }
         Ok(done.since(t0))
     }
@@ -777,14 +647,10 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         sys.read_at(1000, &mut out).unwrap();
         assert_eq!(out, data);
-        // The write really spread over all four shards.
+        // The write and the read really spread over all four shards.
         for (i, s) in sys.shards().iter().enumerate() {
-            assert!(s.stats().writes > 0, "shard {i} untouched");
-        }
-        // Conservation: everything enqueued has completed.
-        for (i, (enq, comp)) in sys.scheduler().conservation().iter().enumerate() {
-            assert_eq!(enq, comp, "shard {i} leaked requests");
-            assert!(*enq > 0, "shard {i} never scheduled");
+            assert!(s.stats().writes > 0, "shard {i} never written");
+            assert!(s.stats().reads > 0, "shard {i} never read");
         }
     }
 

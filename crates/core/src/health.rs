@@ -1,13 +1,13 @@
 //! Per-shard health state machine: `Healthy → Degraded → Rebuilding →
 //! Healthy`.
 //!
-//! PR 4 left a shard that exhausted its CP retransmit budget degraded
-//! *forever*. This module adds the vocabulary for online repair: a typed
-//! degradation reason, an explicit state machine with a transition log,
-//! a per-rebuild conservation ledger ([`RebuildReport`]) that must audit
+//! A shard that exhausts its CP retransmit budget degrades; this module
+//! holds the vocabulary for repairing it online: a typed degradation
+//! reason, an explicit state machine with a transition log, a
+//! per-rebuild conservation ledger ([`RebuildReport`]) that must audit
 //! clean before the shard is re-admitted, and the front-end
 //! [`FailoverPolicy`] that decides whether degraded shards are repaired
-//! automatically and whether full queues shed load with typed errors.
+//! automatically.
 //!
 //! The legal transitions are:
 //!
@@ -195,8 +195,7 @@ impl RebuildReport {
 }
 
 /// Front-end failover policy: what [`crate::MultiChannelSystem`] does when
-/// a request lands on a shard that is not `Healthy` or whose queue is
-/// full.
+/// a request lands on a shard that is not `Healthy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailoverPolicy {
     /// Repair degraded shards online (quiesce → re-handshake → scrub →
@@ -205,48 +204,28 @@ pub struct FailoverPolicy {
     /// Bounded retry: how many repair attempts per request before giving
     /// up with [`crate::CoreError::Rebuilding`].
     pub max_repair_attempts: u32,
-    /// Retry-after hint carried by [`crate::CoreError::Rebuilding`] and
-    /// [`crate::CoreError::Overloaded`].
+    /// Retry-after hint carried by [`crate::CoreError::Rebuilding`] once
+    /// the repair budget is spent.
     pub retry_after: SimDuration,
-    /// Shed load with [`crate::CoreError::Overloaded`] when a shard queue
-    /// is full instead of blocking the caller.
-    pub shed_on_overload: bool,
 }
 
 impl Default for FailoverPolicy {
-    /// The PR 4 behaviour: no automatic repair, no shedding — degraded
-    /// shards bounce requests with `DegradedShard` until someone calls
-    /// `repair_shard` explicitly.
+    /// No automatic repair: degraded shards bounce requests with
+    /// `DegradedShard` until someone calls `repair_shard` explicitly.
     fn default() -> Self {
         FailoverPolicy {
             auto_repair: false,
             max_repair_attempts: 3,
             retry_after: SimDuration::from_us(100.0),
-            shed_on_overload: false,
         }
     }
 }
 
 impl FailoverPolicy {
-    /// Full failover: automatic online repair plus typed load shedding.
+    /// Full failover: automatic online repair of degraded shards.
     pub fn auto() -> Self {
         FailoverPolicy {
             auto_repair: true,
-            shed_on_overload: true,
-            ..Self::default()
-        }
-    }
-
-    /// Failover for a front-end whose repairs run off the request path
-    /// (the [`crate::qos::MaintenanceScheduler`]): full queues shed with
-    /// typed `Overloaded`, but degraded shards are *not* repaired inline
-    /// — they bounce with a retry hint until the next idle maintenance
-    /// slot repairs them, so repair work never blocks a foreground
-    /// request.
-    pub fn maintenance() -> Self {
-        FailoverPolicy {
-            auto_repair: false,
-            shed_on_overload: true,
             ..Self::default()
         }
     }
@@ -314,11 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_preserves_pr4_behaviour() {
-        let p = FailoverPolicy::default();
-        assert!(!p.auto_repair);
-        assert!(!p.shed_on_overload);
-        let a = FailoverPolicy::auto();
-        assert!(a.auto_repair && a.shed_on_overload);
+    fn default_policy_leaves_repair_to_the_caller() {
+        assert!(!FailoverPolicy::default().auto_repair);
+        assert!(FailoverPolicy::auto().auto_repair);
     }
 }

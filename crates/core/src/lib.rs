@@ -22,10 +22,10 @@
 //!   single-channel alias — the paper's artifact);
 //! - [`interleave`] — the address-interleaving map that stripes the
 //!   global byte space over channels at a configurable granularity;
-//! - [`sched`] — the bounded per-shard request queues with FCFS /
-//!   FR-FCFS arbitration and fairness counters;
-//! - [`front`] — [`MultiChannelSystem`]: N shards behind the interleaver
-//!   and scheduler, with cross-shard persist ordering;
+//! - [`sched`] — the per-shard request types and the per-bank refresh
+//!   planner;
+//! - [`front`] — [`MultiChannelSystem`]: N shards behind the interleaver,
+//!   with online repair and cross-shard persist ordering;
 //! - [`ring`] — the bounded per-shard SPSC inbound rings feeding the
 //!   executor;
 //! - [`mod@coalesce`] — adjacent-request merging in front of the DMA engine;
@@ -104,9 +104,7 @@ pub use qos::{
 };
 pub use refresh::{DetectorPipeline, RefreshDetector};
 pub use ring::SpscRing;
-pub use sched::{
-    ArbitrationPolicy, RefreshPlanner, ReqKind, RequestScheduler, SchedStats, ShardRequest,
-};
+pub use sched::{RefreshPlanner, ReqKind, ShardRequest};
 pub use shard::{
     BlockDevice, ChannelShard, CrashPoint, CrashPointKind, DumpReport, PowerFailReport,
     QueuedDevice, System, SystemStats,

@@ -12,9 +12,7 @@
 //! hot path.
 //!
 //! A full ring bounces the request back to the producer ([`SpscRing::
-//! try_push`] returns it in `Err`), mirroring the bounded
-//! [`RequestScheduler`](crate::sched::RequestScheduler) queues:
-//! backpressure, never silent growth.
+//! try_push`] returns it in `Err`): backpressure, never silent growth.
 
 use crate::sched::ShardRequest;
 

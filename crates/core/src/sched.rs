@@ -1,21 +1,18 @@
-//! The front-end request scheduler: bounded per-shard queues with
-//! FR-FCFS-style arbitration hooks.
+//! Per-shard request types and the per-bank refresh planner.
 //!
-//! The multi-channel front-end never calls into a shard directly; every
-//! operation becomes one [`ShardRequest`] per interleave segment,
-//! enqueued here and drained by the serving loop. The queues are bounded
-//! (a full queue bounces the request back to the issuer — backpressure,
-//! not silent growth), per-shard so channels never contend on a lock,
-//! and instrumented: enqueue/complete counters per shard let
-//! `nvdimmc-check` assert request conservation, and the FR-FCFS policy
-//! counts both its locality promotions and the starvation breaks where
-//! fairness overrode locality.
+//! Every operation bound for a shard becomes one [`ShardRequest`] per
+//! interleave segment. The [`ShardExecutor`](crate::exec::ShardExecutor)
+//! is the only request queue in the system: it stamps each request's
+//! sequence number, holds it on the shard's bounded ring and serves it
+//! in arrival order. Row-buffer-aware reordering happens below the
+//! shard, in the host iMC's open-page policy, exactly where the paper's
+//! unmodified memory controller does it. The [`RefreshPlanner`] turns
+//! the executor's queue-depth hint into per-bank refresh window
+//! placement.
 
 use nvdimmc_ddr::{BankAddr, TimingParams};
 use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
-use std::collections::VecDeque;
 
-use crate::config::PAGE_BYTES;
 use crate::qos::TenantId;
 
 /// Request direction.
@@ -47,206 +44,6 @@ pub struct ShardRequest {
     pub not_before: SimTime,
     /// Payload for writes (empty for reads).
     pub data: Vec<u8>,
-}
-
-impl ShardRequest {
-    fn local_page(&self) -> u64 {
-        self.local_offset / PAGE_BYTES
-    }
-}
-
-/// Arbitration policy for picking the next request off a shard queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArbitrationPolicy {
-    /// Strict arrival order.
-    Fcfs,
-    /// First-ready FCFS flavour: prefer a request hitting the same local
-    /// page as the one just served (row-buffer/cache-slot locality), but
-    /// never defer the oldest request more than `starvation_limit` times.
-    FrFcfs {
-        /// How many times the queue head may be passed over before
-        /// fairness forces it out next.
-        starvation_limit: u32,
-    },
-}
-
-/// Scheduler counters (all shards summed on demand; kept per shard).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Requests accepted into a queue.
-    pub enqueued: u64,
-    /// Requests completed (popped and served).
-    pub completed: u64,
-    /// Requests bounced because the queue was full.
-    pub rejected_full: u64,
-    /// Requests bounced because the shard was not admitted (rebuilding).
-    pub rejected_unhealthy: u64,
-    /// FR-FCFS picks that jumped the queue for page locality.
-    pub locality_promotions: u64,
-    /// Times the fairness counter forced the oldest request through.
-    pub starvation_breaks: u64,
-}
-
-impl SchedStats {
-    /// Accumulates another shard's counters.
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.enqueued += other.enqueued;
-        self.completed += other.completed;
-        self.rejected_full += other.rejected_full;
-        self.rejected_unhealthy += other.rejected_unhealthy;
-        self.locality_promotions += other.locality_promotions;
-        self.starvation_breaks += other.starvation_breaks;
-    }
-}
-
-/// Bounded per-shard request queues with pluggable arbitration.
-#[derive(Debug)]
-pub struct RequestScheduler {
-    queues: Vec<VecDeque<ShardRequest>>,
-    depth: usize,
-    policy: ArbitrationPolicy,
-    last_page: Vec<Option<u64>>,
-    head_deferrals: Vec<u32>,
-    stats: Vec<SchedStats>,
-    next_seq: u64,
-    /// Admission gate per shard: the front-end closes it while the shard
-    /// rebuilds, so no new request reaches a quiesced shard.
-    admitted: Vec<bool>,
-}
-
-impl RequestScheduler {
-    /// Builds queues for `shards` shards, each holding at most `depth`
-    /// requests.
-    pub fn new(shards: usize, depth: usize, policy: ArbitrationPolicy) -> Self {
-        RequestScheduler {
-            queues: vec![VecDeque::new(); shards],
-            depth: depth.max(1),
-            policy,
-            last_page: vec![None; shards],
-            head_deferrals: vec![0; shards],
-            stats: vec![SchedStats::default(); shards],
-            next_seq: 0,
-            admitted: vec![true; shards],
-        }
-    }
-
-    /// Number of shards served.
-    pub fn shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Queue bound.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The active arbitration policy.
-    pub fn policy(&self) -> ArbitrationPolicy {
-        self.policy
-    }
-
-    /// Stamps and enqueues `req` on `shard`. A full queue bounces the
-    /// request back (`Err`) so the issuer can drain and retry —
-    /// backpressure instead of unbounded growth.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request itself when the shard queue is at depth.
-    pub fn enqueue(&mut self, shard: usize, mut req: ShardRequest) -> Result<(), ShardRequest> {
-        if !self.admitted[shard] {
-            self.stats[shard].rejected_unhealthy += 1;
-            return Err(req);
-        }
-        if self.queues[shard].len() >= self.depth {
-            self.stats[shard].rejected_full += 1;
-            return Err(req);
-        }
-        req.seq = self.next_seq;
-        self.next_seq += 1;
-        self.stats[shard].enqueued += 1;
-        self.queues[shard].push_back(req);
-        Ok(())
-    }
-
-    /// Picks the next request for `shard` under the arbitration policy.
-    pub fn pop(&mut self, shard: usize) -> Option<ShardRequest> {
-        let q = &mut self.queues[shard];
-        if q.is_empty() {
-            return None;
-        }
-        let pick = match self.policy {
-            ArbitrationPolicy::Fcfs => 0,
-            ArbitrationPolicy::FrFcfs { starvation_limit } => {
-                if self.head_deferrals[shard] >= starvation_limit {
-                    // Fairness: the head has waited long enough.
-                    self.stats[shard].starvation_breaks += 1;
-                    0
-                } else {
-                    match self.last_page[shard]
-                        .and_then(|page| q.iter().position(|r| r.local_page() == page))
-                    {
-                        Some(i) if i > 0 => {
-                            self.stats[shard].locality_promotions += 1;
-                            i
-                        }
-                        Some(_) | None => 0,
-                    }
-                }
-            }
-        };
-        if pick == 0 {
-            self.head_deferrals[shard] = 0;
-        } else {
-            self.head_deferrals[shard] += 1;
-        }
-        let req = q.remove(pick)?;
-        self.last_page[shard] = Some(req.local_page());
-        Some(req)
-    }
-
-    /// Records a served request (pairs with [`RequestScheduler::pop`]).
-    pub fn complete(&mut self, shard: usize) {
-        self.stats[shard].completed += 1;
-    }
-
-    /// Opens or closes the admission gate for `shard`. Closed while the
-    /// shard rebuilds; requests already queued stay queued.
-    pub fn set_admitted(&mut self, shard: usize, admitted: bool) {
-        self.admitted[shard] = admitted;
-    }
-
-    /// Whether `shard` currently admits new requests.
-    pub fn is_admitted(&self, shard: usize) -> bool {
-        self.admitted[shard]
-    }
-
-    /// Outstanding requests on `shard`.
-    pub fn pending(&self, shard: usize) -> usize {
-        self.queues[shard].len()
-    }
-
-    /// Per-shard counters.
-    pub fn stats(&self, shard: usize) -> SchedStats {
-        self.stats[shard]
-    }
-
-    /// All shards' counters summed.
-    pub fn total_stats(&self) -> SchedStats {
-        let mut t = SchedStats::default();
-        for s in &self.stats {
-            t.merge(s);
-        }
-        t
-    }
-
-    /// Per-shard `(enqueued, completed)` pairs for the conservation check:
-    /// with empty queues, every accepted request must have completed.
-    pub fn conservation(&self) -> Vec<(u64, u64)> {
-        self.stats
-            .iter()
-            .map(|s| (s.enqueued, s.completed))
-            .collect()
-    }
 }
 
 /// Places per-bank refresh windows for one shard: which bank the next
@@ -353,101 +150,6 @@ impl RefreshPlanner {
 mod tests {
     use super::*;
 
-    fn req(thread: u32, local_offset: u64) -> ShardRequest {
-        ShardRequest {
-            seq: 0,
-            tenant: TenantId::HOST,
-            thread,
-            kind: ReqKind::Read,
-            local_offset,
-            len: 64,
-            not_before: SimTime::ZERO,
-            data: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn fcfs_preserves_arrival_order() {
-        let mut s = RequestScheduler::new(1, 8, ArbitrationPolicy::Fcfs);
-        for t in 0..4 {
-            s.enqueue(0, req(t, u64::from(t) * PAGE_BYTES)).unwrap();
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| s.pop(0)).map(|r| r.thread).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn frfcfs_promotes_same_page_requests() {
-        let mut s = RequestScheduler::new(
-            1,
-            8,
-            ArbitrationPolicy::FrFcfs {
-                starvation_limit: 4,
-            },
-        );
-        s.enqueue(0, req(0, 0)).unwrap(); // page 0
-        s.enqueue(0, req(1, PAGE_BYTES)).unwrap(); // page 1
-        s.enqueue(0, req(2, 100)).unwrap(); // page 0 again
-        assert_eq!(s.pop(0).unwrap().thread, 0);
-        // Page locality jumps thread 2 ahead of thread 1.
-        assert_eq!(s.pop(0).unwrap().thread, 2);
-        assert_eq!(s.pop(0).unwrap().thread, 1);
-        assert_eq!(s.stats(0).locality_promotions, 1);
-    }
-
-    #[test]
-    fn starvation_limit_forces_head_through() {
-        let mut s = RequestScheduler::new(
-            1,
-            16,
-            ArbitrationPolicy::FrFcfs {
-                starvation_limit: 2,
-            },
-        );
-        s.enqueue(0, req(0, 0)).unwrap();
-        assert_eq!(s.pop(0).unwrap().thread, 0); // last_page = 0
-        s.enqueue(0, req(1, PAGE_BYTES)).unwrap(); // head, page 1
-        for t in 2..6 {
-            s.enqueue(0, req(t, 64 * u64::from(t))).unwrap(); // page 0
-        }
-        // Two promotions pass the head over; the third pop must take it.
-        assert_eq!(s.pop(0).unwrap().thread, 2);
-        assert_eq!(s.pop(0).unwrap().thread, 3);
-        assert_eq!(s.pop(0).unwrap().thread, 1, "fairness break");
-        assert_eq!(s.stats(0).starvation_breaks, 1);
-    }
-
-    #[test]
-    fn bounded_queue_bounces_back() {
-        let mut s = RequestScheduler::new(2, 2, ArbitrationPolicy::Fcfs);
-        s.enqueue(0, req(0, 0)).unwrap();
-        s.enqueue(0, req(1, 0)).unwrap();
-        let bounced = s.enqueue(0, req(2, 0)).unwrap_err();
-        assert_eq!(bounced.thread, 2);
-        assert_eq!(s.stats(0).rejected_full, 1);
-        // The other shard's queue is unaffected.
-        s.enqueue(1, req(3, 0)).unwrap();
-        assert_eq!(s.pending(0), 2);
-        assert_eq!(s.pending(1), 1);
-    }
-
-    #[test]
-    fn closed_admission_gate_bounces_without_losing_queued_work() {
-        let mut s = RequestScheduler::new(2, 4, ArbitrationPolicy::Fcfs);
-        s.enqueue(0, req(0, 0)).unwrap();
-        s.set_admitted(0, false);
-        assert!(!s.is_admitted(0));
-        assert!(s.enqueue(0, req(1, 0)).is_err());
-        assert_eq!(s.stats(0).rejected_unhealthy, 1);
-        // Work queued before the gate closed survives and still pops.
-        assert_eq!(s.pending(0), 1);
-        assert_eq!(s.pop(0).unwrap().thread, 0);
-        // The other shard is unaffected; reopening restores admission.
-        s.enqueue(1, req(2, 0)).unwrap();
-        s.set_admitted(0, true);
-        s.enqueue(0, req(3, 0)).unwrap();
-    }
-
     #[test]
     fn planner_prefers_demand_until_a_deadline_expires() {
         let trefi = SimDuration::from_us(7.8);
@@ -506,21 +208,5 @@ mod tests {
         assert_eq!(p.stretch_hint(), TimingParams::MAX_STRETCH - 6);
         p.note_queue_depth(64);
         assert_eq!(p.stretch_hint(), 0, "deep queue collapses the window");
-    }
-
-    #[test]
-    fn conservation_accounts_for_every_request() {
-        let mut s = RequestScheduler::new(2, 8, ArbitrationPolicy::Fcfs);
-        for i in 0..6u32 {
-            s.enqueue((i % 2) as usize, req(i, 0)).unwrap();
-        }
-        for shard in 0..2 {
-            while s.pop(shard).is_some() {
-                s.complete(shard);
-            }
-        }
-        assert_eq!(s.conservation(), vec![(3, 3), (3, 3)]);
-        let t = s.total_stats();
-        assert_eq!((t.enqueued, t.completed), (6, 6));
     }
 }

@@ -58,7 +58,7 @@ pub trait BlockDevice {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError>;
 }
 
-/// A device that can serve scheduler-queued requests.
+/// A device that can serve executor-queued requests.
 ///
 /// The split that makes request-level concurrency mechanistic: the
 /// *device-serial* part of an operation (bus occupancy, mapping updates,

@@ -15,10 +15,9 @@
 //! order, so the result is deterministic regardless of the worker count
 //! or how the OS schedules the pool.
 //!
-//! The pre-executor round engine survives as
-//! [`ConcurrentFio::run_lockstep`]: it serves each shard's batch
-//! sequentially through the [`RequestScheduler`] exactly as the
-//! thread-per-shard design did, and the differential tests pin the
+//! The pre-executor round engine survives as a test-only reference: it
+//! serves each shard's segments sequentially in arrival order exactly as
+//! the thread-per-shard design did, and the differential test pins the
 //! executor to it bit-for-bit (with coalescing disabled — a merged DMA
 //! is a modelled optimisation the old engine cannot express).
 //!
@@ -39,7 +38,7 @@
 use crate::fio::{FioJob, RwMode};
 use nvdimmc_core::{
     CoreError, EmulatedPmem, ExecStats, ExecutorConfig, InterleaveMap, MultiChannelSystem,
-    QueuedDevice, ReqKind, RequestScheduler, SchedStats, ShardExecutor, ShardRequest, TenantId,
+    QueuedDevice, ReqKind, ShardExecutor, ShardRequest, TenantId,
 };
 use nvdimmc_sim::{DeterministicRng, Histogram, RateMeter, SimDuration, SimTime, Zipf};
 
@@ -65,15 +64,11 @@ pub struct ConcurrentReport {
     pub read_latency: Histogram,
     /// Write latency distribution.
     pub write_latency: Histogram,
-    /// Scheduler-style counters summed over shards (executor runs map
-    /// ring accounting onto the same shape).
-    pub sched: SchedStats,
     /// Per-shard `(enqueued, completed)` — the conservation invariant.
     pub conservation: Vec<(u64, u64)>,
-    /// Executor counters summed over shards (zero for lockstep runs).
+    /// Executor counters summed over shards.
     pub exec: ExecStats,
-    /// Per-shard device-busy fraction of the elapsed window (empty for
-    /// lockstep runs).
+    /// Per-shard device-busy fraction of the elapsed window.
     pub utilisation: Vec<f64>,
     /// Order-independent digest of every read payload served: each
     /// completion hashes `(shard, offset, len, bytes)` with FNV-1a and
@@ -287,7 +282,6 @@ impl RoundDriver {
                 meter: self.meter,
                 read_latency: self.read_lat,
                 write_latency: self.write_lat,
-                sched: SchedStats::default(),
                 conservation: Vec::new(),
                 exec: ExecStats::default(),
                 utilisation: Vec::new(),
@@ -319,17 +313,13 @@ fn check_shapes<D: QueuedDevice>(
     job: FioJob,
     devices: &[D],
     map: &InterleaveMap,
-    sched_shards: usize,
 ) -> Result<(), CoreError> {
     assert!(threads >= 1, "at least one thread");
     assert!(job.block_size > 0, "block size must be positive");
     assert!(job.span >= job.block_size, "span must hold one block");
-    if devices.is_empty()
-        || devices.len() != map.channels() as usize
-        || sched_shards != devices.len()
-    {
+    if devices.is_empty() || devices.len() != map.channels() as usize {
         return Err(CoreError::Config(
-            "concurrent fio: devices, map and executor must agree on shard count".into(),
+            "concurrent fio: devices and map must agree on shard count".into(),
         ));
     }
     Ok(())
@@ -389,7 +379,7 @@ impl ConcurrentFio {
         map: &InterleaveMap,
         cfg: ExecutorConfig,
     ) -> Result<ConcurrentReport, CoreError> {
-        check_shapes(self.threads, self.job, devices, map, devices.len())?;
+        check_shapes(self.threads, self.job, devices, map)?;
         let mut exec = ShardExecutor::new(devices.len(), cfg);
         // Non-empty is checked above; an empty iterator would mean the
         // guard is gone, and time zero is the only sane fallback.
@@ -435,93 +425,6 @@ impl ConcurrentFio {
             })
             .collect();
         report.exec = exec.total_stats();
-        report.sched = SchedStats {
-            enqueued: report.exec.accepted,
-            completed: report.exec.served,
-            rejected_full: report.exec.rejected_ring_full,
-            ..SchedStats::default()
-        };
-        Ok(report)
-    }
-
-    /// The pre-executor reference engine: fans the job out over `devices`
-    /// through `map` and `sched`, serving each shard's batch sequentially
-    /// exactly as the retired thread-per-shard design did. Kept as the
-    /// lockstep oracle for the executor's bit-identity tests; new callers
-    /// should use [`Self::run_executor`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors; rejects empty device lists and
-    /// mismatched map/scheduler shapes.
-    pub fn run_lockstep<D: QueuedDevice>(
-        &self,
-        devices: &mut [D],
-        map: &InterleaveMap,
-        sched: &mut RequestScheduler,
-    ) -> Result<ConcurrentReport, CoreError> {
-        check_shapes(self.threads, self.job, devices, map, sched.shards())?;
-        let start = devices
-            .iter()
-            .map(QueuedDevice::clock)
-            .max()
-            .unwrap_or_default();
-        let mut driver = RoundDriver::new(self.job, self.threads, start);
-        let mut op_done: Vec<SimTime> = vec![SimTime::ZERO; driver.workers.len()];
-        let mut digest = 0u64;
-        while driver.live() {
-            let round = driver.next_round(&devices[0], map);
-            // Enqueue; a bounced request (bounded queue) is carried in an
-            // overflow list and appended to the shard's batch — the
-            // closed loop cannot drop work, it just records backpressure.
-            let mut overflow: Vec<Vec<ShardRequest>> = vec![Vec::new(); devices.len()];
-            for op in &round {
-                for (shard, req) in &op.segs {
-                    if let Err(r) = sched.enqueue(*shard, req.clone()) {
-                        overflow[*shard].push(r);
-                    }
-                }
-            }
-            // Drain each queue under the arbitration policy into a batch;
-            // bounced requests ride at the end (served, but never counted
-            // as enqueued — `queued_counts` keeps conservation honest).
-            op_done.iter_mut().for_each(|t| *t = SimTime::ZERO);
-            let mut scratch = Vec::new();
-            for (shard, extra) in overflow.into_iter().enumerate() {
-                let mut batch = Vec::new();
-                while let Some(r) = sched.pop(shard) {
-                    batch.push(r);
-                }
-                let queued = batch.len();
-                batch.extend(extra);
-                let dev = &mut devices[shard];
-                for (i, r) in batch.iter().enumerate() {
-                    let end = match r.kind {
-                        ReqKind::Read => {
-                            scratch.resize(r.len as usize, 0);
-                            let end = dev.serve_read(r.not_before, r.local_offset, &mut scratch)?;
-                            digest = digest.wrapping_add(digest_record(
-                                shard as u32,
-                                r.local_offset,
-                                &scratch,
-                            ));
-                            end
-                        }
-                        ReqKind::Write => dev.serve_write(r.not_before, r.local_offset, &r.data)?,
-                    };
-                    if i < queued {
-                        sched.complete(shard);
-                    }
-                    let t = r.thread as usize;
-                    op_done[t] = op_done[t].max(end);
-                }
-            }
-            driver.fold_round(&round, &op_done);
-        }
-        let (mut report, _) = driver.finish(self.threads);
-        report.data_digest = digest;
-        report.sched = sched.total_stats();
-        report.conservation = sched.conservation();
         Ok(report)
     }
 }
@@ -566,6 +469,60 @@ mod tests {
             PerfParams::poc(),
         )
         .unwrap()
+    }
+
+    /// The pre-executor reference engine: each round's segments are
+    /// bucketed per shard in arrival order and served sequentially on
+    /// the shard, exactly as the retired thread-per-shard design did.
+    fn run_lockstep<D: QueuedDevice>(
+        fio: &ConcurrentFio,
+        devices: &mut [D],
+        map: &InterleaveMap,
+    ) -> Result<ConcurrentReport, CoreError> {
+        check_shapes(fio.threads, fio.job, devices, map)?;
+        let start = devices
+            .iter()
+            .map(QueuedDevice::clock)
+            .max()
+            .unwrap_or_default();
+        let mut driver = RoundDriver::new(fio.job, fio.threads, start);
+        let mut op_done: Vec<SimTime> = vec![SimTime::ZERO; driver.workers.len()];
+        let mut digest = 0u64;
+        let mut scratch = Vec::new();
+        while driver.live() {
+            let round = driver.next_round(&devices[0], map);
+            let mut batches: Vec<Vec<&ShardRequest>> = vec![Vec::new(); devices.len()];
+            for op in &round {
+                for (shard, req) in &op.segs {
+                    batches[*shard].push(req);
+                }
+            }
+            op_done.fill(SimTime::ZERO);
+            for (shard, batch) in batches.into_iter().enumerate() {
+                let dev = &mut devices[shard];
+                for r in batch {
+                    let end = match r.kind {
+                        ReqKind::Read => {
+                            scratch.resize(r.len as usize, 0);
+                            let end = dev.serve_read(r.not_before, r.local_offset, &mut scratch)?;
+                            digest = digest.wrapping_add(digest_record(
+                                shard as u32,
+                                r.local_offset,
+                                &scratch,
+                            ));
+                            end
+                        }
+                        ReqKind::Write => dev.serve_write(r.not_before, r.local_offset, &r.data)?,
+                    };
+                    let t = r.thread as usize;
+                    op_done[t] = op_done[t].max(end);
+                }
+            }
+            driver.fold_round(&round, &op_done);
+        }
+        let (mut report, _) = driver.finish(fio.threads);
+        report.data_digest = digest;
+        Ok(report)
     }
 
     fn cached_1ch(span: u64) -> MultiChannelSystem {
@@ -615,8 +572,8 @@ mod tests {
             };
             let lock = {
                 let mut sys = mk();
-                let (shards, map, sched) = sys.parts_mut();
-                fio.run_lockstep(shards, map, sched).unwrap()
+                let (shards, map, _) = sys.parts_mut();
+                run_lockstep(&fio, shards, map).unwrap()
             };
             let exec = {
                 let mut sys = mk();
@@ -739,7 +696,7 @@ mod tests {
             assert_eq!(enq, comp, "shard {i} leaked requests");
             assert!(*enq > 0, "shard {i} idle");
         }
-        assert_eq!(report.sched.enqueued, report.sched.completed);
+        assert_eq!(report.exec.accepted, report.exec.served);
     }
 
     #[test]

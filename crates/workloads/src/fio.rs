@@ -6,7 +6,8 @@
 //! single-thread harness over the [`BlockDevice`] trait; the multi-thread
 //! Figure 9 sweeps are driven for real by
 //! [`crate::concurrent::ConcurrentFio`], which fans the same job out over
-//! scheduler queues from one worker thread per simulated thread.
+//! the executor's per-shard rings from one closed loop per simulated
+//! thread.
 
 use nvdimmc_core::{BlockDevice, CoreError};
 use nvdimmc_sim::{DeterministicRng, Histogram, RateMeter, SimDuration, Zipf};

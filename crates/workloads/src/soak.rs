@@ -205,12 +205,9 @@ impl SoakConfig {
                         CoreError::DegradedShard { .. } => report.degraded_rejections += 1,
                         CoreError::Rebuilding { retry_after, .. } => {
                             report.shed_rebuilding += 1;
-                            // The front-end already scales the hint by ring
-                            // pressure; honor it instead of hot-looping.
-                            sys.advance(retry_after);
-                        }
-                        CoreError::Overloaded { retry_after, .. } => {
-                            report.shed_overloaded += 1;
+                            // The repair budget is spent; honor the
+                            // failover policy's hint instead of
+                            // hot-looping.
                             sys.advance(retry_after);
                         }
                         other => return Err(other),
@@ -358,8 +355,6 @@ pub struct SoakReport {
     pub degraded_rejections: u64,
     /// Operations shed with a typed `Rebuilding` retry-after hint.
     pub shed_rebuilding: u64,
-    /// Operations shed with a typed `Overloaded` retry-after hint.
-    pub shed_overloaded: u64,
     /// Writes refused with a typed error (ledgered).
     pub writes_rejected: u64,
     /// Final read-backs matching a still-ledgered rejected payload;
@@ -397,7 +392,6 @@ impl SoakReport {
             cp_timeouts: 0,
             degraded_rejections: 0,
             shed_rebuilding: 0,
-            shed_overloaded: 0,
             writes_rejected: 0,
             rejected_write_leaks: 0,
             pages_excluded: 0,

@@ -5,8 +5,8 @@
 //! interleaved front-end, drives each configuration with the concurrent
 //! fio workload (8 closed-loop threads, shards served by the batched
 //! executor), then verifies every shard's bus trace with the full
-//! `nvdimmc-check` pass and the scheduler's request-conservation
-//! invariant.
+//! `nvdimmc-check` pass and the executor's request-conservation
+//! invariant (`ShardExecutor::conservation`).
 //!
 //! ```text
 //! cargo run --release --example multichannel

@@ -7,7 +7,7 @@
 //!   correctness;
 //! - a 4-channel system under the concurrent fio driver scales aggregate
 //!   bandwidth more than 2x over a single channel while every shard's
-//!   bus trace passes the full `nvdimmc-check` pass and the scheduler's
+//!   bus trace passes the full `nvdimmc-check` pass and the executor's
 //!   request-conservation invariant holds.
 
 use nvdimmc::check::{check_conservation, check_shards};
