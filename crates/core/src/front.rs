@@ -43,10 +43,8 @@ const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 pub struct MultiChannelConfig {
     /// Per-shard system configuration (capacities are per channel).
     pub shard: NvdimmCConfig,
-    /// Number of channels (= shards).
+    /// Number of channels (= shards), page-interleaved.
     pub channels: u32,
-    /// Interleave stripe in bytes (multiple of 4 KB).
-    pub granularity_bytes: u64,
     /// Failover policy for degraded shards. The default leaves repair to
     /// the caller.
     pub failover: FailoverPolicy,
@@ -63,16 +61,8 @@ impl MultiChannelConfig {
         MultiChannelConfig {
             shard,
             channels,
-            granularity_bytes: PAGE_BYTES,
             failover: FailoverPolicy::default(),
         }
-    }
-
-    /// Overrides the interleave granularity.
-    #[must_use]
-    pub fn with_granularity(mut self, bytes: u64) -> Self {
-        self.granularity_bytes = bytes;
-        self
     }
 
     /// Overrides the failover policy.
@@ -118,10 +108,9 @@ impl MultiChannelSystem {
         let MultiChannelConfig {
             shard: base,
             channels,
-            granularity_bytes,
             failover,
         } = cfg;
-        let map = InterleaveMap::new(channels, granularity_bytes)?;
+        let map = InterleaveMap::new(channels, PAGE_BYTES)?;
         let mut shards = Vec::with_capacity(channels as usize);
         for i in 0..channels {
             let mut c = base.clone();
@@ -320,21 +309,6 @@ impl MultiChannelSystem {
         self.shards
             .iter_mut()
             .map(ChannelShard::take_trace)
-            .collect()
-    }
-
-    /// Toggles the persistence journal on every shard.
-    pub fn set_persist_journal(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_persist_journal(on);
-        }
-    }
-
-    /// Drains every shard's persistence journal (index = shard).
-    pub fn take_persist_journals(&mut self) -> Vec<Vec<nvdimmc_host::PersistEvent>> {
-        self.shards
-            .iter_mut()
-            .map(ChannelShard::take_persist_journal)
             .collect()
     }
 

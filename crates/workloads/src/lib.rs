@@ -17,20 +17,19 @@
 //!   queries (SAP HANA, SF100) and the LRC/LRU hit-rate study;
 //! - [`mixedload`] — the SAP in-house mixed-load benchmark: N concurrent
 //!   users running checksummed transactions with end-to-end validation;
-//! - [`faultcampaign`] — seeded fault-injection campaigns over the
-//!   multi-channel system: inject NAND/mailbox/window/cache/power faults
-//!   mid-load, drain until every fault fired, then verify byte-exact
-//!   read-back and a balanced recovery ledger;
+//! - [`faultcampaign`] — the one mixed-load fault driver over the
+//!   multi-channel system. Campaign presets inject NAND/mailbox/window/
+//!   cache/power faults mid-load; soak presets rotate dead-mailbox waves
+//!   over every shard, repaired online through the failover policy, and
+//!   report availability and per-health-state latency percentiles. Both
+//!   drain until every fault fired, then verify byte-exact read-back and
+//!   a balanced recovery ledger;
 //! - [`crashsweep`] — crash-point torture: enumerate every crash
 //!   boundary of a deterministic workload (bus ops, CP windows, NVMC
 //!   bursts, maintenance slots), replay with a power cut armed at each,
 //!   and audit recovery with the [`nvdimmc_check::check_crash`]
 //!   persistence oracle;
-//!   failures delta-debug to 1-minimal replayable corpus schedules;
-//! - [`soak`] — SLO soak runner: sustained load while dead-mailbox
-//!   waves rotate over every shard, each degradation repaired online
-//!   through the front-end failover policy, reporting availability and
-//!   per-health-state latency percentiles.
+//!   failures delta-debug to 1-minimal replayable corpus schedules.
 //!
 //! [`System`]: nvdimmc_core::System
 
@@ -48,7 +47,6 @@ pub mod filecopy;
 pub mod fio;
 pub mod mixedload;
 pub mod qostest;
-pub mod soak;
 pub mod stream;
 pub mod tpch;
 
@@ -56,11 +54,10 @@ pub use concurrent::{ConcurrentFio, ConcurrentReport};
 pub use crashsweep::{
     CrashOp, CrashSweep, FailingPoint, Sampling, ShrunkCrash, SweepReport, TrialReport,
 };
-pub use faultcampaign::{CampaignReport, FaultCampaign, TraceEpoch};
+pub use faultcampaign::{CampaignReport, FaultCampaign, LatencySummary, TraceEpoch};
 pub use filecopy::{CopyReport, FileCopy};
 pub use fio::{FioJob, FioReport, RwMode};
 pub use mixedload::{MixedLoad, MixedLoadReport};
 pub use qostest::{QosReport, QosTestConfig, TenantReport};
-pub use soak::{LatencySummary, SoakConfig, SoakReport};
 pub use stream::{StreamReport, StreamValidator};
 pub use tpch::{QueryProfile, TpchReport, TpchRunner};

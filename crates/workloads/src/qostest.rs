@@ -3,7 +3,8 @@
 //! background maintenance (CRC scrub, online repair, FTL housekeeping)
 //! runs continuously in idle windows.
 //!
-//! Where the single-tenant [`SoakConfig`](crate::SoakConfig) proves the
+//! Where the single-tenant soak
+//! ([`FaultCampaign::dead_mailbox`](crate::FaultCampaign::dead_mailbox)) proves the
 //! system *stays in service* under fault waves, this soak proves it
 //! stays **fair**: per-tenant token buckets gate admission, the
 //! [`WfqArbiter`] interleaves each shard batch by weight, and

@@ -11,13 +11,13 @@
 //! ```
 
 use nvdimmc::check::{check_recovery, check_system_health};
-use nvdimmc::workloads::SoakConfig;
+use nvdimmc::workloads::FaultCampaign;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ch  waves  avail    healthy p50/p99      impaired p50/p99       rebuilds (ok/fail)");
     for channels in [1u32, 2, 4] {
-        let cfg = SoakConfig::dead_mailbox(channels);
-        let (r, sys) = cfg.run_full()?;
+        let cfg = FaultCampaign::dead_mailbox(channels);
+        let (r, _, sys) = cfg.run_full(false)?;
         let health_diags = check_system_health(&sys);
         let ledger_diags = check_recovery(&r.recovery);
         println!(

@@ -30,12 +30,12 @@ fn page(byte: u8) -> Vec<u8> {
 #[test]
 fn four_channel_campaign_recovers_and_traces_verify() {
     let campaign = FaultCampaign::recoverable(4);
-    let (r, traces) = campaign.run_traced(true).expect("campaign");
+    let (r, traces, _) = campaign.run_full(true).expect("campaign");
 
     // 1. No silent corruption, nothing surfaced, nothing degraded.
     assert_eq!(r.oracle_mismatches, 0, "silent corruption");
     assert_eq!(r.pages_excluded, 0, "recoverable mix surfaced a loss");
-    assert_eq!(r.degraded_shards, 0);
+    assert_eq!(r.degraded_at_end, 0);
 
     // 2. Every scheduled fault fired and is accounted for.
     let s = &r.recovery;
@@ -106,27 +106,38 @@ fn same_seed_campaign_is_bit_identical() {
 
 #[test]
 fn power_failures_mid_campaign_recover_via_rebuild() {
-    let (r, epochs) = FaultCampaign::recoverable(2)
-        .with_power_fails(2)
-        .run_traced(true)
-        .expect("campaign");
-    assert_eq!(r.power_cycles, 2, "each scheduled power fail cycles once");
-    assert_eq!(r.oracle_mismatches, 0, "data lost across a power cycle");
+    let campaign = FaultCampaign::recoverable(2).with_power_fails(2);
+    let (r, epochs, _) = campaign.run_full(true).expect("campaign");
+    let repro = campaign.repro(&r);
+    assert_eq!(
+        r.power_cycles, 2,
+        "each scheduled power fail cycles once; {repro}"
+    );
+    assert_eq!(
+        r.oracle_mismatches, 0,
+        "data lost across a power cycle; {repro}"
+    );
     let s = &r.recovery;
-    assert_eq!(s.power_fails_fired, 2);
-    assert_eq!(s.power_fails_recovered, 2);
+    assert_eq!(s.power_fails_fired, 2, "{repro}");
+    assert_eq!(s.power_fails_recovered, 2, "{repro}");
     let errors: Vec<_> = check_recovery(s)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
         .collect();
-    assert!(errors.is_empty(), "recovery ledger unbalanced: {errors:?}");
+    assert!(
+        errors.is_empty(),
+        "recovery ledger unbalanced: {errors:?}; {repro}"
+    );
     // Each reboot restarts the simulated clock, so each boot epoch is a
     // standalone trace — and every one passes the full verifier.
-    assert_eq!(epochs.len() as u64, r.power_cycles + 1);
+    assert_eq!(epochs.len() as u64, r.power_cycles + 1, "{repro}");
     let timing = NvdimmCConfig::small_for_tests().timing;
     for (e, epoch) in epochs.iter().enumerate() {
         for (shard, rep) in check_shards(epoch, &timing).iter().enumerate() {
-            assert!(rep.is_clean(), "epoch {e} shard {shard} dirty:\n{rep}");
+            assert!(
+                rep.is_clean(),
+                "epoch {e} shard {shard} dirty; {repro}:\n{rep}"
+            );
         }
     }
 }
@@ -239,16 +250,13 @@ fn long_retransmit_ladders_survive_a_mailbox_fault_storm() {
     // 15-attempt ladders and requires byte-exact data with a balanced
     // recovery ledger.
     use nvdimmc::core::RecoveryParams;
-    let campaign = FaultCampaign {
-        channels: 1,
-        faults: vec![
-            (FaultKind::CmdCorrupt, 6),
-            (FaultKind::AckDrop, 6),
-            (FaultKind::AckCorrupt, 6),
-        ],
-        ..FaultCampaign::recoverable(1)
-    }
-    .with_recovery(RecoveryParams {
+    let mut campaign = FaultCampaign::recoverable(1);
+    campaign.faults = vec![
+        (FaultKind::CmdCorrupt, 6),
+        (FaultKind::AckDrop, 6),
+        (FaultKind::AckCorrupt, 6),
+    ];
+    let campaign = campaign.with_recovery(RecoveryParams {
         cp_timeout_windows: 512,
         cp_max_retransmits: 14,
         cp_backoff: 1,
@@ -262,7 +270,7 @@ fn long_retransmit_ladders_survive_a_mailbox_fault_storm() {
         "mailbox faults must all be transparent"
     );
     assert_eq!(
-        r.degraded_shards, 0,
+        r.degraded_at_end, 0,
         "a 15-attempt ladder must outlast 1-shot faults"
     );
     let s = &r.recovery;

@@ -13,15 +13,18 @@
 //! - a full soak that kills the mailbox of every channel in rotation
 //!   ends with zero permanently degraded shards, every rebuild audited
 //!   clean, byte-exact oracle read-back, and a bit-identical rerun;
+//! - the bus traces of a soak — re-handshake probes and CRC scrubs
+//!   inside refresh windows included — pass the full timing/race/refresh
+//!   verifier on every shard;
 //! - property: whatever the armed fault count, a shard is only ever
 //!   re-admitted on the back of a rebuild report with a clean ledger.
 
-use nvdimmc::check::{check_recovery, check_system_health};
+use nvdimmc::check::{check_recovery, check_shards, check_system_health};
 use nvdimmc::core::{
     BlockDevice, CoreError, CpOpcode, DegradeReason, FailoverPolicy, FaultKind, HealthState,
     MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, PAGE_BYTES,
 };
-use nvdimmc::workloads::SoakConfig;
+use nvdimmc::workloads::FaultCampaign;
 use proptest::prelude::*;
 
 fn page(byte: u8) -> Vec<u8> {
@@ -133,8 +136,9 @@ fn auto_failover_repairs_inline_and_service_continues() {
 #[test]
 fn rebuild_transitions_are_bit_identical_across_reruns() {
     for channels in [1u32, 4] {
-        let (r1, s1) = SoakConfig::smoke(channels).run_full().expect("soak");
-        let (r2, s2) = SoakConfig::smoke(channels).run_full().expect("soak");
+        let soak = FaultCampaign::dead_mailbox_smoke(channels);
+        let (r1, _, s1) = soak.run_full(false).expect("soak");
+        let (r2, _, s2) = soak.run_full(false).expect("soak");
         assert_eq!(r1, r2, "{channels}-channel soak report diverged");
         assert_eq!(
             s1.health_logs(),
@@ -152,8 +156,8 @@ fn rebuild_transitions_are_bit_identical_across_reruns() {
 
 #[test]
 fn soak_with_dead_mailbox_on_every_channel_ends_clean() {
-    let cfg = SoakConfig::dead_mailbox(4);
-    let (report, sys) = cfg.run_full().expect("soak");
+    let cfg = FaultCampaign::dead_mailbox(4);
+    let (report, _, sys) = cfg.run_full(false).expect("soak");
 
     assert!(
         report.waves >= 4,
@@ -185,8 +189,25 @@ fn soak_with_dead_mailbox_on_every_channel_ends_clean() {
     assert!(diags.is_empty(), "{diags:?}");
 
     // Same seed, same soak, bit for bit.
-    let (rerun, _) = cfg.run_full().expect("soak rerun");
+    let rerun = cfg.run().expect("soak rerun");
     assert_eq!(report, rerun, "same-seed soak diverged");
+}
+
+#[test]
+fn soak_repair_traffic_passes_the_bus_verifier() {
+    let (report, epochs, _) = FaultCampaign::dead_mailbox_smoke(2)
+        .run_full(true)
+        .expect("soak");
+    assert!(report.recovery.rebuilds_completed > 0, "soak never rebuilt");
+    // No power faults in a soak: the whole run is one boot epoch.
+    assert_eq!(epochs.len(), 1, "unexpected power cycle");
+    let timing = NvdimmCConfig::small_for_tests().timing;
+    for (e, epoch) in epochs.iter().enumerate() {
+        for (shard, rep) in check_shards(epoch, &timing).iter().enumerate() {
+            assert!(!epoch[shard].is_empty(), "shard {shard} captured nothing");
+            assert!(rep.is_clean(), "epoch {e} shard {shard} dirty:\n{rep}");
+        }
+    }
 }
 
 proptest! {
