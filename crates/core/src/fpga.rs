@@ -193,6 +193,26 @@ impl Fpga {
         self.stats
     }
 
+    /// Earliest instant the FSM can take its next window action.
+    pub fn ready_at(&self) -> SimTime {
+        self.ready_at
+    }
+
+    /// Bus time the FSM's next window action needs once it starts: a
+    /// mailbox poll or ack, or the rest of the burst in progress.
+    pub fn next_step_duration(&self, bus: &SharedBus) -> SimDuration {
+        match &self.state {
+            FpgaState::Idle | FpgaState::Ack { .. } => Self::poll_duration(bus),
+            FpgaState::WbRead { got, .. } => {
+                Self::burst_duration(bus, (SLOT_BYTES - got.len() as u64) / 64)
+            }
+            FpgaState::CfDmaWrite { data, written, .. }
+            | FpgaState::MergedDmaWrite { data, written, .. } => {
+                Self::burst_duration(bus, data.len() as u64 / 64 - written)
+            }
+        }
+    }
+
     /// Whether a command is currently being processed.
     pub fn is_busy(&self) -> bool {
         !matches!(self.state, FpgaState::Idle)

@@ -27,7 +27,7 @@ use crate::layout::Layout;
 use crate::proto::{AckOutcome, DriverTxn, RetryOutcome};
 use crate::refresh::DetectorPipeline;
 use crate::sched::RefreshPlanner;
-use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, RefreshMode, SharedBus, TraceEntry};
+use nvdimmc_ddr::{BankAddr, DramDevice, Imc, ImcConfig, RefreshMode, SharedBus, TraceEntry};
 use nvdimmc_host::{CpuCache, Memory, PageTable, Tlb};
 use nvdimmc_nand::Nvmc;
 use nvdimmc_sim::{DeterministicRng, Histogram, SimDuration, SimTime};
@@ -574,9 +574,20 @@ impl ChannelShard {
         let log = self.bus.drain_ca_log();
         for ev in self.pipeline.process(&log) {
             if let Some(bank) = ev.bank {
-                self.planner.note_refreshed(bank, ev.at);
+                self.note_refreshed(bank, ev.at, ev.stretch);
             }
         }
+    }
+
+    /// Feeds one snooped REFpb, with the close of the window it opened,
+    /// into the planner.
+    fn note_refreshed(&mut self, bank: BankAddr, at: SimTime, stretch: u8) {
+        let (_, closes) = self
+            .bus
+            .device()
+            .timing()
+            .nvmc_window_bounds_pb(at, stretch);
+        self.planner.note_refreshed(bank, at, closes);
     }
 
     /// Advances to (and services) the next refresh window.
@@ -585,10 +596,30 @@ impl ChannelShard {
         let t = self.clock.max(due);
         if self.imc.refresh_mode() == RefreshMode::PerBank {
             // Steer the next REFpb toward the bank the FPGA's FSM needs,
-            // stretched per current queue pressure; the planner overrides
-            // the demand pick whenever a bank's tREFI deadline has lapsed.
-            let wanted = self.fpga.wanted_bank(&self.bus, &self.layout);
-            let pick = self.planner.choose(t, wanted);
+            // stretched per current queue pressure — but only when the FSM
+            // can run its next action in the window that demand pick would
+            // open: finish it there or, for an action longer than the
+            // window, start it as the window opens. Entering a window too
+            // late to finish only splits the action, and each piece costs
+            // another FSM step. Otherwise the slot pulls in the
+            // earliest-deadline bank at the base window, earning credit
+            // for when the FSM is ready. The planner overrides either pick
+            // once a bank's deadline has lapsed past its postpone credit.
+            let (opens, closes) = self
+                .bus
+                .device()
+                .timing()
+                .nvmc_window_bounds_pb(due, self.planner.stretch_hint());
+            let need = self
+                .fpga
+                .next_step_duration(&self.bus)
+                .min(closes.since(opens));
+            let wanted = if self.fpga.ready_at().max(opens) + need <= closes {
+                self.fpga.wanted_bank(&self.bus, &self.layout)
+            } else {
+                None
+            };
+            let pick = self.planner.choose(due, wanted);
             self.imc.set_refresh_pref(Some(pick));
         }
         let resumed = self.imc.pump_refresh(&mut self.bus, t)?;
@@ -602,7 +633,7 @@ impl ChannelShard {
             for ev in &events {
                 match ev.bank {
                     Some(bank) => {
-                        self.planner.note_refreshed(bank, ev.at);
+                        self.note_refreshed(bank, ev.at, ev.stretch);
                         self.fpga.on_refresh_banked(
                             ev.at,
                             bank,

@@ -17,9 +17,12 @@
 //! never blocks rank-wide: only commands into the refreshing bank stall.
 //! The bank order is steered by an external preference (the shard's
 //! refresh planner asks for the bank the NVMC most wants, with a stretch
-//! level sized from queue depth) but a deferral counter forces any bank
-//! that has waited [`Imc::PB_FORCE_LIMIT`] ticks, so out-of-order
-//! placement can never starve a bank past its tREFI budget.
+//! level sized from queue depth). A preference applies to exactly one
+//! REFpb: the pump consumes it, and REFpbs pumped for plain host traffic
+//! fall back to least-recently-refreshed order at stretch 0. A deferral
+//! counter forces any bank that has waited [`Imc::PB_FORCE_LIMIT`] ticks
+//! since its own last REFpb, so out-of-order placement can never starve
+//! a bank past its tREFI budget.
 
 use crate::bus::{BusMaster, SharedBus};
 use crate::command::{BankAddr, Command};
@@ -101,8 +104,9 @@ pub struct Imc {
     cfg: ImcConfig,
     next_refresh: SimTime,
     open_rows: Vec<Option<u32>>,
-    /// Per-bank mode: the bank (and stretch) the refresh planner would
-    /// like refreshed next, set by [`Imc::set_refresh_pref`].
+    /// Per-bank mode: the bank (and stretch) the refresh planner wants
+    /// for the next REFpb, set by [`Imc::set_refresh_pref`] and consumed
+    /// by that REFpb.
     pb_pref: Option<(BankAddr, u8)>,
     /// Per-bank mode: ticks each bank has waited since its own REFpb.
     pb_deferral: [u32; BankAddr::COUNT as usize],
@@ -172,8 +176,10 @@ impl Imc {
     }
 
     /// Per-bank mode: tells the controller which bank the refresh planner
-    /// wants refreshed next, and how far to stretch its window. `None`
-    /// falls back to least-recently-refreshed order.
+    /// wants for the next REFpb, and how far to stretch its window. The
+    /// preference is one-shot: the next REFpb consumes it, and every REFpb
+    /// after that (or after `None`) takes least-recently-refreshed order
+    /// at stretch 0.
     pub fn set_refresh_pref(&mut self, pref: Option<(BankAddr, u8)>) {
         self.pb_pref = pref;
     }
@@ -295,15 +301,17 @@ impl Imc {
 
     /// Picks the bank for the next REFpb: any bank past the forcing limit
     /// wins (most-starved first), otherwise the planner's preference,
-    /// otherwise least-recently-refreshed.
-    fn choose_pb_bank(&self) -> (BankAddr, u8) {
+    /// otherwise least-recently-refreshed. Consumes the preference either
+    /// way, so it never outlives the REFpb it was chosen for.
+    fn choose_pb_bank(&mut self) -> (BankAddr, u8) {
+        let pref = self.pb_pref.take();
         let most_starved = (0..BankAddr::COUNT)
             .max_by_key(|&i| self.pb_deferral[usize::from(i)])
             .unwrap_or(0);
         if self.pb_deferral[usize::from(most_starved)] >= Self::PB_FORCE_LIMIT {
             return (BankAddr::from_index(most_starved), 0);
         }
-        if let Some((bank, stretch)) = self.pb_pref {
+        if let Some((bank, stretch)) = pref {
             return (bank, stretch);
         }
         (BankAddr::from_index(most_starved), 0)
@@ -749,16 +757,59 @@ mod tests {
     }
 
     #[test]
+    fn refresh_pref_applies_to_exactly_one_refpb() {
+        let (mut imc, mut bus) = setup();
+        imc.set_refresh_mode(RefreshMode::PerBank);
+        bus.set_refresh_mode(RefreshMode::PerBank);
+        bus.attach_recorder();
+        let tick = imc.trefi() / 16;
+        // Two REFpbs in least-recently-refreshed order first, so the
+        // fallback order is observable: the pick is then the most-deferred
+        // bank, which is neither of them.
+        let mut t = SimTime::ZERO;
+        for _ in 0..2 {
+            t += tick;
+            imc.pump_refresh(&mut bus, t).unwrap();
+        }
+        let preferred = BankAddr::new(1, 3);
+        imc.set_refresh_pref(Some((preferred, TimingParams::MAX_STRETCH)));
+        for _ in 0..2 {
+            t += tick;
+            imc.pump_refresh(&mut bus, t).unwrap();
+        }
+        let refpbs: Vec<(BankAddr, u8)> = bus
+            .take_trace()
+            .iter()
+            .filter_map(|e| match e.cmd {
+                Command::RefreshBank { bank, stretch } => Some((bank, stretch)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refpbs.len(), 4);
+        assert_eq!(refpbs[2], (preferred, TimingParams::MAX_STRETCH));
+        // The REFpb after the preferred one is back in least-recently-
+        // refreshed order at stretch 0: not the preferred bank, and not
+        // either of the two banks refreshed before it.
+        let (next, stretch) = refpbs[3];
+        assert_eq!(stretch, 0, "a consumed preference leaves no stretch");
+        assert!(
+            ![preferred, refpbs[0].0, refpbs[1].0].contains(&next),
+            "REFpb after the preferred one went to recently refreshed {next}"
+        );
+    }
+
+    #[test]
     fn deferral_forcing_reaches_every_bank_despite_sticky_pref() {
         let (mut imc, mut bus) = setup();
         imc.set_refresh_mode(RefreshMode::PerBank);
         bus.set_refresh_mode(RefreshMode::PerBank);
         bus.attach_recorder();
-        // A planner that never changes its mind.
-        imc.set_refresh_pref(Some((BankAddr::new(0, 0), 2)));
         let mut t = SimTime::ZERO;
         let tick = imc.trefi() / 16;
         for _ in 0..(u64::from(Imc::PB_FORCE_LIMIT) * 16 * 2) {
+            // A planner that never changes its mind, re-asserting the
+            // same bank before every REFpb.
+            imc.set_refresh_pref(Some((BankAddr::new(0, 0), 2)));
             t += tick;
             imc.pump_refresh(&mut bus, t).unwrap();
         }

@@ -14,6 +14,9 @@
 //! - **Golden corpus** — two small captured traces (one legal per-bank
 //!   interleaving, one known violation) under `tests/refresh_corpus/`
 //!   replay bit-identically on every run.
+//! - **Miss path** — blocking 4 KB misses on one shard at all 16 stretch
+//!   levels against rank level, with the refresh cadence audited; the
+//!   table prints under `--nocapture`.
 
 use nvdimmc::check::{check_refresh_windows, check_shards};
 use nvdimmc::core::{
@@ -521,4 +524,138 @@ fn power_fail_mid_stretch_resize_preserves_persisted_data_in_both_modes() {
             cut_and_verify(mode, Some(RESIZE_AT), k);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Per-bank miss path at every stretch level, against rank level.
+// ---------------------------------------------------------------------
+
+use nvdimmc::check::refresh::STARVE_LIMIT;
+use nvdimmc::core::{RefreshPlanner, System};
+use nvdimmc::ddr::Imc;
+
+/// Pages written before the probe; four times the cache, so the timed
+/// reads cycle through them and every one misses.
+const PROBE_PAGES: u64 = 64;
+const PROBE_SLOTS: u64 = 16;
+const PROBE_READS: u64 = 200;
+
+/// What one miss-path probe measured over its timed reads.
+struct MissPath {
+    us_per_op: f64,
+    windows_seen: u64,
+    wrong_bank: u64,
+    demand: u64,
+    forced: u64,
+}
+
+/// One shard with a 16-slot cache and 64 dirty pages, then 200 blocking
+/// 4 KB read misses with the executor's queue-depth hint fixed at
+/// `hint` (per-bank stretch `15 - hint`). Every read is checked, and so
+/// is the refresh cadence over the timed reads: no refresh was postponed
+/// past the JEDEC backlog and written off as elided, and one was issued
+/// per refresh tick (tREFI, or tREFI/16 per bank) of simulated time.
+fn probe_miss_path(mode: RefreshMode, hint: usize) -> MissPath {
+    let mut cfg = NvdimmCConfig::small_for_tests().with_refresh_mode(mode);
+    cfg.cache_slots = PROBE_SLOTS;
+    let tick = match mode {
+        RefreshMode::RankLevel => cfg.timing.trefi,
+        RefreshMode::PerBank => cfg.timing.trefi / u64::from(BankAddr::COUNT),
+    };
+    let mut sys = System::new(cfg).unwrap();
+    let mut page = vec![0u8; PAGE_BYTES as usize];
+    for p in 0..PROBE_PAGES {
+        page.fill(p as u8);
+        sys.write_at(p * PAGE_BYTES, &page).unwrap();
+    }
+    let (imc0, fpga0, (demand0, forced0)) = (
+        sys.imc_stats(),
+        sys.fpga_stats(),
+        sys.refresh_planner_counts(),
+    );
+    let t0 = sys.now();
+    for k in 0..PROBE_READS {
+        sys.note_queue_depth(hint);
+        let p = k % PROBE_PAGES;
+        sys.read_at(p * PAGE_BYTES, &mut page).unwrap();
+        assert!(
+            page.iter().all(|&b| b == p as u8),
+            "{mode:?} hint {hint}: page {p} came back corrupted"
+        );
+    }
+    let sim = sys.now().since(t0);
+    let (imc, fpga, (demand, forced)) = (
+        sys.imc_stats(),
+        sys.fpga_stats(),
+        sys.refresh_planner_counts(),
+    );
+    assert_eq!(sys.bus_stats().violations_rejected, 0);
+    assert_eq!(
+        imc.refreshes_elided, imc0.refreshes_elided,
+        "{mode:?} hint {hint}: refreshes elided during the reads"
+    );
+    let refreshes = imc.refreshes - imc0.refreshes;
+    let ticks = sim.as_ns_f64() / tick.as_ns_f64();
+    assert!(
+        (refreshes as f64 - ticks).abs() <= 1.0,
+        "{mode:?} hint {hint}: {refreshes} refreshes over {ticks:.1} ticks"
+    );
+    MissPath {
+        us_per_op: sim.as_us_f64() / PROBE_READS as f64,
+        windows_seen: fpga.windows_seen - fpga0.windows_seen,
+        wrong_bank: fpga.windows_wrong_bank - fpga0.windows_wrong_bank,
+        demand: demand - demand0,
+        forced: forced - forced0,
+    }
+}
+
+/// Per-bank µs/op at hints 14 and 15 (stretch 1 and 0: 270 ns and
+/// 210 ns windows) before the iMC consumed each planner preference once
+/// and the planner had postpone credit. Those levels must not get
+/// slower than this.
+const SHORT_WINDOW_BEFORE_US: [f64; 2] = [61.0, 66.4];
+
+/// The miss path at all 16 stretch levels. A per-bank REFpb comes every
+/// tREFI/16, so a miss can start its next FSM step within one slot of
+/// the FSM being ready instead of waiting for the next rank REF. From
+/// stretch 5 up a window holds a whole 4 KB burst and per-bank must beat
+/// rank level. Below that the burst splits, and every piece costs
+/// another FSM step: stretch 2–4 must stay within 10 % of rank level,
+/// and stretch 0–1 must not regress.
+#[test]
+fn per_bank_miss_path_keeps_pace_with_rank_level_at_every_stretch() {
+    let row = |label: &str, r: &MissPath| {
+        println!(
+            "{label:<22}  {:6.1}  {:7}  {:10}  {:6}  {:6}",
+            r.us_per_op, r.windows_seen, r.wrong_bank, r.demand, r.forced
+        );
+    };
+    println!("mode / stretch           us/op  windows  wrong-bank  demand  forced");
+    let rank = probe_miss_path(RefreshMode::RankLevel, 0);
+    row("rank-level", &rank);
+    for hint in 0..16 {
+        let pb = probe_miss_path(RefreshMode::PerBank, hint);
+        row(&format!("per-bank hint {hint} / {}", 15 - hint), &pb);
+        let bound = match hint {
+            0..=10 => rank.us_per_op,
+            11..=13 => rank.us_per_op * 1.10,
+            _ => SHORT_WINDOW_BEFORE_US[hint - 14],
+        };
+        assert!(
+            pb.us_per_op <= bound,
+            "hint {hint}: {:.1} us/op, bound {bound:.1}",
+            pb.us_per_op
+        );
+    }
+}
+
+/// The planner's postpone credit sits inside the iMC's own forcing
+/// limit, which sits inside the checker's starvation bound: a bank the
+/// planner postpones is never forced by the iMC, and never flagged.
+#[test]
+fn postpone_credit_nests_inside_imc_forcing_and_checker_starvation() {
+    let per_interval = u32::from(BankAddr::COUNT);
+    assert!(per_interval + RefreshPlanner::SLACK_SLOTS < Imc::PB_FORCE_LIMIT);
+    assert!(u64::from(Imc::PB_FORCE_LIMIT) <= STARVE_LIMIT);
+    assert_eq!(STARVE_LIMIT, 48);
 }
