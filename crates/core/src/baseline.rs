@@ -8,11 +8,11 @@
 //! NVDIMM-C channel.
 
 use crate::config::PAGE_BYTES;
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::perf::PerfParams;
-use crate::shard::{BlockDevice, QueuedDevice};
+use crate::shard::{BlockDevice, Io, QueuedDevice};
 use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, SharedBus, TimingParams};
-use nvdimmc_sim::{Histogram, SimDuration, SimTime};
+use nvdimmc_sim::{SimDuration, SimTime};
 
 /// Statistics for the baseline device.
 #[derive(Debug, Clone, Default)]
@@ -21,10 +21,6 @@ pub struct BaselineStats {
     pub reads: u64,
     /// Write operations.
     pub writes: u64,
-    /// Read latency distribution.
-    pub read_latency: Histogram,
-    /// Write latency distribution.
-    pub write_latency: Histogram,
 }
 
 /// The emulated-NVDIMM baseline.
@@ -83,25 +79,78 @@ impl EmulatedPmem {
         &self.stats
     }
 
-    fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        if offset + len > self.capacity {
-            return Err(CoreError::OutOfRange {
-                offset,
-                capacity: self.capacity,
-            });
-        }
-        Ok(())
-    }
-
-    fn sw_cost(&self, len: u64, write: bool) -> SimDuration {
+    /// Per-op fixed software cost. Sub-page ops skip nothing on the
+    /// baseline: the block-layer-ish fixed cost applies regardless of
+    /// size.
+    fn sw_cost(&self, write: bool) -> SimDuration {
         let mut c = self.perf.fio_base_op;
         if write {
             c += self.perf.fio_write_extra;
         }
-        // Sub-page ops skip nothing on the baseline: the block-layer-ish
-        // fixed cost applies regardless of size.
-        let _ = len;
         c
+    }
+
+    /// The one op body behind [`BlockDevice::read_at`],
+    /// [`BlockDevice::write_at`], [`QueuedDevice::serve_read`] and
+    /// [`QueuedDevice::serve_write`]; returns the completion instant.
+    ///
+    /// `not_before` is `None` for a blocking call, which charges the
+    /// software cost and then runs the idle branch. A queued request
+    /// arriving at `not_before` runs the idle branch when the device is
+    /// free by then, and the contended branch otherwise.
+    fn serve(
+        &mut self,
+        not_before: Option<SimTime>,
+        offset: u64,
+        io: Io<'_>,
+    ) -> Result<SimTime, CoreError> {
+        let len = io.len() as u64;
+        if len == 0 {
+            return Ok(not_before.map_or(self.clock, |t| self.clock.max(t)));
+        }
+        check_range(offset, len, self.capacity)?;
+        let write = io.is_write();
+        let idle = match not_before {
+            None => {
+                self.clock += self.sw_cost(write);
+                true
+            }
+            Some(t) if self.clock <= t => {
+                // Idle at arrival: lock-step with the issuing thread's
+                // copy, exactly like the blocking path.
+                self.clock = t;
+                true
+            }
+            // Contended: the copy overlaps other requests' transfers; the
+            // device holds only the raw (tCCD-pipelined) bus occupancy.
+            Some(_) => false,
+        };
+        let start = self.clock;
+        let pace = if idle {
+            self.perf.copy_time(64)
+        } else {
+            SimDuration::ZERO
+        };
+        let end = match io {
+            Io::Read(buf) => self
+                .imc
+                .read_bytes_paced(&mut self.bus, start, offset, buf, pace)?,
+            Io::Write(data) => {
+                self.imc
+                    .write_bytes_paced(&mut self.bus, start, offset, data, pace)?
+            }
+        };
+        self.clock = if idle {
+            end.max(start + self.perf.copy_time(len))
+        } else {
+            end
+        };
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        Ok(self.clock)
     }
 }
 
@@ -119,43 +168,13 @@ impl BlockDevice for EmulatedPmem {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
         let t0 = self.clock;
-        self.clock += self.sw_cost(len, false);
-        let start = self.clock;
-        let pace = self.perf.copy_time(64);
-        let end = self
-            .imc
-            .read_bytes_paced(&mut self.bus, start, offset, buf, pace)?;
-        self.clock = end.max(start + self.perf.copy_time(len));
-        let lat = self.clock.since(t0);
-        self.stats.reads += 1;
-        self.stats.read_latency.record(lat);
-        Ok(lat)
+        Ok(self.serve(None, offset, Io::Read(buf))?.since(t0))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
         let t0 = self.clock;
-        self.clock += self.sw_cost(len, true);
-        let start = self.clock;
-        let pace = self.perf.copy_time(64);
-        let end = self
-            .imc
-            .write_bytes_paced(&mut self.bus, start, offset, data, pace)?;
-        self.clock = end.max(start + self.perf.copy_time(len));
-        let lat = self.clock.since(t0);
-        self.stats.writes += 1;
-        self.stats.write_latency.record(lat);
-        Ok(lat)
+        Ok(self.serve(None, offset, Io::Write(data))?.since(t0))
     }
 }
 
@@ -168,8 +187,8 @@ impl QueuedDevice for EmulatedPmem {
         self.clock
     }
 
-    fn pre_cost(&self, len: u64, write: bool) -> SimDuration {
-        self.sw_cost(len, write)
+    fn pre_cost(&self, _len: u64, write: bool) -> SimDuration {
+        self.sw_cost(write)
     }
 
     fn copy_cost(&self, len: u64) -> SimDuration {
@@ -182,33 +201,7 @@ impl QueuedDevice for EmulatedPmem {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<SimTime, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        if self.clock <= not_before {
-            // Idle at arrival: lock-step with the issuing thread's copy,
-            // exactly like the blocking path.
-            self.clock = not_before;
-            let t0 = self.clock;
-            let pace = self.perf.copy_time(64);
-            let end = self
-                .imc
-                .read_bytes_paced(&mut self.bus, t0, offset, buf, pace)?;
-            self.clock = end.max(t0 + self.perf.copy_time(len));
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        } else {
-            // Contended: the copy overlaps other requests' transfers; the
-            // device holds only the raw (tCCD-pipelined) bus occupancy.
-            let t0 = self.clock;
-            let end = self.imc.read_bytes(&mut self.bus, t0, offset, buf)?;
-            self.clock = end;
-            self.stats.reads += 1;
-            self.stats.read_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(Some(not_before), offset, Io::Read(buf))
     }
 
     fn serve_write(
@@ -217,29 +210,7 @@ impl QueuedDevice for EmulatedPmem {
         offset: u64,
         data: &[u8],
     ) -> Result<SimTime, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(self.clock.max(not_before));
-        }
-        self.check_range(offset, len)?;
-        if self.clock <= not_before {
-            self.clock = not_before;
-            let t0 = self.clock;
-            let pace = self.perf.copy_time(64);
-            let end = self
-                .imc
-                .write_bytes_paced(&mut self.bus, t0, offset, data, pace)?;
-            self.clock = end.max(t0 + self.perf.copy_time(len));
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        } else {
-            let t0 = self.clock;
-            let end = self.imc.write_bytes(&mut self.bus, t0, offset, data)?;
-            self.clock = end;
-            self.stats.writes += 1;
-            self.stats.write_latency.record(self.clock.since(t0));
-        }
-        Ok(self.clock)
+        self.serve(Some(not_before), offset, Io::Write(data))
     }
 }
 

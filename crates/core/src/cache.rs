@@ -34,14 +34,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Accumulates another cache partition's counters into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.dirty_evictions += other.dirty_evictions;
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -96,6 +96,16 @@ pub enum CoreError {
     },
 }
 
+/// Checks that `len` bytes at `offset` lie inside a device of `capacity`
+/// bytes. A range whose end overflows `u64` is out of range too, never
+/// wrapped round to a small address.
+pub(crate) fn check_range(offset: u64, len: u64, capacity: u64) -> Result<(), CoreError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= capacity => Ok(()),
+        _ => Err(CoreError::OutOfRange { offset, capacity }),
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

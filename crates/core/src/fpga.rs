@@ -72,30 +72,6 @@ pub struct FpgaStats {
     pub bursts_resumed: u64,
 }
 
-impl FpgaStats {
-    /// Accumulates another FPGA's counters into this one (per-shard stats
-    /// aggregation in multi-channel systems).
-    pub fn merge(&mut self, other: &FpgaStats) {
-        self.windows_seen += other.windows_seen;
-        self.windows_used += other.windows_used;
-        self.windows_skipped_busy += other.windows_skipped_busy;
-        self.windows_wrong_bank += other.windows_wrong_bank;
-        self.cachefills += other.cachefills;
-        self.writebacks += other.writebacks;
-        self.merged_ops += other.merged_ops;
-        self.probes += other.probes;
-        self.dma_bytes += other.dma_bytes;
-        self.acks_dropped += other.acks_dropped;
-        self.acks_corrupted += other.acks_corrupted;
-        self.cmd_decode_failures += other.cmd_decode_failures;
-        self.nand_errors_nacked += other.nand_errors_nacked;
-        self.replayed_acks += other.replayed_acks;
-        self.overrun_stalls += other.overrun_stalls;
-        self.bursts_split += other.bursts_split;
-        self.bursts_resumed += other.bursts_resumed;
-    }
-}
-
 /// An injectable CP-mailbox acknowledgement fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckFault {

@@ -26,10 +26,10 @@
 //! events.
 
 use crate::config::{NvdimmCConfig, PAGE_BYTES};
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::health::{DegradeReason, FailoverPolicy, HealthState, HealthTransition, RebuildReport};
 use crate::interleave::InterleaveMap;
-use crate::shard::{BlockDevice, ChannelShard, CrashPoint, PowerFailReport, SystemStats};
+use crate::shard::{BlockDevice, ChannelShard, CrashPoint, Io, PowerFailReport};
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_sim::{SimDuration, SimTime};
 
@@ -161,15 +161,6 @@ impl MultiChannelSystem {
         (&mut self.shards, &self.map, self.failover)
     }
 
-    /// Merged system statistics over all shards.
-    pub fn stats(&self) -> SystemStats {
-        let mut t = SystemStats::default();
-        for s in &self.shards {
-            t.merge(s.stats());
-        }
-        t
-    }
-
     /// Attaches a fault plan: the plan's deterministic per-channel split
     /// hands every shard its own injector (and enables the per-shard CRC
     /// scrub), so the same seed always places the same faults on the same
@@ -257,33 +248,6 @@ impl MultiChannelSystem {
         self.shards.iter().all(ChannelShard::faults_quiescent)
     }
 
-    /// Merged shared-bus statistics over all shards.
-    pub fn bus_stats(&self) -> nvdimmc_ddr::BusStats {
-        let mut t = nvdimmc_ddr::BusStats::default();
-        for s in &self.shards {
-            t.merge(&s.bus_stats());
-        }
-        t
-    }
-
-    /// Merged DRAM-cache statistics over all shards.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        let mut t = crate::cache::CacheStats::default();
-        for s in &self.shards {
-            t.merge(&s.cache_stats());
-        }
-        t
-    }
-
-    /// Merged FPGA statistics over all shards.
-    pub fn fpga_stats(&self) -> crate::fpga::FpgaStats {
-        let mut t = crate::fpga::FpgaStats::default();
-        for s in &self.shards {
-            t.merge(&s.fpga_stats());
-        }
-        t
-    }
-
     /// Toggles bus-trace capture on every shard. Disabling returns each
     /// shard's drained trace (see
     /// [`ChannelShard::set_trace_capture`]); the outer `Option` is `None`
@@ -333,7 +297,7 @@ impl MultiChannelSystem {
         if len == 0 {
             return Ok(());
         }
-        self.check_range(offset, len)?;
+        check_range(offset, len, self.capacity_bytes())?;
         let segs = self.map.split_range(offset, len);
         let mut flushed: Vec<(usize, u64, Vec<u64>)> = Vec::new();
         for seg in &segs {
@@ -444,12 +408,28 @@ impl MultiChannelSystem {
         }
     }
 
-    fn check_range(&self, offset: u64, len: u64) -> Result<(), CoreError> {
-        let capacity = self.capacity_bytes();
-        if offset + len > capacity {
-            return Err(CoreError::OutOfRange { offset, capacity });
+    /// The one op body behind `read_at` and `write_at`: splits the access
+    /// into per-shard segments and serves each as a blocking call on its
+    /// shard, under the failover policy. Returns the operation latency:
+    /// from the issue instant to the slowest segment's completion.
+    fn serve(&mut self, offset: u64, mut io: Io<'_>) -> Result<SimDuration, CoreError> {
+        let len = io.len() as u64;
+        if len == 0 {
+            return Ok(SimDuration::ZERO);
         }
-        Ok(())
+        check_range(offset, len, self.capacity_bytes())?;
+        let t0 = self.now();
+        let mut done = t0;
+        for seg in self.map.split_range(offset, len) {
+            let idx = seg.shard as usize;
+            self.catch_up(idx, t0);
+            let range = seg.pos..seg.pos + seg.len as usize;
+            let end = self.serve_failover(idx, |shard| {
+                shard.serve(None, seg.local_offset, io.slice(range.clone()))
+            })?;
+            done = done.max(end);
+        }
+        Ok(done.since(t0))
     }
 
     /// Catches a lagging shard up to the issue instant: the issuing
@@ -531,39 +511,11 @@ impl BlockDevice for MultiChannelSystem {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let len = buf.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.now();
-        let mut done = t0;
-        for seg in self.map.split_range(offset, len) {
-            let idx = seg.shard as usize;
-            self.catch_up(idx, t0);
-            let slice = &mut buf[seg.pos..seg.pos + seg.len as usize];
-            self.serve_failover(idx, |shard| shard.read_at(seg.local_offset, slice))?;
-            done = done.max(self.shards[idx].now());
-        }
-        Ok(done.since(t0))
+        self.serve(offset, Io::Read(buf))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let len = data.len() as u64;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
-        self.check_range(offset, len)?;
-        let t0 = self.now();
-        let mut done = t0;
-        for seg in self.map.split_range(offset, len) {
-            let idx = seg.shard as usize;
-            self.catch_up(idx, t0);
-            let slice = &data[seg.pos..seg.pos + seg.len as usize];
-            self.serve_failover(idx, |shard| shard.write_at(seg.local_offset, slice))?;
-            done = done.max(self.shards[idx].now());
-        }
-        Ok(done.since(t0))
+        self.serve(offset, Io::Write(data))
     }
 }
 
@@ -600,12 +552,13 @@ mod tests {
             }
         }
         assert_eq!(mono.now(), front.now(), "clocks diverged");
-        let (ms, fs) = (mono.stats(), front.stats());
+        let shard = &front.shards()[0];
+        let (ms, fs) = (mono.stats(), shard.stats());
         assert_eq!(
             (ms.reads, ms.writes, ms.faults, ms.cachefills, ms.writebacks),
             (fs.reads, fs.writes, fs.faults, fs.cachefills, fs.writebacks)
         );
-        let (mb, fb) = (mono.bus_stats(), front.bus_stats());
+        let (mb, fb) = (mono.bus_stats(), shard.bus_stats());
         assert_eq!(
             (mb.host_commands, mb.nvmc_commands, mb.refreshes),
             (fb.host_commands, fb.nvmc_commands, fb.refreshes)

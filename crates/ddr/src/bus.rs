@@ -85,20 +85,6 @@ pub struct BusStats {
     pub retries_rejected: u64,
 }
 
-impl BusStats {
-    /// Accumulates another bus's counters into this one (per-shard stats
-    /// aggregation in multi-channel systems).
-    pub fn merge(&mut self, other: &BusStats) {
-        self.host_commands += other.host_commands;
-        self.nvmc_commands += other.nvmc_commands;
-        self.refreshes += other.refreshes;
-        self.nvmc_bytes += other.nvmc_bytes;
-        self.host_bytes += other.host_bytes;
-        self.violations_rejected += other.violations_rejected;
-        self.retries_rejected += other.retries_rejected;
-    }
-}
-
 /// The shared DDR4 bus: one [`DramDevice`], two masters, full conflict
 /// detection.
 ///

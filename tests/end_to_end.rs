@@ -2,8 +2,8 @@
 //! refresh detector, shared bus, FTL, ECC, media — exercised together.
 
 use nvdimmc::core::{
-    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, NvdimmCConfig, PerfParams, System,
-    PAGE_BYTES,
+    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, MultiChannelConfig,
+    MultiChannelSystem, NvdimmCConfig, PerfParams, System, PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
 use nvdimmc::sim::{DeterministicRng, SimDuration};
@@ -224,6 +224,45 @@ fn errors_are_reported_not_panicked() {
     }
     // Device still usable after the error.
     sys.write_at(0, &page(1)).unwrap();
+}
+
+#[test]
+fn range_checks_reject_ranges_whose_end_overflows() {
+    // `offset + len` past `u64::MAX` is out of range on every device: not
+    // an overflow panic, and not a wrapped sum that passes the check and
+    // serves a small address instead.
+    use nvdimmc::core::QueuedDevice;
+    fn out_of_range<T: std::fmt::Debug>(r: Result<T, CoreError>, what: &str) {
+        match r {
+            Err(CoreError::OutOfRange { .. }) => {}
+            other => panic!("{what}: expected OutOfRange, got {other:?}"),
+        }
+    }
+    let off = u64::MAX - 100;
+    let mut buf = page(0);
+    let data = page(7);
+
+    let mut sys = System::new(NvdimmCConfig::small_for_tests()).unwrap();
+    let now = sys.now();
+    out_of_range(sys.read_at(off, &mut buf), "shard read_at");
+    out_of_range(sys.write_at(off, &data), "shard write_at");
+    out_of_range(sys.persist(off, PAGE_BYTES), "shard persist");
+    out_of_range(sys.serve_read(now, off, &mut buf), "shard serve_read");
+    out_of_range(sys.serve_write(now, off, &data), "shard serve_write");
+
+    let cfg = MultiChannelConfig::new(NvdimmCConfig::small_for_tests(), 2);
+    let mut front = MultiChannelSystem::new(cfg).unwrap();
+    out_of_range(front.read_at(off, &mut buf), "front read_at");
+    out_of_range(front.write_at(off, &data), "front write_at");
+    out_of_range(front.persist(off, PAGE_BYTES), "front persist");
+
+    let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600);
+    let mut pmem = EmulatedPmem::new(64 << 20, timing, PerfParams::poc()).unwrap();
+    let now = pmem.now();
+    out_of_range(pmem.read_at(off, &mut buf), "pmem read_at");
+    out_of_range(pmem.write_at(off, &data), "pmem write_at");
+    out_of_range(pmem.serve_read(now, off, &mut buf), "pmem serve_read");
+    out_of_range(pmem.serve_write(now, off, &data), "pmem serve_write");
 }
 
 #[test]
