@@ -26,7 +26,9 @@ use crate::cp::{
 use crate::error::CoreError;
 use crate::layout::{Layout, SLOT_BYTES};
 use crate::proto::{FpgaProto, PollVerdict};
-use nvdimmc_ddr::{BankAddr, BusMaster, BusViolation, Command, SharedBus};
+use nvdimmc_ddr::{
+    AccessKind, BankAddr, BusMaster, BusViolation, ColumnRun, Command, DecodedAddr, SharedBus,
+};
 use nvdimmc_nand::{NandError, Nvmc};
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -749,11 +751,22 @@ impl Fpga {
     /// exclusive, no bump ever fires, and the schedule is unchanged.
     fn nvmc_issue(
         bus: &mut SharedBus,
-        mut at: SimTime,
+        at: SimTime,
         cmd: Command,
     ) -> Result<(SimTime, SimTime), CoreError> {
+        Self::nvmc_retry(at, cmd, |at| bus.issue(BusMaster::Nvmc, at, cmd))
+    }
+
+    /// Runs `attempt` at `at`, then at each later legal instant a
+    /// [`BusViolation::Timing`] reports; `cmd` names the command when the
+    /// retry budget runs out.
+    fn nvmc_retry(
+        mut at: SimTime,
+        cmd: Command,
+        mut attempt: impl FnMut(SimTime) -> Result<SimTime, BusViolation>,
+    ) -> Result<(SimTime, SimTime), CoreError> {
         for _ in 0..64 {
-            match bus.issue(BusMaster::Nvmc, at, cmd) {
+            match attempt(at) {
                 Ok(done) => return Ok((at, done)),
                 Err(BusViolation::Timing { legal_at, .. }) if legal_at > at => at = legal_at,
                 Err(e) => return Err(e.into()),
@@ -762,6 +775,59 @@ impl Fpga {
         Err(CoreError::Protocol(format!(
             "NVMC retry budget exhausted at {at} for {cmd:?}"
         )))
+    }
+
+    /// Opens the row of `addr` and issues `len / 64` pipelined column
+    /// commands of `kind` from it as one [`ColumnRun`]. Returns the
+    /// decoded address, the ACT instant, the last command's instant and
+    /// the last burst's data end.
+    fn dma_run(
+        bus: &mut SharedBus,
+        kind: AccessKind,
+        addr: u64,
+        len: u64,
+        start: SimTime,
+    ) -> Result<(DecodedAddr, SimTime, SimTime, SimTime), CoreError> {
+        let what = match kind {
+            AccessKind::Read => "read",
+            AccessKind::Write => "write",
+        };
+        if !addr.is_multiple_of(64) || !len.is_multiple_of(64) {
+            return Err(CoreError::Protocol(format!(
+                "misaligned DMA {what}: addr {addr:#x} len {len}"
+            )));
+        }
+        let dec = bus
+            .device()
+            .mapping()
+            .decode(addr)
+            .map_err(|e| CoreError::Protocol(e.to_string()))?;
+        let count = u16::try_from(len / 64)
+            .map_err(|_| CoreError::Protocol(format!("DMA {what} of {len} bytes")))?;
+        let (act_at, rw_at) = Self::nvmc_issue(
+            bus,
+            start,
+            Command::Activate {
+                bank: dec.bank,
+                row: dec.row,
+            },
+        )?;
+        let run = ColumnRun {
+            kind,
+            bank: dec.bank,
+            col: dec.col,
+            count,
+            interval: bus.device().timing().tccd_l,
+        };
+        let (first_at, end) = Self::nvmc_retry(rw_at, run.command(0), |at| {
+            bus.issue_column_run(BusMaster::Nvmc, at, &run)
+        })?;
+        Ok((
+            dec,
+            act_at,
+            run.issue_at(first_at, count.saturating_sub(1)),
+            end,
+        ))
     }
 
     /// DMA-reads `len` bytes at `addr` with real DDR4 commands: ACT,
@@ -773,48 +839,15 @@ impl Fpga {
         len: u64,
         start: SimTime,
     ) -> Result<(Vec<u8>, SimTime), CoreError> {
-        if !addr.is_multiple_of(64) || !len.is_multiple_of(64) {
-            return Err(CoreError::Protocol(format!(
-                "misaligned DMA read: addr {addr:#x} len {len}"
-            )));
-        }
-        let dec = bus
-            .device()
-            .mapping()
-            .decode(addr)
-            .map_err(|e| CoreError::Protocol(e.to_string()))?;
-        let t = *bus.device().timing();
-        let (act_at, rw_at) = Self::nvmc_issue(
-            bus,
-            start,
-            Command::Activate {
-                bank: dec.bank,
-                row: dec.row,
-            },
-        )?;
-        let lines = len / 64;
-        let mut out = Vec::with_capacity(len as usize);
-        let mut next_at = rw_at;
-        let mut last_issue = rw_at;
-        let mut last_end = rw_at;
-        for i in 0..lines {
-            let (at, end) = Self::nvmc_issue(
-                bus,
-                next_at,
-                Command::Read {
-                    bank: dec.bank,
-                    col: dec.col + i as u16,
-                    auto_precharge: false,
-                },
-            )?;
-            last_end = end;
-            last_issue = at;
-            next_at = at + t.tccd_l;
-            out.extend_from_slice(&bus.device_mut().burst_read(dec.bank, dec.col + i as u16));
-        }
+        let (dec, act_at, last_issue, last_end) =
+            Self::dma_run(bus, AccessKind::Read, addr, len, start)?;
+        let mut out = vec![0u8; len as usize];
+        bus.device()
+            .row_read(dec.bank, u64::from(dec.col) * 64, &mut out);
         // Leave the bank precharged before the window closes (the bus
         // enforces this invariant when the host resumes); tRAS and tRTP
         // both gate the precharge.
+        let t = *bus.device().timing();
         let pre_at = (act_at + t.tras).max(last_issue + t.trtp.max(t.tccd_l));
         let (pre_at, _) = Self::nvmc_issue(bus, pre_at, Command::Precharge { bank: dec.bank })?;
         self.stats.dma_bytes += len;
@@ -829,51 +862,16 @@ impl Fpga {
         data: &[u8],
         start: SimTime,
     ) -> Result<SimTime, CoreError> {
-        if !addr.is_multiple_of(64) || !data.len().is_multiple_of(64) {
-            return Err(CoreError::Protocol(format!(
-                "misaligned DMA write: addr {addr:#x} len {}",
-                data.len()
-            )));
-        }
-        let dec = bus
-            .device()
-            .mapping()
-            .decode(addr)
-            .map_err(|e| CoreError::Protocol(e.to_string()))?;
-        let t = *bus.device().timing();
-        let (act_at, rw_at) = Self::nvmc_issue(
-            bus,
-            start,
-            Command::Activate {
-                bank: dec.bank,
-                row: dec.row,
-            },
-        )?;
-        let lines = (data.len() / 64) as u64;
-        let mut next_at = rw_at;
-        let mut last_burst_end = rw_at;
-        for i in 0..lines {
-            let (at, end) = Self::nvmc_issue(
-                bus,
-                next_at,
-                Command::Write {
-                    bank: dec.bank,
-                    col: dec.col + i as u16,
-                    auto_precharge: false,
-                },
-            )?;
-            last_burst_end = end;
-            next_at = at + t.tccd_l;
-            let line: [u8; 64] = data[(i as usize) * 64..(i as usize + 1) * 64]
-                .try_into()
-                .map_err(|_| CoreError::Protocol("DMA write chunk not line-sized".into()))?;
-            bus.device_mut()
-                .burst_write(dec.bank, dec.col + i as u16, &line);
-        }
+        let len = data.len() as u64;
+        let (dec, act_at, _, last_burst_end) =
+            Self::dma_run(bus, AccessKind::Write, addr, len, start)?;
+        bus.device_mut()
+            .row_write(dec.bank, u64::from(dec.col) * 64, data);
         // Write recovery (and tRAS) before precharge.
+        let t = *bus.device().timing();
         let pre_at = (act_at + t.tras).max(last_burst_end + t.twr);
         let (pre_at, _) = Self::nvmc_issue(bus, pre_at, Command::Precharge { bank: dec.bank })?;
-        self.stats.dma_bytes += data.len() as u64;
+        self.stats.dma_bytes += len;
         Ok(pre_at + t.trp)
     }
 }

@@ -14,8 +14,15 @@
 //! detector state machine does not monitor — the [`DetectorPipeline`]
 //! recovers them from the full captured CA word, as the production FPGA
 //! would from additionally-tapped pins.
+//!
+//! A command edge holds its pin state across one aligned capture, so each
+//! pin's word is all ones or all zeros: [`RefreshDetector::feed_command`]
+//! evaluates that constant word in closed form, once per CA-log entry (a
+//! column run is one entry for its whole train). The bit-serial
+//! [`Deserializer`] and [`RefreshDetector::push_sample`] are the RTL-level
+//! model the closed form is tested against.
 
-use nvdimmc_ddr::{BankAddr, CaPins, Command};
+use nvdimmc_ddr::{BankAddr, CaCapture, CaPins, Command};
 use nvdimmc_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -175,16 +182,38 @@ impl RefreshDetector {
         hit || pb_hit
     }
 
-    /// Convenience: feeds the eight serial samples a held command edge
-    /// produces (the pin state is stable across the capture window) and
-    /// returns how many detections fired.
+    /// Feeds one held command edge — the eight samples of one aligned
+    /// capture — and returns how many detections fired. Evaluated in
+    /// closed form; a command edge is always latched on a capture
+    /// boundary, never mid-way through a word [`Self::push_sample`]
+    /// started.
     pub fn feed_command(&mut self, pins: &CaPins) -> u64 {
         let before = self.stats.detections;
-        let sample = pins.monitored_pins();
-        for _ in 0..DESER_RATIO {
-            self.push_sample(sample);
-        }
+        self.examine_held(pins, 1);
         self.stats.detections - before
+    }
+
+    /// [`Self::examine`] of `count` captures of the held edge `pins`: each
+    /// pin's word is all ones or all zeros. Within such a word every
+    /// sample after the first has its own CKE as the previous sample's,
+    /// and both refresh states need CKE high, so the carried-in CKE level
+    /// never decides a match; the level carried out is the edge's CKE.
+    fn examine_held(&mut self, pins: &CaPins, count: u16) -> bool {
+        let n = u64::from(count);
+        self.stats.words += n;
+        if !pins.cke && pins.act_n && pins.we_n && !pins.cs_n && !pins.ras_n && !pins.cas_n {
+            self.stats.sre_rejected += DESER_RATIO as u64 * n;
+        }
+        let pb_hit = pins.is_refresh_bank_state();
+        let hit = pb_hit || pins.is_refresh_state();
+        if hit {
+            self.stats.detections += n;
+        }
+        if pb_hit {
+            self.stats.pb_detections += n;
+        }
+        self.prev_cke_bit = pins.cke;
+        hit
     }
 }
 
@@ -234,19 +263,19 @@ impl DetectorPipeline {
     /// Processes a drained CA log, returning one event per detected
     /// REFRESH or REFpb. For REFpb the bank and stretch are recovered
     /// from the captured BG/BA/address pins.
-    pub fn process(&mut self, log: &[(SimTime, CaPins)]) -> Vec<RefreshEvent> {
+    pub fn process(&mut self, log: &[CaCapture]) -> Vec<RefreshEvent> {
         let mut out = Vec::new();
-        for (at, pins) in log {
-            if self.detector.feed_command(pins) > 0 {
-                let (bank, stretch) = match CaPins::decode(pins) {
+        for entry in log {
+            if self.detector.examine_held(&entry.pins, entry.count) {
+                let (bank, stretch) = match CaPins::decode(&entry.pins) {
                     Some(Command::RefreshBank { bank, stretch }) => (Some(bank), stretch),
                     _ => (None, 0),
                 };
-                out.push(RefreshEvent {
-                    at: *at,
+                out.extend((0..entry.count).map(|k| RefreshEvent {
+                    at: entry.edge_at(k),
                     bank,
                     stretch,
-                });
+                }));
             }
         }
         out
@@ -257,6 +286,139 @@ impl DetectorPipeline {
 mod tests {
     use super::*;
     use nvdimmc_ddr::{BankAddr, Command};
+    use nvdimmc_sim::SimDuration;
+
+    /// A single command edge as the bus logs it.
+    fn edge(at: SimTime, cmd: &Command) -> CaCapture {
+        CaCapture {
+            at,
+            interval: SimDuration::ZERO,
+            pins: CaPins::encode(cmd),
+            count: 1,
+        }
+    }
+
+    /// Every DDR4 command encoding, with the variants that change the
+    /// monitored pins or the address pins the pipeline decodes.
+    fn every_encoding() -> Vec<Command> {
+        let b = BankAddr::new(2, 1);
+        let mut cmds = vec![
+            Command::Deselect,
+            Command::PrechargeAll,
+            Command::Precharge { bank: b },
+            Command::Refresh,
+            Command::SelfRefreshEnter,
+            Command::SelfRefreshExit,
+            Command::ZqCalibration,
+            Command::ModeRegisterSet {
+                register: 6,
+                value: 0x155,
+            },
+        ];
+        // ACT carries row bits on RAS_n/CAS_n/WE_n: all eight patterns.
+        cmds.extend((0..8u32).map(|bits| Command::Activate {
+            bank: b,
+            row: bits << 14 | 0x2A5,
+        }));
+        for auto_precharge in [false, true] {
+            cmds.push(Command::Read {
+                bank: b,
+                col: 0x3F,
+                auto_precharge,
+            });
+            cmds.push(Command::Write {
+                bank: b,
+                col: 0x10,
+                auto_precharge,
+            });
+        }
+        cmds.extend((0..=15u8).map(|stretch| Command::RefreshBank { bank: b, stretch }));
+        cmds
+    }
+
+    #[test]
+    fn closed_form_word_matches_bit_serial_deserializer() {
+        for cmd in every_encoding() {
+            let pins = CaPins::encode(&cmd);
+            for carried_cke in [false, true] {
+                for count in [1u16, 3] {
+                    let mut serial = RefreshDetector::new();
+                    serial.prev_cke_bit = carried_cke;
+                    let mut serial_hits = 0;
+                    for _ in 0..usize::from(count) * DESER_RATIO {
+                        serial_hits += u64::from(serial.push_sample(pins.monitored_pins()));
+                    }
+                    let mut closed = RefreshDetector::new();
+                    closed.prev_cke_bit = carried_cke;
+                    let hit = closed.examine_held(&pins, count);
+                    let what = format!("{cmd:?}, carried CKE {carried_cke}, {count} words");
+                    assert_eq!(closed.stats(), serial.stats(), "{what}");
+                    assert_eq!(closed.prev_cke_bit, serial.prev_cke_bit, "{what}");
+                    assert_eq!(u64::from(hit) * u64::from(count), serial_hits, "{what}");
+                    if count == 1 {
+                        let mut single = RefreshDetector::new();
+                        single.prev_cke_bit = carried_cke;
+                        assert_eq!(single.feed_command(&pins), serial_hits, "{what}");
+                        assert_eq!(single.stats(), serial.stats(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_run_capture_detects_like_its_commands() {
+        use nvdimmc_ddr::{
+            AccessKind, BusMaster, ColumnRun, DramDevice, SharedBus, SpeedBin, TimingParams,
+        };
+        let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600);
+        let bank = BankAddr::new(1, 3);
+        let run = ColumnRun {
+            kind: AccessKind::Read,
+            bank,
+            col: 5,
+            count: 40,
+            interval: timing.tccd_l,
+        };
+        // The same traffic — PREA, REF, then after the window an ACT and
+        // the run — once as a run and once command by command.
+        let logs: Vec<Vec<CaCapture>> = [true, false]
+            .into_iter()
+            .map(|as_run| {
+                let mut bus = SharedBus::new(DramDevice::new(timing, 1 << 27));
+                bus.set_ca_capture(true);
+                let host = BusMaster::HostImc;
+                let t0 = SimTime::from_us(1);
+                bus.issue(host, t0, Command::PrechargeAll).unwrap();
+                let ref_at = t0 + timing.trp;
+                bus.issue(host, ref_at, Command::Refresh).unwrap();
+                let act_at = bus.host_ready_at(ref_at);
+                bus.issue(host, act_at, Command::Activate { bank, row: 9 })
+                    .unwrap();
+                let first = act_at + timing.trcd;
+                if as_run {
+                    bus.issue_column_run(host, first, &run).unwrap();
+                } else {
+                    for k in 0..run.count {
+                        bus.issue(host, run.issue_at(first, k), run.command(k))
+                            .unwrap();
+                    }
+                }
+                bus.drain_ca_log()
+            })
+            .collect();
+        assert_eq!(logs[0].len(), 4, "PREA, REF, ACT and one run entry");
+        assert_eq!(logs[1].len(), 3 + usize::from(run.count));
+        let mut as_run = DetectorPipeline::new();
+        let mut per_command = DetectorPipeline::new();
+        assert_eq!(as_run.process(&logs[0]), per_command.process(&logs[1]));
+        assert_eq!(as_run.detector().stats(), per_command.detector().stats());
+        assert_eq!(
+            as_run.detector().prev_cke_bit,
+            per_command.detector().prev_cke_bit
+        );
+        assert_eq!(as_run.detector().stats().words, 3 + u64::from(run.count));
+    }
 
     #[test]
     fn deserializer_is_one_to_eight() {
@@ -362,13 +524,10 @@ mod tests {
     fn pipeline_emits_timed_events() {
         let mut p = DetectorPipeline::new();
         let log = vec![
-            (
-                SimTime::from_ns(100),
-                CaPins::encode(&Command::PrechargeAll),
-            ),
-            (SimTime::from_ns(120), CaPins::encode(&Command::Refresh)),
-            (SimTime::from_ns(900), CaPins::encode(&Command::Deselect)),
-            (SimTime::from_us(8), CaPins::encode(&Command::Refresh)),
+            edge(SimTime::from_ns(100), &Command::PrechargeAll),
+            edge(SimTime::from_ns(120), &Command::Refresh),
+            edge(SimTime::from_ns(900), &Command::Deselect),
+            edge(SimTime::from_us(8), &Command::Refresh),
         ];
         let events = p.process(&log);
         assert_eq!(
@@ -386,18 +545,15 @@ mod tests {
         let mut p = DetectorPipeline::new();
         let b = BankAddr::new(2, 3);
         let log = vec![
-            (
-                SimTime::from_ns(100),
-                CaPins::encode(&Command::Precharge { bank: b }),
-            ),
-            (
+            edge(SimTime::from_ns(100), &Command::Precharge { bank: b }),
+            edge(
                 SimTime::from_ns(120),
-                CaPins::encode(&Command::RefreshBank {
+                &Command::RefreshBank {
                     bank: b,
                     stretch: 9,
-                }),
+                },
             ),
-            (SimTime::from_ns(140), CaPins::encode(&Command::Refresh)),
+            edge(SimTime::from_ns(140), &Command::Refresh),
         ];
         let events = p.process(&log);
         assert_eq!(

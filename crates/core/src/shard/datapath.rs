@@ -110,10 +110,9 @@ impl ChannelShard {
             // Timing: a real bus transfer (stalls behind refresh windows).
             // A store stream occupies the bus like a read of the same
             // lines (tCWL ≈ tCL at this fidelity).
-            let mut scratch = vec![0u8; n];
             self.clock =
                 self.imc
-                    .read_bytes_paced(&mut self.bus, self.clock, addr, &mut scratch, pace)?;
+                    .read_timing_paced(&mut self.bus, self.clock, addr, n as u64, pace)?;
             // Function: through the CPU cache. Loads see dirty lines;
             // stores land in the CPU cache (write-back!) and reach the
             // DRAM array only at clflush/eviction time — which is exactly

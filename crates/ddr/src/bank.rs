@@ -132,9 +132,13 @@ impl Bank {
         cmd: &Command,
     ) -> Result<SimTime, BusViolation> {
         self.check_rw(at, cmd)?;
-        let data_end = at + t.tcl + t.burst_time();
+        Ok(self.apply_read(at, t))
+    }
+
+    /// The effects of an accepted READ at `at`; returns its data end.
+    pub(crate) fn apply_read(&mut self, at: SimTime, t: &TimingParams) -> SimTime {
         self.earliest_pre = self.earliest_pre.max(at + t.trtp);
-        Ok(data_end)
+        at + t.tcl + t.burst_time()
     }
 
     /// Applies a WRITE at `at`; returns the instant the last data beat has
@@ -151,13 +155,19 @@ impl Bank {
         cmd: &Command,
     ) -> Result<SimTime, BusViolation> {
         self.check_rw(at, cmd)?;
+        Ok(self.apply_write(at, t))
+    }
+
+    /// The effects of an accepted WRITE at `at`; returns its data end.
+    pub(crate) fn apply_write(&mut self, at: SimTime, t: &TimingParams) -> SimTime {
         let data_end = at + t.tcwl + t.burst_time();
         // Write recovery starts at the end of the data burst.
         self.earliest_pre = self.earliest_pre.max(data_end + t.twr);
-        Ok(data_end)
+        data_end
     }
 
-    fn check_rw(&self, at: SimTime, cmd: &Command) -> Result<(), BusViolation> {
+    /// Checks a READ/WRITE at `at` against the bank state and tRCD.
+    pub(crate) fn check_rw(&self, at: SimTime, cmd: &Command) -> Result<(), BusViolation> {
         match self.state {
             BankState::Idle => Err(BusViolation::BankState {
                 master: None,

@@ -8,9 +8,9 @@
 //! host-issued REFRESH, and must leave every bank precharged when the
 //! window closes.
 
-use crate::ca::CaPins;
-use crate::command::{BankAddr, Command};
-use crate::device::DramDevice;
+use crate::ca::{CaCapture, CaPins};
+use crate::command::{AccessKind, BankAddr, ColumnRun, Command};
+use crate::device::{DramDevice, COLS_PER_ROW};
 use crate::error::BusViolation;
 use crate::timing::RefreshMode;
 use crate::trace::{TraceEntry, TraceRecorder};
@@ -119,7 +119,7 @@ pub struct SharedBus {
     host_blocked_until: SimTime,
     stats: BusStats,
     capture_ca: bool,
-    ca_log: Vec<(SimTime, CaPins)>,
+    ca_log: Vec<CaCapture>,
     prev_cke: bool,
     recorder: Option<TraceRecorder>,
 }
@@ -174,8 +174,8 @@ impl SharedBus {
         self.capture_ca = on;
     }
 
-    /// Drains captured CA samples.
-    pub fn drain_ca_log(&mut self) -> Vec<(SimTime, CaPins)> {
+    /// Drains captured CA entries.
+    pub fn drain_ca_log(&mut self) -> Vec<CaCapture> {
         std::mem::take(&mut self.ca_log)
     }
 
@@ -241,17 +241,51 @@ impl SharedBus {
         at: SimTime,
         cmd: Command,
     ) -> Result<SimTime, BusViolation> {
-        match self.try_issue(master, at, cmd) {
-            Ok(end) => Ok(end),
-            Err(v) => {
-                match v {
-                    BusViolation::Timing { .. } | BusViolation::CommandDuringRefresh { .. } => {
-                        self.stats.retries_rejected += 1;
-                    }
-                    _ => self.stats.violations_rejected += 1,
-                }
-                Err(v)
+        let result = self.try_issue(master, at, cmd);
+        self.count_rejection(&result);
+        result
+    }
+
+    /// Issues a [`ColumnRun`] from `master`, its first command at `at`:
+    /// the same commands, with the same effects, trace entries and
+    /// returned instant (the last burst's data end) as `run.count` calls
+    /// to [`SharedBus::issue`] at [`ColumnRun::issue_at`].
+    ///
+    /// Only the first command goes through the per-command checks. The
+    /// rest follow from the run's shape: `interval >= tCCD_L >= tCK` keeps
+    /// every later command clear of the CA slot and tCCD; reads never move
+    /// the tWTR gate nor writes the read-to-write one; the bank stays open
+    /// on the same row (no auto-precharge); the host's refresh blocks and
+    /// the device's refresh state cannot change inside the run; and for
+    /// the NVMC the last burst must end inside the window the first
+    /// command used. The caller keeps refreshes out of the run. The CA
+    /// capture log gets one entry for the whole run, and the trace
+    /// recorder, when attached, one entry per command.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`BusViolation`] the first failing command would have
+    /// returned on the per-command path — the first command's own, or the
+    /// tail's (interval below tCCD_L, a column past the row end, an NVMC
+    /// burst past the window close). Nothing is applied on error.
+    pub fn issue_column_run(
+        &mut self,
+        master: BusMaster,
+        at: SimTime,
+        run: &ColumnRun,
+    ) -> Result<SimTime, BusViolation> {
+        let result = self.try_column_run(master, at, run);
+        self.count_rejection(&result);
+        result
+    }
+
+    fn count_rejection(&mut self, result: &Result<SimTime, BusViolation>) {
+        match result {
+            Ok(_) => {}
+            Err(BusViolation::Timing { .. } | BusViolation::CommandDuringRefresh { .. }) => {
+                self.stats.retries_rejected += 1;
             }
+            Err(_) => self.stats.violations_rejected += 1,
         }
     }
 
@@ -261,6 +295,222 @@ impl SharedBus {
         at: SimTime,
         cmd: Command,
     ) -> Result<SimTime, BusViolation> {
+        self.admit(master, at, cmd, true)?;
+
+        // --- Silicon-level checks & effects ---
+        let end = self
+            .device
+            .issue(at, cmd)
+            .map_err(|v| v.with_master(master))?;
+
+        // --- Post-accept bookkeeping ---
+        if let Some(r) = self.recorder.as_mut() {
+            r.record(master, at, cmd, self.device.timing());
+        }
+        let tck = self.device.timing().speed.tck();
+        self.ca_busy_until = at + tck;
+        self.last_cmd = Some((master, cmd));
+        if self.capture_ca {
+            let mut pins = CaPins::encode(&cmd);
+            pins.cke_prev = self.prev_cke;
+            self.prev_cke = pins.cke;
+            self.ca_log.push(CaCapture {
+                at,
+                interval: SimDuration::ZERO,
+                pins,
+                count: 1,
+            });
+        }
+        self.count_accepted(master, &cmd, 1);
+        if cmd == Command::Refresh {
+            let (opens, closes) = self.device.timing().nvmc_window_bounds(at);
+            self.window = Some(RefreshWindow {
+                ref_at: at,
+                opens,
+                closes,
+            });
+            self.host_blocked_until = closes;
+            self.stats.refreshes += 1;
+        }
+        if let Command::RefreshBank { bank, stretch } = cmd {
+            let (opens, closes) = self.device.timing().nvmc_window_bounds_pb(at, stretch);
+            self.bank_windows[usize::from(bank.index())] = Some(RefreshWindow {
+                ref_at: at,
+                opens,
+                closes,
+            });
+            self.stats.refreshes += 1;
+        }
+        Ok(end)
+    }
+
+    fn count_accepted(&mut self, master: BusMaster, cmd: &Command, n: u64) {
+        let bytes = if cmd.is_data_transfer() {
+            self.device.timing().burst_bytes() * n
+        } else {
+            0
+        };
+        match master {
+            BusMaster::HostImc => {
+                self.stats.host_commands += n;
+                self.stats.host_bytes += bytes;
+            }
+            BusMaster::Nvmc => {
+                self.stats.nvmc_commands += n;
+                self.stats.nvmc_bytes += bytes;
+            }
+        }
+    }
+
+    fn try_column_run(
+        &mut self,
+        master: BusMaster,
+        at: SimTime,
+        run: &ColumnRun,
+    ) -> Result<SimTime, BusViolation> {
+        if run.count == 0 {
+            return Ok(at);
+        }
+        let first = run.command(0);
+        if let Some(v) = self.run_tail_violation(master, at, run) {
+            // The per-command path reports the first command's own
+            // violation before it reaches the tail's.
+            self.admit(master, at, first, false)?;
+            self.device
+                .check_column(at, &first)
+                .map_err(|v| v.with_master(master))?;
+            return Err(v);
+        }
+        let end = self.try_issue(master, at, first)?;
+        if run.count == 1 {
+            return Ok(end);
+        }
+        let extra = run.count - 1;
+        let last_at = run.issue_at(at, extra);
+        let last = run.command(extra);
+        let end = self
+            .device
+            .finish_column_run(last_at, &last, u64::from(extra));
+        if let Some(r) = self.recorder.as_mut() {
+            for k in 1..run.count {
+                r.record(
+                    master,
+                    run.issue_at(at, k),
+                    run.command(k),
+                    self.device.timing(),
+                );
+            }
+        }
+        self.ca_busy_until = last_at + self.device.timing().speed.tck();
+        self.last_cmd = Some((master, last));
+        if self.capture_ca {
+            if let Some(entry) = self.ca_log.last_mut() {
+                entry.interval = run.interval;
+                entry.count = run.count;
+            }
+        }
+        self.count_accepted(master, &last, u64::from(extra));
+        Ok(end)
+    }
+
+    /// The violation the per-command path would hit at the first failing
+    /// command after the first, given the first is accepted at `t0`;
+    /// `None` when the whole tail is legal. At each command the checks run
+    /// in the per-command order: CA slot, the master's discipline, then
+    /// the device (column range before tCCD).
+    fn run_tail_violation(
+        &self,
+        master: BusMaster,
+        t0: SimTime,
+        run: &ColumnRun,
+    ) -> Option<BusViolation> {
+        if run.count < 2 {
+            return None;
+        }
+        let t = self.device.timing();
+        let (t1, cmd1) = (run.issue_at(t0, 1), run.command(1));
+        if run.interval < t.speed.tck() {
+            return Some(BusViolation::Timing {
+                at: t1,
+                command: cmd1,
+                parameter: "tCK",
+                legal_at: t0 + t.speed.tck(),
+                master: Some(master),
+            });
+        }
+        let window_fail = match master {
+            BusMaster::HostImc => None,
+            BusMaster::Nvmc => self.nvmc_tail_failure(t0, run),
+        };
+        // First command past the row end (the first command's own column
+        // is checked with it).
+        let col_fail = (COLS_PER_ROW as u16)
+            .checked_sub(run.col)
+            .filter(|&k| k >= 1 && k < run.count);
+        let column_violation = |k: u16| BusViolation::BankState {
+            at: run.issue_at(t0, k),
+            command: run.command(k),
+            reason: format!(
+                "column {} beyond the row ({COLS_PER_ROW} columns)",
+                run.col.saturating_add(k)
+            ),
+            master: Some(master),
+        };
+        if run.interval < t.tccd_l {
+            return Some(match (window_fail, col_fail) {
+                (Some((1, v)), _) => v,
+                (_, Some(1)) => column_violation(1),
+                _ => BusViolation::Timing {
+                    at: t1,
+                    command: cmd1,
+                    parameter: "tCCD",
+                    legal_at: t0 + t.tccd_l,
+                    master: Some(master),
+                },
+            });
+        }
+        match (window_fail, col_fail) {
+            (Some((kw, v)), Some(kc)) if kw <= kc => Some(v),
+            (_, Some(kc)) => Some(column_violation(kc)),
+            (Some((_, v)), None) => Some(v),
+            (None, None) => None,
+        }
+    }
+
+    /// For an NVMC run whose first command is accepted at `t0`: the first
+    /// later command outside its window, with its violation. When only one
+    /// window can hold the run, the run is legal iff the last burst ends
+    /// by that window's close; otherwise each command is checked.
+    fn nvmc_tail_failure(&self, t0: SimTime, run: &ColumnRun) -> Option<(u16, BusViolation)> {
+        let bank_window = self.bank_windows[usize::from(run.bank.index())];
+        if let (Some(w), None) | (None, Some(w)) = (self.window, bank_window) {
+            let last = run.count - 1;
+            let is_read = run.kind == AccessKind::Read;
+            let (_, data_end) = self
+                .device
+                .timing()
+                .dq_window(run.issue_at(t0, last), is_read);
+            if w.contains(t0) && data_end <= w.closes {
+                return None;
+            }
+        }
+        (1..run.count).find_map(|k| {
+            self.nvmc_admit(run.issue_at(t0, k), run.command(k))
+                .err()
+                .map(|v| (k, v))
+        })
+    }
+
+    /// The CA-slot and per-master protocol checks of `cmd` at `at`. With
+    /// `commit`, a host command that outlives a refresh window retires
+    /// it; without, nothing changes.
+    fn admit(
+        &mut self,
+        master: BusMaster,
+        at: SimTime,
+        cmd: Command,
+        commit: bool,
+    ) -> Result<(), BusViolation> {
         // --- CA electrical conflict (paper Figure 2a, case C1) ---
         if at < self.ca_busy_until {
             if let Some((last_master, last_cmd)) = self.last_cmd {
@@ -288,162 +538,119 @@ impl SharedBus {
 
         // --- Protocol discipline per master ---
         match master {
-            BusMaster::HostImc => {
-                if at < self.host_blocked_until {
-                    return Err(BusViolation::CommandDuringRefresh {
+            BusMaster::HostImc => self.host_admit(at, cmd, commit),
+            BusMaster::Nvmc => self.nvmc_admit(at, cmd),
+        }
+    }
+
+    fn host_admit(&mut self, at: SimTime, cmd: Command, commit: bool) -> Result<(), BusViolation> {
+        let master = Some(BusMaster::HostImc);
+        if at < self.host_blocked_until {
+            return Err(BusViolation::CommandDuringRefresh {
+                at,
+                busy_until: self.host_blocked_until,
+                command: cmd,
+                master,
+            });
+        }
+        // Window-exit invariant: when the host first resumes after a
+        // window, the NVMC must have left all banks precharged. (Checked
+        // once per window; afterwards open banks are the host's own
+        // doing.)
+        if let Some(w) = self.window {
+            if at >= w.closes {
+                if !self.device.all_banks_idle() {
+                    return Err(BusViolation::BankState {
                         at,
-                        busy_until: self.host_blocked_until,
                         command: cmd,
-                        master: Some(master),
+                        reason: "NVMC left a bank open past its window".to_owned(),
+                        master,
                     });
                 }
-                // Window-exit invariant: when the host first resumes after
-                // a window, the NVMC must have left all banks precharged.
-                // (Checked once per window; afterwards open banks are the
-                // host's own doing.)
-                if let Some(w) = self.window {
-                    if at >= w.closes {
-                        if !self.device.all_banks_idle() {
-                            return Err(BusViolation::BankState {
-                                at,
-                                command: cmd,
-                                reason: "NVMC left a bank open past its window".to_owned(),
-                                master: Some(master),
-                            });
-                        }
-                        self.window = None;
-                    }
-                }
-                // Per-bank discipline: the host is blocked only in a bank
-                // whose REFpb window is still running; bank-scoped traffic
-                // to the other fifteen proceeds. Rank-scoped commands
-                // (PREA, REF, SRE…) need every bank window closed.
-                match cmd.bank() {
-                    Some(b) => {
-                        let idx = usize::from(b.index());
-                        if let Some(w) = self.bank_windows[idx] {
-                            if at < w.closes {
-                                return Err(BusViolation::CommandDuringRefresh {
-                                    at,
-                                    busy_until: w.closes,
-                                    command: cmd,
-                                    master: Some(master),
-                                });
-                            }
-                            // Window over: the NVMC must have left the
-                            // refreshing bank precharged.
-                            if !self.device.bank(b).is_idle() {
-                                return Err(BusViolation::BankState {
-                                    at,
-                                    command: cmd,
-                                    reason: format!("NVMC left {b} open past its per-bank window"),
-                                    master: Some(master),
-                                });
-                            }
-                            self.bank_windows[idx] = None;
-                        }
-                    }
-                    None if !matches!(cmd, Command::Deselect) => {
-                        if let Some(busy) = self
-                            .bank_windows
-                            .iter()
-                            .flatten()
-                            .filter(|w| at < w.closes)
-                            .map(|w| w.closes)
-                            .max()
-                        {
-                            return Err(BusViolation::CommandDuringRefresh {
-                                at,
-                                busy_until: busy,
-                                command: cmd,
-                                master: Some(master),
-                            });
-                        }
-                    }
-                    None => {}
-                }
-            }
-            BusMaster::Nvmc => {
-                // The NVMC never refreshes or self-refreshes the DRAM.
-                if cmd.is_refresh_family() {
-                    return Err(BusViolation::NvmcOutsideWindow { at, command: cmd });
-                }
-                // Legal inside the rank-wide window, or — in per-bank mode
-                // — inside the window of the bank the command targets.
-                let w = self
-                    .window
-                    .filter(|w| w.contains(at))
-                    .or_else(|| {
-                        cmd.bank().and_then(|b| {
-                            self.bank_windows[usize::from(b.index())].filter(|w| w.contains(at))
-                        })
-                    })
-                    .ok_or(BusViolation::NvmcOutsideWindow { at, command: cmd })?;
-                // A data burst must also *complete* before the window
-                // closes, or its beats would collide with host commands.
-                if cmd.is_data_transfer() {
-                    let is_read = matches!(cmd, Command::Read { .. });
-                    let (_, data_end) = self.device.timing().dq_window(at, is_read);
-                    if data_end > w.closes {
-                        return Err(BusViolation::NvmcOutsideWindow { at, command: cmd });
-                    }
+                if commit {
+                    self.window = None;
                 }
             }
         }
+        // Per-bank discipline: the host is blocked only in a bank whose
+        // REFpb window is still running; bank-scoped traffic to the other
+        // fifteen proceeds. Rank-scoped commands (PREA, REF, SRE…) need
+        // every bank window closed.
+        match cmd.bank() {
+            Some(b) => {
+                let idx = usize::from(b.index());
+                if let Some(w) = self.bank_windows[idx] {
+                    if at < w.closes {
+                        return Err(BusViolation::CommandDuringRefresh {
+                            at,
+                            busy_until: w.closes,
+                            command: cmd,
+                            master,
+                        });
+                    }
+                    // Window over: the NVMC must have left the refreshing
+                    // bank precharged.
+                    if !self.device.bank(b).is_idle() {
+                        return Err(BusViolation::BankState {
+                            at,
+                            command: cmd,
+                            reason: format!("NVMC left {b} open past its per-bank window"),
+                            master,
+                        });
+                    }
+                    if commit {
+                        self.bank_windows[idx] = None;
+                    }
+                }
+            }
+            None if !matches!(cmd, Command::Deselect) => {
+                if let Some(busy) = self
+                    .bank_windows
+                    .iter()
+                    .flatten()
+                    .filter(|w| at < w.closes)
+                    .map(|w| w.closes)
+                    .max()
+                {
+                    return Err(BusViolation::CommandDuringRefresh {
+                        at,
+                        busy_until: busy,
+                        command: cmd,
+                        master,
+                    });
+                }
+            }
+            None => {}
+        }
+        Ok(())
+    }
 
-        // --- Silicon-level checks & effects ---
-        let end = self
-            .device
-            .issue(at, cmd)
-            .map_err(|v| v.with_master(master))?;
-
-        // --- Post-accept bookkeeping ---
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(master, at, cmd, self.device.timing());
+    fn nvmc_admit(&self, at: SimTime, cmd: Command) -> Result<(), BusViolation> {
+        // The NVMC never refreshes or self-refreshes the DRAM.
+        if cmd.is_refresh_family() {
+            return Err(BusViolation::NvmcOutsideWindow { at, command: cmd });
         }
-        let tck = self.device.timing().speed.tck();
-        self.ca_busy_until = at + tck;
-        self.last_cmd = Some((master, cmd));
-        if self.capture_ca {
-            let mut pins = CaPins::encode(&cmd);
-            pins.cke_prev = self.prev_cke;
-            self.prev_cke = pins.cke;
-            self.ca_log.push((at, pins));
-        }
-        match master {
-            BusMaster::HostImc => {
-                self.stats.host_commands += 1;
-                if cmd.is_data_transfer() {
-                    self.stats.host_bytes += self.device.timing().burst_bytes();
-                }
-            }
-            BusMaster::Nvmc => {
-                self.stats.nvmc_commands += 1;
-                if cmd.is_data_transfer() {
-                    self.stats.nvmc_bytes += self.device.timing().burst_bytes();
-                }
+        // Legal inside the rank-wide window, or — in per-bank mode —
+        // inside the window of the bank the command targets.
+        let w = self
+            .window
+            .filter(|w| w.contains(at))
+            .or_else(|| {
+                cmd.bank().and_then(|b| {
+                    self.bank_windows[usize::from(b.index())].filter(|w| w.contains(at))
+                })
+            })
+            .ok_or(BusViolation::NvmcOutsideWindow { at, command: cmd })?;
+        // A data burst must also *complete* before the window closes, or
+        // its beats would collide with host commands.
+        if cmd.is_data_transfer() {
+            let is_read = matches!(cmd, Command::Read { .. });
+            let (_, data_end) = self.device.timing().dq_window(at, is_read);
+            if data_end > w.closes {
+                return Err(BusViolation::NvmcOutsideWindow { at, command: cmd });
             }
         }
-        if cmd == Command::Refresh {
-            let (opens, closes) = self.device.timing().nvmc_window_bounds(at);
-            self.window = Some(RefreshWindow {
-                ref_at: at,
-                opens,
-                closes,
-            });
-            self.host_blocked_until = closes;
-            self.stats.refreshes += 1;
-        }
-        if let Command::RefreshBank { bank, stretch } = cmd {
-            let (opens, closes) = self.device.timing().nvmc_window_bounds_pb(at, stretch);
-            self.bank_windows[usize::from(bank.index())] = Some(RefreshWindow {
-                ref_at: at,
-                opens,
-                closes,
-            });
-            self.stats.refreshes += 1;
-        }
-        Ok(end)
+        Ok(())
     }
 }
 
@@ -857,9 +1064,7 @@ mod tests {
         refresh(&mut b, SimTime::from_us(1));
         let log = b.drain_ca_log();
         assert_eq!(log.len(), 2, "PREA + REF");
-        assert!(log[1].1.is_refresh_state());
+        assert!(log[1].pins.is_refresh_state());
         assert!(b.drain_ca_log().is_empty(), "drain empties the log");
     }
-
-    use nvdimmc_sim::SimDuration;
 }

@@ -7,6 +7,7 @@
 //! level of abstraction as the RTL.
 
 use crate::command::{BankAddr, Command};
+use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The CA-bus pin state captured at one command edge.
@@ -258,6 +259,30 @@ impl CaPins {
     /// the REF state except CAS_n is high (the repurposed reserved slot).
     pub fn is_refresh_bank_state(&self) -> bool {
         self.cke && self.act_n && self.we_n && !self.cs_n && !self.ras_n && self.cas_n
+    }
+}
+
+/// One entry of the CA capture log: `count` command edges `interval`
+/// apart from `at`, all showing `pins` on the six monitored pins. A single
+/// command is one edge; a column run is one entry for its whole train (its
+/// commands differ only in the column address, which the detector does
+/// not monitor). `pins` is the first edge's full capture.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CaCapture {
+    /// The first edge.
+    pub at: SimTime,
+    /// Spacing between edges (zero for a single command).
+    pub interval: SimDuration,
+    /// Pin state at the first edge.
+    pub pins: CaPins,
+    /// Number of edges.
+    pub count: u16,
+}
+
+impl CaCapture {
+    /// Instant of the `k`-th edge.
+    pub fn edge_at(&self, k: u16) -> SimTime {
+        self.at + self.interval * u64::from(k)
     }
 }
 

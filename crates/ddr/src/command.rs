@@ -1,5 +1,6 @@
 //! The DDR4 command set.
 
+use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -157,6 +158,58 @@ impl Command {
                 | Command::SelfRefreshEnter
                 | Command::SelfRefreshExit
         )
+    }
+}
+
+/// Read or write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum AccessKind {
+    /// A load / READ burst.
+    Read,
+    /// A store / WRITE burst.
+    Write,
+}
+
+/// A train of `count` column commands of one kind to consecutive columns
+/// of the open row of `bank`, issued `interval` apart — a row-hit burst
+/// train. A 4 KB page is one run of 64 (paper §III-B: the page occupies
+/// 64 consecutive columns of a single row). None of its commands
+/// auto-precharges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnRun {
+    /// READ or WRITE.
+    pub kind: AccessKind,
+    /// Target bank.
+    pub bank: BankAddr,
+    /// Column of the first command.
+    pub col: u16,
+    /// Number of commands.
+    pub count: u16,
+    /// Issue spacing; legal runs have `interval >= tCCD_L`.
+    pub interval: SimDuration,
+}
+
+impl ColumnRun {
+    /// The `k`-th command of the run.
+    pub fn command(&self, k: u16) -> Command {
+        let (bank, col) = (self.bank, self.col.saturating_add(k));
+        match self.kind {
+            AccessKind::Read => Command::Read {
+                bank,
+                col,
+                auto_precharge: false,
+            },
+            AccessKind::Write => Command::Write {
+                bank,
+                col,
+                auto_precharge: false,
+            },
+        }
+    }
+
+    /// Issue instant of the `k`-th command when the first issues at `first`.
+    pub fn issue_at(&self, first: SimTime, k: u16) -> SimTime {
+        first + self.interval * u64::from(k)
     }
 }
 

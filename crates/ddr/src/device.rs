@@ -10,7 +10,7 @@ use crate::command::{BankAddr, Command};
 use crate::error::{BusViolation, DdrError};
 use crate::timing::TimingParams;
 use nvdimmc_sim::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How a flat physical byte address maps onto (bank, row, column).
 ///
@@ -108,22 +108,51 @@ impl AddressMapping {
 }
 
 const FRAME_BYTES: u64 = 4096;
+/// Frames per frame table: one 4 KB page of frame pointers, 2 MB of DRAM.
+const TABLE_FRAMES: usize = 512;
 
-/// Sparse byte-addressable storage in 4 KB frames.
-#[derive(Debug, Default)]
+type Frame = [u8; FRAME_BYTES as usize];
+/// The frame pointers of one 2 MB stretch.
+type FrameTable = [Option<Box<Frame>>; TABLE_FRAMES];
+
+/// Byte-addressable storage: 4 KB frames reached by address through a
+/// two-level table, like a page table. The directory has one entry per
+/// 2 MB of capacity; each entry is a table of 512 frame pointers,
+/// allocated on the first write into its 2 MB; each frame is allocated on
+/// its first write. Unwritten frames read as zeros. A flat table sized to
+/// the capacity would be resident wherever the heap zero-fills it, even
+/// though a shard writes a few frames of a large device.
+#[derive(Debug)]
 struct SparseMem {
-    frames: HashMap<u64, Box<[u8; FRAME_BYTES as usize]>>,
+    tables: Vec<Option<Box<FrameTable>>>,
 }
 
 impl SparseMem {
+    fn new(capacity: u64) -> Self {
+        let frames = capacity.div_ceil(FRAME_BYTES) as usize;
+        SparseMem {
+            tables: vec![None; frames.div_ceil(TABLE_FRAMES)],
+        }
+    }
+
+    fn frame(&self, frame: usize) -> Option<&Frame> {
+        self.tables[frame / TABLE_FRAMES].as_ref()?[frame % TABLE_FRAMES].as_deref()
+    }
+
+    fn frame_mut(&mut self, frame: usize) -> &mut Frame {
+        let table = self.tables[frame / TABLE_FRAMES]
+            .get_or_insert_with(|| Box::new([const { None }; TABLE_FRAMES]));
+        table[frame % TABLE_FRAMES].get_or_insert_with(|| Box::new([0u8; FRAME_BYTES as usize]))
+    }
+
+    /// Reads `buf.len()` bytes at `addr`; the caller has range-checked.
     fn read(&self, addr: u64, buf: &mut [u8]) {
         let mut pos = 0;
         while pos < buf.len() {
             let a = addr + pos as u64;
-            let frame = a / FRAME_BYTES;
             let off = (a % FRAME_BYTES) as usize;
             let n = (FRAME_BYTES as usize - off).min(buf.len() - pos);
-            match self.frames.get(&frame) {
+            match self.frame((a / FRAME_BYTES) as usize) {
                 Some(f) => buf[pos..pos + n].copy_from_slice(&f[off..off + n]),
                 None => buf[pos..pos + n].fill(0),
             }
@@ -131,18 +160,15 @@ impl SparseMem {
         }
     }
 
+    /// Writes `data` at `addr`; the caller has range-checked.
     fn write(&mut self, addr: u64, data: &[u8]) {
         let mut pos = 0;
         while pos < data.len() {
             let a = addr + pos as u64;
-            let frame = a / FRAME_BYTES;
             let off = (a % FRAME_BYTES) as usize;
             let n = (FRAME_BYTES as usize - off).min(data.len() - pos);
-            let f = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| Box::new([0u8; FRAME_BYTES as usize]));
-            f[off..off + n].copy_from_slice(&data[pos..pos + n]);
+            self.frame_mut((a / FRAME_BYTES) as usize)[off..off + n]
+                .copy_from_slice(&data[pos..pos + n]);
             pos += n;
         }
     }
@@ -212,7 +238,7 @@ impl DramDevice {
             timing,
             mapping,
             banks: (0..BankAddr::COUNT).map(|_| Bank::new()).collect(),
-            mem: SparseMem::default(),
+            mem: SparseMem::new(capacity),
             earliest_act_same_group: vec![SimTime::ZERO; usize::from(BankAddr::GROUPS)],
             earliest_act_any: SimTime::ZERO,
             recent_acts: VecDeque::new(),
@@ -358,62 +384,9 @@ impl DramDevice {
                 self.stats.activates += 1;
                 Ok(at + self.timing.trcd)
             }
-            Command::Read { bank, .. } => {
-                self.check_not_refreshing(at, &cmd)?;
-                if at < self.earliest_col_cmd {
-                    return Err(BusViolation::Timing {
-                        master: None,
-                        at,
-                        command: cmd,
-                        parameter: "tCCD",
-                        legal_at: self.earliest_col_cmd,
-                    });
-                }
-                if at < self.earliest_read_after_write {
-                    return Err(BusViolation::Timing {
-                        master: None,
-                        at,
-                        command: cmd,
-                        parameter: "tWTR",
-                        legal_at: self.earliest_read_after_write,
-                    });
-                }
-                let end = self.banks[usize::from(bank.index())].read(at, &self.timing, &cmd)?;
-                self.earliest_col_cmd = at + self.timing.tccd_l;
-                // A later WRITE drives DQ tCWL after issue; keep it off the
-                // pins until this read's burst has left them.
-                self.earliest_write_after_read =
-                    self.earliest_write_after_read.max(end - self.timing.tcwl);
-                self.stats.reads += 1;
-                self.auto_precharge_if_requested(&cmd, end);
-                Ok(end)
-            }
-            Command::Write { bank, .. } => {
-                self.check_not_refreshing(at, &cmd)?;
-                if at < self.earliest_col_cmd {
-                    return Err(BusViolation::Timing {
-                        master: None,
-                        at,
-                        command: cmd,
-                        parameter: "tCCD",
-                        legal_at: self.earliest_col_cmd,
-                    });
-                }
-                if at < self.earliest_write_after_read {
-                    return Err(BusViolation::Timing {
-                        master: None,
-                        at,
-                        command: cmd,
-                        parameter: "tRTW",
-                        legal_at: self.earliest_write_after_read,
-                    });
-                }
-                let end = self.banks[usize::from(bank.index())].write(at, &self.timing, &cmd)?;
-                self.earliest_col_cmd = at + self.timing.tccd_l;
-                self.earliest_read_after_write = end + self.timing.twtr;
-                self.stats.writes += 1;
-                self.auto_precharge_if_requested(&cmd, end);
-                Ok(end)
+            Command::Read { .. } | Command::Write { .. } => {
+                self.check_column(at, &cmd)?;
+                Ok(self.apply_column(at, &cmd))
             }
             Command::Precharge { bank } => {
                 self.check_not_refreshing(at, &cmd)?;
@@ -540,6 +513,96 @@ impl DramDevice {
         }
     }
 
+    /// Checks a READ/WRITE at `at` without changing any state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`BusViolation`] [`DramDevice::issue`] would.
+    pub(crate) fn check_column(&self, at: SimTime, cmd: &Command) -> Result<(), BusViolation> {
+        let (Command::Read { bank, col, .. } | Command::Write { bank, col, .. }) = *cmd else {
+            return Ok(());
+        };
+        self.check_not_refreshing(at, cmd)?;
+        if u64::from(col) >= COLS_PER_ROW {
+            return Err(BusViolation::BankState {
+                master: None,
+                at,
+                command: *cmd,
+                reason: format!("column {col} beyond the row ({COLS_PER_ROW} columns)"),
+            });
+        }
+        if at < self.earliest_col_cmd {
+            return Err(BusViolation::Timing {
+                master: None,
+                at,
+                command: *cmd,
+                parameter: "tCCD",
+                legal_at: self.earliest_col_cmd,
+            });
+        }
+        let (gate, parameter) = if matches!(cmd, Command::Read { .. }) {
+            (self.earliest_read_after_write, "tWTR")
+        } else {
+            (self.earliest_write_after_read, "tRTW")
+        };
+        if at < gate {
+            return Err(BusViolation::Timing {
+                master: None,
+                at,
+                command: *cmd,
+                parameter,
+                legal_at: gate,
+            });
+        }
+        self.banks[usize::from(bank.index())].check_rw(at, cmd)
+    }
+
+    /// Applies an accepted READ/WRITE at `at`; returns its data end.
+    fn apply_column(&mut self, at: SimTime, cmd: &Command) -> SimTime {
+        let t = &self.timing;
+        let end = match *cmd {
+            Command::Read { bank, .. } => {
+                let end = self.banks[usize::from(bank.index())].apply_read(at, t);
+                // A later WRITE drives DQ tCWL after issue; keep it off the
+                // pins until this read's burst has left them.
+                self.earliest_write_after_read = self.earliest_write_after_read.max(end - t.tcwl);
+                self.stats.reads += 1;
+                end
+            }
+            Command::Write { bank, .. } => {
+                let end = self.banks[usize::from(bank.index())].apply_write(at, t);
+                self.earliest_read_after_write = end + t.twtr;
+                self.stats.writes += 1;
+                end
+            }
+            _ => return at,
+        };
+        self.earliest_col_cmd = at + t.tccd_l;
+        self.auto_precharge_if_requested(cmd, end);
+        end
+    }
+
+    /// Applies the rest of a column run whose first command was just
+    /// accepted: `extra` more commands, the last, `last`, at `last_at`.
+    /// Every gate a column command sets is a maximum over issue instants
+    /// (tCCD, tRTP, tWR, the read-to-write turnaround) or is overwritten
+    /// by the latest write (tWTR), so the last command's effects are the
+    /// whole tail's; only the counters see every command. Returns the
+    /// last burst's data end.
+    pub(crate) fn finish_column_run(
+        &mut self,
+        last_at: SimTime,
+        last: &Command,
+        extra: u64,
+    ) -> SimTime {
+        let end = self.apply_column(last_at, last);
+        match last {
+            Command::Read { .. } => self.stats.reads += extra - 1,
+            _ => self.stats.writes += extra - 1,
+        }
+        end
+    }
+
     fn auto_precharge_if_requested(&mut self, cmd: &Command, data_end: SimTime) {
         let (Command::Read {
             bank,
@@ -563,61 +626,73 @@ impl DramDevice {
         }
     }
 
-    /// Reads the 64-byte burst for the open row of `bank` at `col`.
+    /// The flat address `offset` bytes into the open row of `bank`, after
+    /// checking that `len` bytes from there stay inside the row.
     ///
     /// # Panics
     ///
-    /// Panics if the bank has no open row — issue the commands through
-    /// [`DramDevice::issue`] first, which returns errors instead.
+    /// Panics if the bank has no open row or the span leaves the row.
     #[allow(clippy::expect_used)] // documented contract: open row required
-    pub fn burst_read(&mut self, bank: BankAddr, col: u16) -> [u8; 64] {
+    fn row_addr(&self, bank: BankAddr, offset: u64, len: usize) -> u64 {
         let row = self
             .bank(bank)
             .open_row()
-            .expect("burst_read requires an open row");
-        let addr = self.mapping.encode(bank, row, col);
-        let mut buf = [0u8; 64];
-        self.mem.read(addr, &mut buf);
-        buf
+            .expect("row transfer requires an open row");
+        assert!(
+            offset + len as u64 <= ROW_BYTES,
+            "row transfer of {len} bytes at {offset} leaves the row"
+        );
+        self.mapping.encode(bank, row, 0) + offset
     }
 
-    /// Writes the 64-byte burst for the open row of `bank` at `col`.
+    /// Reads `buf.len()` bytes of the open row of `bank`, starting `offset`
+    /// bytes into the row: the data a column run moves.
     ///
     /// # Panics
     ///
-    /// Panics if the bank has no open row.
-    #[allow(clippy::expect_used)] // documented contract: open row required
-    pub fn burst_write(&mut self, bank: BankAddr, col: u16, data: &[u8; 64]) {
-        let row = self
-            .bank(bank)
-            .open_row()
-            .expect("burst_write requires an open row");
-        let addr = self.mapping.encode(bank, row, col);
+    /// Panics if the bank has no open row or the span leaves the row —
+    /// issue the run through [`crate::SharedBus::issue_column_run`] first,
+    /// which returns errors instead.
+    pub fn row_read(&self, bank: BankAddr, offset: u64, buf: &mut [u8]) {
+        let addr = self.row_addr(bank, offset, buf.len());
+        self.mem.read(addr, buf);
+    }
+
+    /// Writes `data` into the open row of `bank`, starting `offset` bytes
+    /// into the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank has no open row or the span leaves the row.
+    pub fn row_write(&mut self, bank: BankAddr, offset: u64, data: &[u8]) {
+        let addr = self.row_addr(bank, offset, data.len());
         self.mem.write(addr, data);
+    }
+
+    /// Checks that `len` bytes at `addr` lie inside the device, without
+    /// the end computation overflowing.
+    fn check_span(&self, addr: u64, len: usize) -> Result<(), DdrError> {
+        match addr.checked_add(len as u64) {
+            Some(end) if end <= self.mapping.capacity() => Ok(()),
+            _ => Err(DdrError::AddressOutOfRange {
+                addr,
+                capacity: self.mapping.capacity(),
+            }),
+        }
     }
 
     /// Direct backdoor read of the array (no timing) — used by test
     /// oracles and the power-failure flush path, never by the normal
     /// simulation flow.
     pub fn peek(&self, addr: u64, buf: &mut [u8]) -> Result<(), DdrError> {
-        if addr + buf.len() as u64 > self.mapping.capacity() {
-            return Err(DdrError::AddressOutOfRange {
-                addr,
-                capacity: self.mapping.capacity(),
-            });
-        }
+        self.check_span(addr, buf.len())?;
         self.mem.read(addr, buf);
         Ok(())
     }
 
     /// Direct backdoor write of the array (no timing).
     pub fn poke(&mut self, addr: u64, data: &[u8]) -> Result<(), DdrError> {
-        if addr + data.len() as u64 > self.mapping.capacity() {
-            return Err(DdrError::AddressOutOfRange {
-                addr,
-                capacity: self.mapping.capacity(),
-            });
-        }
+        self.check_span(addr, data.len())?;
         self.mem.write(addr, data);
         Ok(())
     }
@@ -688,7 +763,7 @@ mod tests {
         )
         .unwrap();
         let data = [0xCDu8; 64];
-        d.burst_write(dec.bank, dec.col, &data);
+        d.row_write(dec.bank, u64::from(dec.col) * BURST_BYTES, &data);
         // A read one tCCD after the write violates the write-to-read
         // turnaround; it becomes legal once tWTR elapses after the burst.
         let t = *d.timing();
@@ -711,7 +786,9 @@ mod tests {
         );
         let rd_at = wr_at + t.tcwl + t.burst_time() + t.twtr;
         d.issue(rd_at, rd_cmd).unwrap();
-        assert_eq!(d.burst_read(dec.bank, dec.col), data);
+        let mut back = [0u8; 64];
+        d.row_read(dec.bank, u64::from(dec.col) * BURST_BYTES, &mut back);
+        assert_eq!(back, data);
     }
 
     #[test]
@@ -917,6 +994,48 @@ mod tests {
         d.peek(4096, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 64]);
         assert!(d.poke(CAP - 32, &[0u8; 64]).is_err());
+    }
+
+    #[test]
+    fn peek_poke_reject_spans_whose_end_overflows() {
+        let mut d = dev();
+        let addr = u64::MAX - 8;
+        let mut buf = [0u8; 64];
+        assert!(matches!(
+            d.peek(addr, &mut buf),
+            Err(DdrError::AddressOutOfRange { addr: a, .. }) if a == addr
+        ));
+        assert!(matches!(
+            d.poke(addr, &[1u8; 64]),
+            Err(DdrError::AddressOutOfRange { addr: a, .. }) if a == addr
+        ));
+        // The last in-range bytes still work, and untouched frames read
+        // back as zeros.
+        d.poke(CAP - 8, &[9u8; 8]).unwrap();
+        let mut tail = [0u8; 16];
+        d.peek(CAP - 16, &mut tail).unwrap();
+        assert_eq!(tail, [0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn column_beyond_the_row_is_rejected() {
+        let mut d = dev();
+        let b = BankAddr::new(0, 1);
+        d.issue(SimTime::from_ns(10), Command::Activate { bank: b, row: 2 })
+            .unwrap();
+        let at = SimTime::from_ns(10) + d.timing().trcd;
+        let rd = |col| Command::Read {
+            bank: b,
+            col,
+            auto_precharge: false,
+        };
+        let err = d.issue(at, rd(COLS_PER_ROW as u16));
+        assert!(
+            matches!(err, Err(BusViolation::BankState { .. })),
+            "{err:?}"
+        );
+        assert_eq!(d.stats().reads, 0, "rejected without effect");
+        d.issue(at, rd(COLS_PER_ROW as u16 - 1)).unwrap();
     }
 
     #[test]

@@ -25,21 +25,13 @@
 //! a bank past its tREFI budget.
 
 use crate::bus::{BusMaster, SharedBus};
-use crate::command::{BankAddr, Command};
-use crate::device::DecodedAddr;
+pub use crate::command::AccessKind;
+use crate::command::{BankAddr, ColumnRun, Command};
+use crate::device::{DecodedAddr, BURST_BYTES, ROW_BYTES};
 use crate::error::BusViolation;
 use crate::timing::{RefreshMode, TimingParams};
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessKind {
-    /// A load / READ burst.
-    Read,
-    /// A store / WRITE burst.
-    Write,
-}
 
 /// iMC configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,11 +187,24 @@ impl Imc {
     fn issue_retry(
         &mut self,
         bus: &mut SharedBus,
-        mut at: SimTime,
+        at: SimTime,
         cmd: Command,
     ) -> Result<(SimTime, SimTime), BusViolation> {
+        self.retry(at, cmd, |at| bus.issue(BusMaster::HostImc, at, cmd))
+    }
+
+    /// Runs `attempt` at `at`, then at each violation-reported legal
+    /// instant, until it is accepted; returns the accepted instant and
+    /// the attempt's result. `cmd` names the command in the error when
+    /// the retry budget runs out.
+    fn retry(
+        &mut self,
+        mut at: SimTime,
+        cmd: Command,
+        mut attempt: impl FnMut(SimTime) -> Result<SimTime, BusViolation>,
+    ) -> Result<(SimTime, SimTime), BusViolation> {
         for _ in 0..=self.cfg.max_retries {
-            match bus.issue(BusMaster::HostImc, at, cmd) {
+            match attempt(at) {
                 Ok(end) => return Ok((at, end)),
                 Err(BusViolation::Timing { legal_at, .. }) => at = at.max(legal_at),
                 Err(BusViolation::CommandDuringRefresh { busy_until, .. }) => {
@@ -470,17 +475,32 @@ impl Imc {
             len,
             AccessKind::Read,
             line_interval,
-            |bus, dec, line, dst| {
-                let data = bus.device_mut().burst_read(dec.bank, dec.col);
-                dst.copy_from_slice(&data[line.off..line.off + line.len]);
-            },
-            buf,
+            Some(Payload::Read(buf)),
         )
     }
 
-    /// Writes `data` starting at `addr`, moving real bytes (with
-    /// read-modify-write for partial bursts). Returns when the last burst
-    /// completed.
+    /// The bus side of [`Imc::read_bytes_paced`] alone: the same commands,
+    /// instants, refreshes and counters for a `len`-byte read at `addr`,
+    /// without moving any data. For callers whose data moves elsewhere
+    /// (through a CPU cache model).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bus violations.
+    pub fn read_timing_paced(
+        &mut self,
+        bus: &mut SharedBus,
+        at: SimTime,
+        addr: u64,
+        len: u64,
+        line_interval: SimDuration,
+    ) -> Result<SimTime, BusViolation> {
+        self.transfer(bus, at, addr, len, AccessKind::Read, line_interval, None)
+    }
+
+    /// Writes `data` starting at `addr`, moving real bytes (bytes of a
+    /// partial burst outside `data` keep their contents). Returns when the
+    /// last burst completed.
     ///
     /// # Errors
     ///
@@ -509,7 +529,6 @@ impl Imc {
         data: &[u8],
         line_interval: SimDuration,
     ) -> Result<SimTime, BusViolation> {
-        let mut tmp = data.to_vec();
         self.transfer(
             bus,
             at,
@@ -517,21 +536,16 @@ impl Imc {
             data.len() as u64,
             AccessKind::Write,
             line_interval,
-            |bus, dec, line, src| {
-                let mut burst = if line.len == 64 {
-                    [0u8; 64]
-                } else {
-                    bus.device_mut().burst_read(dec.bank, dec.col)
-                };
-                burst[line.off..line.off + line.len].copy_from_slice(&src[..line.len]);
-                bus.device_mut().burst_write(dec.bank, dec.col, &burst);
-            },
-            &mut tmp,
+            Some(Payload::Write(data)),
         )
     }
 
+    /// Moves `len` bytes at `addr` as one [`ColumnRun`] per stretch of
+    /// consecutive lines that share a row and no refresh falls inside,
+    /// pipelined `max(tCCD_L, line_interval)` apart, and copies each run's
+    /// bytes in one piece when a payload is given.
     #[allow(clippy::too_many_arguments)]
-    fn transfer<F>(
+    fn transfer(
         &mut self,
         bus: &mut SharedBus,
         at: SimTime,
@@ -539,44 +553,85 @@ impl Imc {
         len: u64,
         kind: AccessKind,
         line_interval: SimDuration,
-        mut mover: F,
-        scratch: &mut [u8],
-    ) -> Result<SimTime, BusViolation>
-    where
-        F: FnMut(&mut SharedBus, &DecodedAddr, LineSpan, &mut [u8]),
-    {
+        mut payload: Option<Payload<'_>>,
+    ) -> Result<SimTime, BusViolation> {
+        let interval = bus.device().timing().tccd_l.max(line_interval);
         let mut pos = 0u64;
         let mut next_issue = at;
         let mut last_end = at;
         while pos < len {
-            let a = addr + pos;
-            let off = (a % 64) as usize;
-            let n = (64 - off as u64).min(len - pos) as usize;
             let t = self.pump_refresh(bus, next_issue)?;
-            let dec = Self::decode(bus, t, a)?;
+            let dec = Self::decode(bus, t, addr + pos)?;
             let col_at = self.open_row(bus, t, &dec)?;
-            let res = self.column_access(bus, col_at, &dec, kind)?;
-            mover(
-                bus,
-                &dec,
-                LineSpan { off, len: n },
-                &mut scratch[pos as usize..pos as usize + n],
-            );
-            // Pipeline the next column command at tCCD spacing, or at the
-            // caller's pace when slower.
-            next_issue = res.issued_at + bus.device().timing().tccd_l.max(line_interval);
-            last_end = res.data_end;
-            pos += n as u64;
+            let row_off = u64::from(dec.col) * BURST_BYTES + u64::from(dec.offset);
+            let in_row = (ROW_BYTES - row_off).min(len - pos);
+            let lines = (u64::from(dec.offset) + in_row).div_ceil(BURST_BYTES) as u16;
+            let (first_at, run, end) = self.issue_run(bus, col_at, &dec, kind, lines, interval)?;
+            let count = u64::from(run.count);
+            let n = (count * BURST_BYTES - u64::from(dec.offset)).min(in_row);
+            let span = pos as usize..(pos + n) as usize;
+            match payload.as_mut() {
+                Some(Payload::Read(buf)) => {
+                    bus.device().row_read(dec.bank, row_off, &mut buf[span]);
+                }
+                Some(Payload::Write(data)) => {
+                    bus.device_mut().row_write(dec.bank, row_off, &data[span]);
+                }
+                None => {}
+            }
+            self.stats.row_hits += count - 1;
+            match kind {
+                AccessKind::Read => self.stats.bytes_read += count * BURST_BYTES,
+                AccessKind::Write => self.stats.bytes_written += count * BURST_BYTES,
+            }
+            next_issue = run.issue_at(first_at, run.count - 1) + interval;
+            last_end = end;
+            pos += n;
         }
         Ok(last_end)
     }
+
+    /// Issues up to `lines` column commands from `dec` as one run, its
+    /// first command at `at` or its retried legal instant. The run stops
+    /// before the first command a due refresh would precede: the
+    /// per-line path pumps refresh before every line, so no refresh may
+    /// fall at or before a later command's issue instant. Returns the
+    /// first command's instant, the run as issued and the last burst's
+    /// data end.
+    fn issue_run(
+        &mut self,
+        bus: &mut SharedBus,
+        at: SimTime,
+        dec: &DecodedAddr,
+        kind: AccessKind,
+        lines: u16,
+        interval: SimDuration,
+    ) -> Result<(SimTime, ColumnRun, SimTime), BusViolation> {
+        let due = self.next_refresh;
+        let mut run = ColumnRun {
+            kind,
+            bank: dec.bank,
+            col: dec.col,
+            count: lines,
+            interval,
+        };
+        let (first_at, end) = self.retry(at, run.command(0), |at| {
+            run.count = if due > at {
+                due.since(at).div_ceil(interval).min(u64::from(lines)) as u16
+            } else {
+                1
+            };
+            bus.issue_column_run(BusMaster::HostImc, at, &run)
+        })?;
+        Ok((first_at, run, end))
+    }
 }
 
-/// The byte span of one access within a 64-byte burst.
-#[derive(Debug, Clone, Copy)]
-struct LineSpan {
-    off: usize,
-    len: usize,
+/// The data side of a transfer: where read bytes go or written bytes come
+/// from.
+enum Payload<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8]),
 }
 
 #[cfg(test)]
@@ -838,5 +893,102 @@ mod tests {
         let (mut imc, _) = setup();
         imc.set_trefi(SimDuration::from_us(3.9));
         assert_eq!(imc.trefi(), SimDuration::from_us(3.9));
+    }
+
+    /// A transfer one line at a time through [`Imc::access`]: the loop the
+    /// column runs replace (pump refresh, open the row, issue the column
+    /// command, pipeline the next line `max(tCCD_L, pace)` later).
+    fn per_line(
+        imc: &mut Imc,
+        bus: &mut SharedBus,
+        at: SimTime,
+        addr: u64,
+        len: u64,
+        kind: AccessKind,
+        pace: SimDuration,
+    ) -> SimTime {
+        let interval = bus.device().timing().tccd_l.max(pace);
+        let (mut next, mut end) = (at, at);
+        let mut a = addr;
+        while a < addr + len {
+            let r = imc.access(bus, next, a, kind).unwrap();
+            next = r.issued_at + interval;
+            end = r.data_end;
+            a = (a / 64 + 1) * 64;
+        }
+        end
+    }
+
+    #[test]
+    fn runs_match_the_per_line_transfer_across_refreshes() {
+        use nvdimmc_sim::DeterministicRng;
+        for mode in [RefreshMode::RankLevel, RefreshMode::PerBank] {
+            let mut rng = DeterministicRng::new(7);
+            let rig = || {
+                let (mut imc, mut bus) = setup();
+                imc.set_refresh_mode(mode);
+                bus.set_refresh_mode(mode);
+                bus.attach_recorder();
+                (imc, bus)
+            };
+            let (mut run_imc, mut run_bus) = rig();
+            let (mut ref_imc, mut ref_bus) = rig();
+            let mut at = SimTime::from_ns(100);
+            for _ in 0..400 {
+                let addr = rng.gen_range(0..CAP / 2);
+                let len = rng.gen_range(1..3 * 8192);
+                let pace = SimDuration::from_ps(rng.gen_range(0..40_000));
+                let kind = if rng.gen_bool(0.5) {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                let got = match kind {
+                    AccessKind::Read => {
+                        run_imc.read_timing_paced(&mut run_bus, at, addr, len, pace)
+                    }
+                    AccessKind::Write => run_imc.write_bytes_paced(
+                        &mut run_bus,
+                        at,
+                        addr,
+                        &vec![0x5A; len as usize],
+                        pace,
+                    ),
+                }
+                .unwrap();
+                let want = per_line(&mut ref_imc, &mut ref_bus, at, addr, len, kind, pace);
+                assert_eq!(got, want, "{kind:?} {len} B at {addr:#x}, pace {pace:?}");
+                assert_eq!(run_imc.stats(), ref_imc.stats());
+                assert_eq!(run_bus.stats(), ref_bus.stats());
+                assert_eq!(run_bus.device().stats(), ref_bus.device().stats());
+                assert_eq!(run_bus.take_trace(), ref_bus.take_trace());
+                // Sometimes idle past a refresh or several.
+                at = got + SimDuration::from_ps(rng.gen_range(0..3_000_000));
+            }
+            assert!(run_imc.stats().refreshes > 40, "{:?}", run_imc.stats());
+        }
+    }
+
+    #[test]
+    fn run_payloads_move_the_bytes_the_lines_would() {
+        let (mut imc, mut bus) = setup();
+        // Unaligned, crossing two row ends, with bytes around it that a
+        // partial burst must keep.
+        let addr = 8192 - 100;
+        let around = vec![0xEEu8; 8192 * 3];
+        imc.write_bytes(&mut bus, SimTime::from_ns(100), addr - 200, &around)
+            .unwrap();
+        let payload: Vec<u8> = (0..8192 + 300).map(|i| (i % 253) as u8).collect();
+        let t = imc
+            .write_bytes(&mut bus, SimTime::from_us(5), addr, &payload)
+            .unwrap();
+        let mut back = vec![0u8; payload.len() + 400];
+        imc.read_bytes(&mut bus, t, addr - 200, &mut back).unwrap();
+        assert_eq!(&back[..200], &around[..200]);
+        assert_eq!(&back[200..200 + payload.len()], &payload[..]);
+        assert_eq!(&back[200 + payload.len()..], &around[..200]);
+        let mut direct = vec![0u8; payload.len()];
+        bus.device().peek(addr, &mut direct).unwrap();
+        assert_eq!(direct, payload);
     }
 }

@@ -54,8 +54,8 @@ pub mod trace;
 
 pub use bank::{Bank, BankState};
 pub use bus::{BusMaster, BusStats, SharedBus};
-pub use ca::CaPins;
-pub use command::{BankAddr, Command};
+pub use ca::{CaCapture, CaPins};
+pub use command::{BankAddr, ColumnRun, Command};
 pub use device::{AddressMapping, DecodedAddr, DramDevice};
 pub use error::{BusViolation, DdrError};
 pub use imc::{AccessKind, Imc, ImcConfig};
