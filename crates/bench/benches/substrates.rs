@@ -4,12 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvdimmc_core::refresh::RefreshDetector;
 use nvdimmc_ddr::{
-    BankAddr, BusMaster, CaPins, Command, DramDevice, Imc, ImcConfig, SharedBus, SpeedBin,
-    TimingParams,
+    BankAddr, BusMaster, CaPins, Command, DramDevice, Imc, Io, SharedBus, SpeedBin, TimingParams,
 };
 use nvdimmc_nand::ecc::{crc32, Ecc};
 use nvdimmc_nand::{Nvmc, NvmcConfig, PageCodec};
-use nvdimmc_sim::SimTime;
+use nvdimmc_sim::{SimDuration, SimTime};
 
 fn bench_ecc(c: &mut Criterion) {
     let mut g = c.benchmark_group("ecc");
@@ -54,12 +53,14 @@ fn bench_dram(c: &mut Criterion) {
     g.bench_function("imc_4k_read", |b| {
         let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600);
         let mut bus = SharedBus::new(DramDevice::new(timing, 1 << 24));
-        let mut imc = Imc::new(ImcConfig::from_timing(&timing));
+        let mut imc = Imc::new(&timing);
         let mut buf = vec![0u8; 4096];
         let mut t = SimTime::from_ns(100);
         let mut addr = 0u64;
         b.iter(|| {
-            t = imc.read_bytes(&mut bus, t, addr, &mut buf).unwrap();
+            t = imc
+                .transfer(&mut bus, t, addr, Io::Read(&mut buf), SimDuration::ZERO)
+                .unwrap();
             addr = (addr + 4096) % (1 << 23);
             t
         });

@@ -10,8 +10,8 @@
 use crate::config::PAGE_BYTES;
 use crate::error::{check_range, CoreError};
 use crate::perf::PerfParams;
-use crate::shard::{BlockDevice, Io, QueuedDevice};
-use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, SharedBus, TimingParams};
+use crate::shard::{BlockDevice, QueuedDevice};
+use nvdimmc_ddr::{DramDevice, Imc, Io, SharedBus, TimingParams};
 use nvdimmc_sim::{SimDuration, SimTime};
 
 /// Statistics for the baseline device.
@@ -66,7 +66,7 @@ impl EmulatedPmem {
         let device = DramDevice::new(timing, dram);
         Ok(EmulatedPmem {
             bus: SharedBus::new(device),
-            imc: Imc::new(ImcConfig::from_timing(&timing)),
+            imc: Imc::new(&timing),
             perf,
             capacity,
             clock: SimTime::ZERO,
@@ -104,10 +104,10 @@ impl EmulatedPmem {
         offset: u64,
         io: Io<'_>,
     ) -> Result<SimTime, CoreError> {
-        let len = io.len() as u64;
-        if len == 0 {
+        if io.is_empty() {
             return Ok(not_before.map_or(self.clock, |t| self.clock.max(t)));
         }
+        let len = io.len() as u64;
         check_range(offset, len, self.capacity)?;
         let write = io.is_write();
         let idle = match not_before {
@@ -131,15 +131,7 @@ impl EmulatedPmem {
         } else {
             SimDuration::ZERO
         };
-        let end = match io {
-            Io::Read(buf) => self
-                .imc
-                .read_bytes_paced(&mut self.bus, start, offset, buf, pace)?,
-            Io::Write(data) => {
-                self.imc
-                    .write_bytes_paced(&mut self.bus, start, offset, data, pace)?
-            }
-        };
+        let end = self.imc.transfer(&mut self.bus, start, offset, io, pace)?;
         self.clock = if idle {
             end.max(start + self.perf.copy_time(len))
         } else {

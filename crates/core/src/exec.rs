@@ -38,7 +38,7 @@
 //! clone, no post-hoc lock.
 
 use crate::coalesce::{coalesce, CoalescedReq};
-use crate::error::CoreError;
+use crate::error::{check_range, CoreError};
 use crate::interleave::InterleaveMap;
 use crate::qos::{TenantId, WfqArbiter};
 use crate::ring::SpscRing;
@@ -60,8 +60,6 @@ pub struct ExecutorConfig {
     /// Byte cap on one coalesced DMA. `1` effectively disables merging
     /// (no two requests fit), which the equivalence tests use.
     pub coalesce_bytes: u64,
-    /// Base retry hint carried by the `Overloaded` bounce.
-    pub retry_after: SimDuration,
 }
 
 impl Default for ExecutorConfig {
@@ -72,7 +70,6 @@ impl Default for ExecutorConfig {
             workers: 4,
             ring_depth: 64,
             coalesce_bytes: 64 * 1024,
-            retry_after: SimDuration::from_us(100.0),
         }
     }
 }
@@ -195,7 +192,7 @@ struct WorkCell<'d, D> {
 /// ```
 /// use nvdimmc_core::{
 ///     exec::{ExecutorConfig, ShardExecutor},
-///     InterleaveMap, NvdimmCConfig, ReqKind, System,
+///     InterleaveMap, NvdimmCConfig, ReqKind, System, TenantId,
 /// };
 /// use nvdimmc_sim::SimTime;
 ///
@@ -203,7 +200,8 @@ struct WorkCell<'d, D> {
 /// let map = InterleaveMap::new(1, 4096)?;
 /// let mut devices = vec![System::new(NvdimmCConfig::small_for_tests())?];
 /// let mut exec = ShardExecutor::new(1, ExecutorConfig::default());
-/// exec.submit(&map, 0, ReqKind::Write, 0, SimTime::ZERO, &[0xA5; 4096])?;
+/// let data = [0xA5; 4096];
+/// exec.submit(&map, TenantId::HOST, 0, ReqKind::Write, 0, 4096, SimTime::ZERO, &data)?;
 /// let done = exec.dispatch(&mut devices);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].error.is_none());
@@ -222,13 +220,15 @@ pub struct ShardExecutor {
 }
 
 impl ShardExecutor {
+    /// Base retry hint carried by the `Overloaded` bounce.
+    pub const RETRY_AFTER: SimDuration = SimDuration::from_ns(100_000);
+
     /// An executor over `shards` shards.
     pub fn new(shards: usize, cfg: ExecutorConfig) -> Self {
         let cfg = ExecutorConfig {
             workers: cfg.workers.max(1),
             ring_depth: cfg.ring_depth.max(1),
             coalesce_bytes: cfg.coalesce_bytes.max(1),
-            ..cfg
         };
         ShardExecutor {
             rings: (0..shards).map(|_| SpscRing::new(cfg.ring_depth)).collect(),
@@ -310,69 +310,6 @@ impl ShardExecutor {
         devices.iter_mut().map(QueuedDevice::drain_trace).collect()
     }
 
-    /// Routes one operation: splits `[offset, offset + data_or_len)` with
-    /// `map` and pushes one request per segment onto the owning rings.
-    /// For reads pass the length via `read_len` with an empty payload;
-    /// for writes pass the payload (its length is the operation length).
-    ///
-    /// All-or-nothing: if any target ring lacks room the whole operation
-    /// bounces and no ring is touched, so a retry cannot double-enqueue.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Overloaded`] (with the ring's depth) when a target
-    /// ring is full.
-    pub fn submit(
-        &mut self,
-        map: &InterleaveMap,
-        thread: u32,
-        kind: ReqKind,
-        offset: u64,
-        not_before: SimTime,
-        payload: &[u8],
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_for(
-            map,
-            TenantId::HOST,
-            thread,
-            kind,
-            offset,
-            not_before,
-            payload,
-        )
-    }
-
-    /// [`Self::submit`] with an explicit tenant identity: the tenant
-    /// rides on every generated [`ShardRequest`], drives weighted-fair
-    /// dequeue and cache-fill priority, and comes back on each
-    /// [`Completion`] for per-tenant accounting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_for(
-        &mut self,
-        map: &InterleaveMap,
-        tenant: TenantId,
-        thread: u32,
-        kind: ReqKind,
-        offset: u64,
-        not_before: SimTime,
-        payload: &[u8],
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_len(
-            map,
-            tenant,
-            thread,
-            kind,
-            offset,
-            payload.len() as u64,
-            not_before,
-            payload,
-        )
-    }
-
     /// Routes one *pre-split* request onto `shard`'s ring — for drivers
     /// that run the interleave splitter themselves. Stamps and returns
     /// the sequence number; a full ring bounces the request back so the
@@ -399,50 +336,28 @@ impl ShardExecutor {
         Ok(seq)
     }
 
-    /// [`Self::submit`] for reads: the length is explicit, no payload.
+    /// Routes one operation of `tenant`'s `thread`: splits
+    /// `[offset, offset + len)` with `map` and pushes one request per
+    /// segment onto the owning rings. A write's `payload` holds its `len`
+    /// bytes; a read passes an empty one. The tenant rides on every
+    /// generated [`ShardRequest`], drives weighted-fair dequeue and
+    /// cache-fill priority, and comes back on each [`Completion`] for
+    /// per-tenant accounting.
+    ///
+    /// All-or-nothing: if any target ring lacks room the whole operation
+    /// bounces and no ring is touched, so a retry cannot double-enqueue.
     ///
     /// # Errors
     ///
-    /// See [`Self::submit`].
-    pub fn submit_read(
-        &mut self,
-        map: &InterleaveMap,
-        thread: u32,
-        offset: u64,
-        len: u64,
-        not_before: SimTime,
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_read_for(map, TenantId::HOST, thread, offset, len, not_before)
-    }
-
-    /// [`Self::submit_read`] with an explicit tenant identity.
+    /// [`CoreError::OutOfRange`] when `offset + len` overflows, and
+    /// [`CoreError::Overloaded`] (with the ring's depth) when a target
+    /// ring is full.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`Self::submit`].
-    pub fn submit_read_for(
-        &mut self,
-        map: &InterleaveMap,
-        tenant: TenantId,
-        thread: u32,
-        offset: u64,
-        len: u64,
-        not_before: SimTime,
-    ) -> Result<Vec<Submitted>, CoreError> {
-        self.submit_len(
-            map,
-            tenant,
-            thread,
-            ReqKind::Read,
-            offset,
-            len,
-            not_before,
-            &[],
-        )
-    }
-
+    /// Panics if a write's `payload` is shorter than `len`.
     #[allow(clippy::too_many_arguments)]
-    fn submit_len(
+    pub fn submit(
         &mut self,
         map: &InterleaveMap,
         tenant: TenantId,
@@ -453,6 +368,7 @@ impl ShardExecutor {
         not_before: SimTime,
         payload: &[u8],
     ) -> Result<Vec<Submitted>, CoreError> {
+        check_range(offset, len, u64::MAX)?;
         let segs = map.split_range(offset, len);
         // All-or-nothing admission: count demand per shard first.
         let mut demand = vec![0usize; self.rings.len()];
@@ -465,7 +381,7 @@ impl ShardExecutor {
                 self.stats[shard].rejected_ring_full += 1;
                 // Pressure-proportional hint: an empty ring retries after
                 // the base delay, a full one after twice it.
-                let base = self.cfg.retry_after;
+                let base = Self::RETRY_AFTER;
                 let scaled = base + base.mul_f64(ring.len() as f64 / ring.capacity().max(1) as f64);
                 return Err(CoreError::Overloaded {
                     shard: shard as u32,

@@ -880,7 +880,7 @@ impl Fpga {
 mod tests {
     use super::*;
     use crate::cp::CpAck;
-    use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, RefreshMode, SpeedBin, TimingParams};
+    use nvdimmc_ddr::{DramDevice, Imc, RefreshMode, SpeedBin, TimingParams};
     use nvdimmc_nand::NvmcConfig;
     use nvdimmc_sim::SimTime;
 
@@ -900,7 +900,7 @@ mod tests {
         let cap = Layout::required_bytes(64).div_ceil(stripe) * stripe;
         Rig {
             bus: SharedBus::new(DramDevice::new(timing, cap)),
-            imc: Imc::new(ImcConfig::from_timing(&timing)),
+            imc: Imc::new(&timing),
             nvmc: Nvmc::new(NvmcConfig::small_for_tests()).expect("nvmc"),
             fpga: Fpga::new(SimDuration::from_us(step_delay_us), window_bytes),
             layout,

@@ -29,8 +29,8 @@ use crate::config::{NvdimmCConfig, PAGE_BYTES};
 use crate::error::{check_range, CoreError};
 use crate::health::{DegradeReason, FailoverPolicy, HealthState, HealthTransition, RebuildReport};
 use crate::interleave::InterleaveMap;
-use crate::shard::{BlockDevice, ChannelShard, CrashPoint, Io, PowerFailReport};
-use nvdimmc_ddr::TraceEntry;
+use crate::shard::{BlockDevice, ChannelShard, CrashPoint, PowerFailReport};
+use nvdimmc_ddr::{Io, TraceEntry};
 use nvdimmc_sim::{SimDuration, SimTime};
 
 /// Golden-ratio odd multiplier used to derive per-shard RNG streams from
@@ -413,10 +413,10 @@ impl MultiChannelSystem {
     /// shard, under the failover policy. Returns the operation latency:
     /// from the issue instant to the slowest segment's completion.
     fn serve(&mut self, offset: u64, mut io: Io<'_>) -> Result<SimDuration, CoreError> {
-        let len = io.len() as u64;
-        if len == 0 {
+        if io.is_empty() {
             return Ok(SimDuration::ZERO);
         }
+        let len = io.len() as u64;
         check_range(offset, len, self.capacity_bytes())?;
         let t0 = self.now();
         let mut done = t0;
@@ -456,7 +456,8 @@ impl MultiChannelSystem {
         loop {
             match op(&mut self.shards[idx]) {
                 Err(CoreError::DegradedShard { .. })
-                    if self.failover.auto_repair && repairs < self.failover.max_repair_attempts =>
+                    if self.failover.auto_repair
+                        && repairs < FailoverPolicy::MAX_REPAIR_ATTEMPTS =>
                 {
                     repairs += 1;
                     match self.repair_shard(idx) {
@@ -472,7 +473,7 @@ impl MultiChannelSystem {
                 Err(CoreError::DegradedShard { shard, .. }) if self.failover.auto_repair => {
                     return Err(CoreError::Rebuilding {
                         shard,
-                        retry_after: self.failover.retry_after,
+                        retry_after: FailoverPolicy::RETRY_AFTER,
                     });
                 }
                 other => return other,

@@ -201,33 +201,28 @@ pub struct FailoverPolicy {
     /// Repair degraded shards online (quiesce → re-handshake → scrub →
     /// audit → re-admit) instead of bouncing requests forever.
     pub auto_repair: bool,
-    /// Bounded retry: how many repair attempts per request before giving
-    /// up with [`crate::CoreError::Rebuilding`].
-    pub max_repair_attempts: u32,
-    /// Retry-after hint carried by [`crate::CoreError::Rebuilding`] once
-    /// the repair budget is spent.
-    pub retry_after: SimDuration,
 }
 
 impl Default for FailoverPolicy {
     /// No automatic repair: degraded shards bounce requests with
     /// `DegradedShard` until someone calls `repair_shard` explicitly.
     fn default() -> Self {
-        FailoverPolicy {
-            auto_repair: false,
-            max_repair_attempts: 3,
-            retry_after: SimDuration::from_us(100.0),
-        }
+        FailoverPolicy { auto_repair: false }
     }
 }
 
 impl FailoverPolicy {
+    /// Bounded retry: how many repair attempts per request before giving
+    /// up with [`crate::CoreError::Rebuilding`].
+    pub const MAX_REPAIR_ATTEMPTS: u32 = 3;
+
+    /// Retry-after hint carried by [`crate::CoreError::Rebuilding`] once
+    /// the repair budget is spent.
+    pub const RETRY_AFTER: SimDuration = SimDuration::from_ns(100_000);
+
     /// Full failover: automatic online repair of degraded shards.
     pub fn auto() -> Self {
-        FailoverPolicy {
-            auto_repair: true,
-            ..Self::default()
-        }
+        FailoverPolicy { auto_repair: true }
     }
 }
 

@@ -72,16 +72,6 @@ impl InterleaveMap {
         Self::new(channels, PAGE_BYTES)
     }
 
-    /// Rank-granular interleaving (128 KB stripes, one 16-bank row set):
-    /// keeps spatial locality on a channel, spreads large streams.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero channels.
-    pub fn rank_interleaved(channels: u32) -> Result<Self, CoreError> {
-        Self::new(channels, 128 * 1024)
-    }
-
     /// Number of channels.
     pub fn channels(&self) -> u32 {
         self.channels

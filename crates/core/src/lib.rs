@@ -99,8 +99,8 @@ pub use layout::Layout;
 pub use perf::PerfParams;
 pub use proto::{AckOutcome, DriverTxn, FpgaProto, PollVerdict, RetryOutcome};
 pub use qos::{
-    MaintStats, MaintenanceConfig, MaintenanceScheduler, Priority, QosEngine, QosSnapshot,
-    SloClass, SloTargets, TenantId, TenantSpec, TenantStats, TokenBucket, WfqArbiter,
+    MaintStats, MaintenanceScheduler, Priority, QosEngine, QosSnapshot, SloClass, SloTargets,
+    TenantId, TenantSpec, TenantStats, TokenBucket, WfqArbiter,
 };
 pub use refresh::{DetectorPipeline, RefreshDetector};
 pub use ring::SpscRing;

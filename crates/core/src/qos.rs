@@ -249,11 +249,6 @@ impl TokenBucket {
         }
     }
 
-    /// Whether the bucket enforces anything.
-    pub fn is_unlimited(&self) -> bool {
-        self.rate_per_sec == 0
-    }
-
     /// Mints tokens for the clock advance since the last refill.
     /// A rewound clock (a shard lagging the global max) mints nothing —
     /// refill is monotone, so admission stays deterministic.
@@ -630,32 +625,6 @@ impl WfqArbiter {
     }
 }
 
-/// Maintenance tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct MaintenanceConfig {
-    /// Gap between one shard's maintenance slots.
-    pub interval: SimDuration,
-    /// Resident slots CRC-verified per scrub step.
-    pub scrub_slots_per_step: u64,
-    /// Whether a maintenance slot may run a repair on a degraded shard.
-    pub repair: bool,
-    /// Whether a maintenance slot runs FTL housekeeping (bounded
-    /// proactive garbage collection).
-    pub ftl_housekeeping: bool,
-}
-
-impl Default for MaintenanceConfig {
-    /// Scrub 4 slots per step every 50 µs, repair and housekeeping on.
-    fn default() -> Self {
-        MaintenanceConfig {
-            interval: SimDuration::from_us(50.0),
-            scrub_slots_per_step: 4,
-            repair: true,
-            ftl_housekeeping: true,
-        }
-    }
-}
-
 /// Maintenance counters, per shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintStats {
@@ -703,29 +672,28 @@ impl MaintStats {
 /// reruns.
 #[derive(Debug)]
 pub struct MaintenanceScheduler {
-    cfg: MaintenanceConfig,
     cal: ShardCalendar,
     stats: Vec<MaintStats>,
 }
 
 impl MaintenanceScheduler {
+    /// Gap between one shard's maintenance slots.
+    pub const INTERVAL: SimDuration = SimDuration::from_ns(50_000);
+
+    /// Resident slots CRC-verified per scrub step.
+    pub const SCRUB_SLOTS_PER_STEP: u64 = 4;
+
     /// A scheduler over `shards` shards with every shard's first slot
     /// due one interval in.
-    pub fn new(shards: usize, cfg: MaintenanceConfig) -> Self {
+    pub fn new(shards: usize) -> Self {
         let mut cal = ShardCalendar::new(shards);
         for s in 0..shards {
-            cal.set(s, SimTime::ZERO + cfg.interval);
+            cal.set(s, SimTime::ZERO + Self::INTERVAL);
         }
         MaintenanceScheduler {
-            cfg,
             cal,
             stats: vec![MaintStats::default(); shards],
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> MaintenanceConfig {
-        self.cfg
     }
 
     /// Per-shard counters.
@@ -757,14 +725,14 @@ impl MaintenanceScheduler {
             if queue_depth(shard) > 0 {
                 // Foreground pressure rose: yield the window.
                 self.stats[shard].preemptions += 1;
-                self.cal.set(shard, due + self.cfg.interval);
+                self.cal.set(shard, due + Self::INTERVAL);
                 continue;
             }
             self.step(&mut shards[shard], shard);
             ran += 1;
             // Next slot one interval after the work finished on the
             // shard's own clock (maintenance advanced it).
-            let next = shards[shard].now().max(due) + self.cfg.interval;
+            let next = shards[shard].now().max(due) + Self::INTERVAL;
             self.cal.set(shard, next);
         }
         ran
@@ -776,21 +744,17 @@ impl MaintenanceScheduler {
         let st = &mut self.stats[idx];
         st.steps += 1;
         if shard.is_degraded() {
-            if self.cfg.repair {
-                st.repairs_attempted += 1;
-                if shard.repair().is_ok() {
-                    st.repairs_completed += 1;
-                }
+            st.repairs_attempted += 1;
+            if shard.repair().is_ok() {
+                st.repairs_completed += 1;
             }
             return;
         }
-        st.scrub_slots += shard.scrub_step(self.cfg.scrub_slots_per_step);
-        if self.cfg.ftl_housekeeping {
-            let moved = shard.ftl_housekeeping();
-            if moved > 0 {
-                st.ftl_hk_runs += 1;
-                st.ftl_hk_pages += moved;
-            }
+        st.scrub_slots += shard.scrub_step(Self::SCRUB_SLOTS_PER_STEP);
+        let moved = shard.ftl_housekeeping();
+        if moved > 0 {
+            st.ftl_hk_runs += 1;
+            st.ftl_hk_pages += moved;
         }
     }
 }

@@ -3,13 +3,13 @@
 //! with its evictions, CP mailbox transactions, refresh-window servicing
 //! and application-level persist.
 
-use super::{BlockDevice, ChannelShard, CrashPointKind, DramBackdoor, Io, QueuedDevice};
+use super::{BlockDevice, ChannelShard, CrashPointKind, DramBackdoor, QueuedDevice};
 use crate::config::{Backend, PAGE_BYTES};
 use crate::cp::{CpAck, CpCommand, CpOpcode, ACK_ERR_UNCORRECTABLE};
 use crate::error::{check_range, CoreError};
 use crate::health::{DegradeReason, HealthState};
 use crate::proto::{AckOutcome, DriverTxn, RetryOutcome};
-use nvdimmc_ddr::{BankAddr, RefreshMode, TraceEntry};
+use nvdimmc_ddr::{BankAddr, Io, RefreshMode, TraceEntry};
 use nvdimmc_host::Memory;
 use nvdimmc_sim::{SimDuration, SimTime};
 
@@ -29,10 +29,10 @@ impl ChannelShard {
         offset: u64,
         io: Io<'_>,
     ) -> Result<SimTime, CoreError> {
-        let len = io.len() as u64;
-        if len == 0 {
+        if io.is_empty() {
             return Ok(not_before.map_or(self.clock, |t| self.clock.max(t)));
         }
+        let len = io.len() as u64;
         check_range(offset, len, self.nvmc.export_bytes())?;
         self.begin_op();
         let write = io.is_write();

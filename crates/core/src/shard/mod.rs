@@ -42,7 +42,7 @@ use crate::layout::Layout;
 use crate::refresh::DetectorPipeline;
 use crate::sched::RefreshPlanner;
 use crash::CrashHook;
-use nvdimmc_ddr::{DramDevice, Imc, ImcConfig, SharedBus, TraceEntry};
+use nvdimmc_ddr::{DramDevice, Imc, SharedBus, TraceEntry};
 use nvdimmc_host::{CpuCache, Memory, PageTable, Tlb};
 use nvdimmc_nand::Nvmc;
 use nvdimmc_sim::{SimDuration, SimTime};
@@ -138,39 +138,6 @@ pub trait QueuedDevice: Send {
     /// windows down under load. Devices without a refresh planner ignore
     /// it — the default.
     fn note_queue_depth(&mut self, _depth: usize) {}
-}
-
-/// The payload of one host access: the buffer a read fills or the data a
-/// write stores. Every device runs reads and writes through one op body
-/// that takes this instead of a read body and a write body.
-pub(crate) enum Io<'a> {
-    /// A read into this buffer.
-    Read(&'a mut [u8]),
-    /// A write of these bytes.
-    Write(&'a [u8]),
-}
-
-impl Io<'_> {
-    /// Bytes the access moves.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Io::Read(buf) => buf.len(),
-            Io::Write(data) => data.len(),
-        }
-    }
-
-    /// Whether the access is a write.
-    pub(crate) fn is_write(&self) -> bool {
-        matches!(self, Io::Write(_))
-    }
-
-    /// The sub-access covering bytes `range` of this one.
-    pub(crate) fn slice(&mut self, range: std::ops::Range<usize>) -> Io<'_> {
-        match self {
-            Io::Read(buf) => Io::Read(&mut buf[range]),
-            Io::Write(data) => Io::Write(&data[range]),
-        }
-    }
 }
 
 /// Zero-time backdoor [`Memory`] view of the DRAM array, used for the
@@ -342,7 +309,7 @@ impl ChannelShard {
         let mut bus = SharedBus::new(device);
         bus.set_ca_capture(true);
         bus.set_refresh_mode(cfg.refresh_mode);
-        let mut imc = Imc::new(ImcConfig::from_timing(&cfg.timing));
+        let mut imc = Imc::new(&cfg.timing);
         imc.set_refresh_mode(cfg.refresh_mode);
         let fpga = Fpga::new(cfg.perf.fsm_step_delay, cfg.window_xfer_bytes);
         let cache = DramCache::new(cfg.cache_slots, cfg.eviction);

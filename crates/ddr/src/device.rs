@@ -257,12 +257,6 @@ impl DramDevice {
         &self.timing
     }
 
-    /// Reprograms timing (the paper adjusts tRFC/tREFI via BIOS / iMC
-    /// registers at boot).
-    pub fn set_timing(&mut self, timing: TimingParams) {
-        self.timing = timing;
-    }
-
     /// The address mapping in use.
     pub fn mapping(&self) -> &AddressMapping {
         &self.mapping

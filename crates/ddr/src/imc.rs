@@ -33,29 +33,6 @@ use crate::timing::{RefreshMode, TimingParams};
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// iMC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ImcConfig {
-    /// Refresh interval; defaults to the timing's tREFI.
-    pub trefi: SimDuration,
-    /// Upper bound on retry iterations when a command must be delayed to a
-    /// later legal instant.
-    pub max_retries: u32,
-    /// Rank-level REF (stock DDR4) or per-bank REFpb windows.
-    pub mode: RefreshMode,
-}
-
-impl ImcConfig {
-    /// Configuration matching `timing`, in rank-level mode.
-    pub fn from_timing(timing: &TimingParams) -> Self {
-        ImcConfig {
-            trefi: timing.trefi,
-            max_retries: 16,
-            mode: RefreshMode::RankLevel,
-        }
-    }
-}
-
 /// iMC counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImcStats {
@@ -93,7 +70,10 @@ pub struct AccessResult {
 /// same device.
 #[derive(Debug)]
 pub struct Imc {
-    cfg: ImcConfig,
+    /// Refresh interval, from the timing's tREFI.
+    trefi: SimDuration,
+    /// Rank-level REF (stock DDR4) or per-bank REFpb windows.
+    mode: RefreshMode,
     next_refresh: SimTime,
     open_rows: Vec<Option<u32>>,
     /// Per-bank mode: the bank (and stretch) the refresh planner wants
@@ -112,11 +92,17 @@ impl Imc {
     /// budget).
     pub const PB_FORCE_LIMIT: u32 = 24;
 
-    /// Creates an iMC with the first refresh due one tick in.
-    pub fn new(cfg: ImcConfig) -> Self {
+    /// Upper bound on retry iterations when a command must be delayed to a
+    /// later legal instant.
+    pub const MAX_RETRIES: u32 = 16;
+
+    /// Creates a rank-level iMC refreshing at `timing`'s tREFI, with the
+    /// first refresh due one tick in.
+    pub fn new(timing: &TimingParams) -> Self {
         let mut imc = Imc {
+            trefi: timing.trefi,
+            mode: RefreshMode::RankLevel,
             next_refresh: SimTime::ZERO,
-            cfg,
             open_rows: vec![None; 16],
             pb_pref: None,
             pb_deferral: [0; BankAddr::COUNT as usize],
@@ -133,37 +119,27 @@ impl Imc {
 
     /// The configured refresh interval.
     pub fn trefi(&self) -> SimDuration {
-        self.cfg.trefi
+        self.trefi
     }
 
     /// The refresh pump cadence: tREFI between rank REFs, tREFI/16
     /// between per-bank REFpbs (same total duty).
     fn tick(&self) -> SimDuration {
-        match self.cfg.mode {
-            RefreshMode::RankLevel => self.cfg.trefi,
-            RefreshMode::PerBank => self.cfg.trefi / u64::from(BankAddr::COUNT),
+        match self.mode {
+            RefreshMode::RankLevel => self.trefi,
+            RefreshMode::PerBank => self.trefi / u64::from(BankAddr::COUNT),
         }
-    }
-
-    /// Changes the refresh interval (the paper's tREFI2/tREFI4 studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trefi` is zero.
-    pub fn set_trefi(&mut self, trefi: SimDuration) {
-        assert!(trefi > SimDuration::ZERO, "tREFI must be positive");
-        self.cfg.trefi = trefi;
     }
 
     /// The active refresh mode.
     pub fn refresh_mode(&self) -> RefreshMode {
-        self.cfg.mode
+        self.mode
     }
 
     /// Switches refresh mode, re-anchoring the first due tick. Intended
     /// for assembly time, before any traffic.
     pub fn set_refresh_mode(&mut self, mode: RefreshMode) {
-        self.cfg.mode = mode;
+        self.mode = mode;
         self.next_refresh = SimTime::ZERO + self.tick();
     }
 
@@ -203,7 +179,7 @@ impl Imc {
         cmd: Command,
         mut attempt: impl FnMut(SimTime) -> Result<SimTime, BusViolation>,
     ) -> Result<(SimTime, SimTime), BusViolation> {
-        for _ in 0..=self.cfg.max_retries {
+        for _ in 0..=Self::MAX_RETRIES {
             match attempt(at) {
                 Ok(end) => return Ok((at, end)),
                 Err(BusViolation::Timing { legal_at, .. }) => at = at.max(legal_at),
@@ -241,14 +217,14 @@ impl Imc {
         // are deemed to have completed in that interval (they would have —
         // the bus was idle); only the allowed backlog is issued live.
         let tick = self.tick();
-        let cap = self.cfg.trefi * 8;
+        let cap = self.trefi * 8;
         let horizon = now.saturating_since(self.next_refresh);
         if horizon > cap {
             let missed = (horizon - cap).div_ceil(tick);
             self.stats.refreshes_elided += missed;
             self.next_refresh += tick * missed;
         }
-        if self.cfg.mode == RefreshMode::PerBank {
+        if self.mode == RefreshMode::PerBank {
             return self.pump_refresh_pb(bus, now);
         }
         while self.next_refresh <= now {
@@ -262,7 +238,7 @@ impl Imc {
             let (ref_at, _) = self.issue_retry(bus, prea_at + trp, Command::Refresh)?;
             self.open_rows.fill(None);
             self.stats.refreshes += 1;
-            self.next_refresh = due + self.cfg.trefi;
+            self.next_refresh = due + self.trefi;
             // Host is blocked for the programmed tRFC.
             let resume = bus.host_ready_at(ref_at);
             if resume > now {
@@ -431,55 +407,37 @@ impl Imc {
         })
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`, moving real data.
-    /// Returns when the last burst completed.
+    /// Moves `io` at `addr`, real bytes included (bytes of a partial burst
+    /// outside a write's data keep their contents); returns when the last
+    /// burst completed.
     ///
-    /// Column commands are pipelined at tCCD spacing, so streaming reads
-    /// approach the bus bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bus violations.
-    pub fn read_bytes(
-        &mut self,
-        bus: &mut SharedBus,
-        at: SimTime,
-        addr: u64,
-        buf: &mut [u8],
-    ) -> Result<SimTime, BusViolation> {
-        self.read_bytes_paced(bus, at, addr, buf, SimDuration::ZERO)
-    }
-
-    /// Like [`Imc::read_bytes`], but issues column commands no faster than
-    /// `line_interval` apart. A CPU-driven copy loads one cacheline per
-    /// load-buffer round trip, so its bus *exposure* is spread across the
-    /// whole copy — which is what makes the host sensitive to refresh
-    /// frequency (paper Figure 13).
+    /// Column commands are pipelined at tCCD spacing, or no faster than
+    /// `line_interval` apart when that is longer. A CPU-driven copy moves
+    /// one cacheline per load-buffer round trip, so its bus *exposure* is
+    /// spread across the whole copy — which is what makes the host
+    /// sensitive to refresh frequency (paper Figure 13).
     ///
     /// # Errors
     ///
     /// Propagates bus violations.
-    pub fn read_bytes_paced(
+    pub fn transfer(
         &mut self,
         bus: &mut SharedBus,
         at: SimTime,
         addr: u64,
-        buf: &mut [u8],
+        io: Io<'_>,
         line_interval: SimDuration,
     ) -> Result<SimTime, BusViolation> {
-        let len = buf.len() as u64;
-        self.transfer(
-            bus,
-            at,
-            addr,
-            len,
-            AccessKind::Read,
-            line_interval,
-            Some(Payload::Read(buf)),
-        )
+        let len = io.len() as u64;
+        let kind = if io.is_write() {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        self.stream(bus, at, addr, len, kind, line_interval, Some(io))
     }
 
-    /// The bus side of [`Imc::read_bytes_paced`] alone: the same commands,
+    /// The bus side of a read [`Imc::transfer`] alone: the same commands,
     /// instants, refreshes and counters for a `len`-byte read at `addr`,
     /// without moving any data. For callers whose data moves elsewhere
     /// (through a CPU cache model).
@@ -495,49 +453,7 @@ impl Imc {
         len: u64,
         line_interval: SimDuration,
     ) -> Result<SimTime, BusViolation> {
-        self.transfer(bus, at, addr, len, AccessKind::Read, line_interval, None)
-    }
-
-    /// Writes `data` starting at `addr`, moving real bytes (bytes of a
-    /// partial burst outside `data` keep their contents). Returns when the
-    /// last burst completed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bus violations.
-    pub fn write_bytes(
-        &mut self,
-        bus: &mut SharedBus,
-        at: SimTime,
-        addr: u64,
-        data: &[u8],
-    ) -> Result<SimTime, BusViolation> {
-        self.write_bytes_paced(bus, at, addr, data, SimDuration::ZERO)
-    }
-
-    /// Like [`Imc::write_bytes`] with a minimum per-line spacing (see
-    /// [`Imc::read_bytes_paced`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bus violations.
-    pub fn write_bytes_paced(
-        &mut self,
-        bus: &mut SharedBus,
-        at: SimTime,
-        addr: u64,
-        data: &[u8],
-        line_interval: SimDuration,
-    ) -> Result<SimTime, BusViolation> {
-        self.transfer(
-            bus,
-            at,
-            addr,
-            data.len() as u64,
-            AccessKind::Write,
-            line_interval,
-            Some(Payload::Write(data)),
-        )
+        self.stream(bus, at, addr, len, AccessKind::Read, line_interval, None)
     }
 
     /// Moves `len` bytes at `addr` as one [`ColumnRun`] per stretch of
@@ -545,7 +461,7 @@ impl Imc {
     /// pipelined `max(tCCD_L, line_interval)` apart, and copies each run's
     /// bytes in one piece when a payload is given.
     #[allow(clippy::too_many_arguments)]
-    fn transfer(
+    fn stream(
         &mut self,
         bus: &mut SharedBus,
         at: SimTime,
@@ -553,7 +469,7 @@ impl Imc {
         len: u64,
         kind: AccessKind,
         line_interval: SimDuration,
-        mut payload: Option<Payload<'_>>,
+        mut payload: Option<Io<'_>>,
     ) -> Result<SimTime, BusViolation> {
         let interval = bus.device().timing().tccd_l.max(line_interval);
         let mut pos = 0u64;
@@ -570,13 +486,9 @@ impl Imc {
             let count = u64::from(run.count);
             let n = (count * BURST_BYTES - u64::from(dec.offset)).min(in_row);
             let span = pos as usize..(pos + n) as usize;
-            match payload.as_mut() {
-                Some(Payload::Read(buf)) => {
-                    bus.device().row_read(dec.bank, row_off, &mut buf[span]);
-                }
-                Some(Payload::Write(data)) => {
-                    bus.device_mut().row_write(dec.bank, row_off, &data[span]);
-                }
+            match payload.as_mut().map(|io| io.slice(span)) {
+                Some(Io::Read(buf)) => bus.device().row_read(dec.bank, row_off, buf),
+                Some(Io::Write(data)) => bus.device_mut().row_write(dec.bank, row_off, data),
                 None => {}
             }
             self.stats.row_hits += count - 1;
@@ -627,11 +539,43 @@ impl Imc {
     }
 }
 
-/// The data side of a transfer: where read bytes go or written bytes come
-/// from.
-enum Payload<'a> {
+/// The payload of one host access: the buffer a read fills or the data a
+/// write stores. Devices run reads and writes through one op body that
+/// takes this instead of a read body and a write body.
+#[derive(Debug)]
+pub enum Io<'a> {
+    /// A read into this buffer.
     Read(&'a mut [u8]),
+    /// A write of these bytes.
     Write(&'a [u8]),
+}
+
+impl Io<'_> {
+    /// Bytes the access moves.
+    pub fn len(&self) -> usize {
+        match self {
+            Io::Read(buf) => buf.len(),
+            Io::Write(data) => data.len(),
+        }
+    }
+
+    /// Whether the access moves no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the access is a write.
+    pub fn is_write(&self) -> bool {
+        matches!(self, Io::Write(_))
+    }
+
+    /// The sub-access covering bytes `range` of this one.
+    pub fn slice(&mut self, range: std::ops::Range<usize>) -> Io<'_> {
+        match self {
+            Io::Read(buf) => Io::Read(&mut buf[range]),
+            Io::Write(data) => Io::Write(&data[range]),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -645,7 +589,7 @@ mod tests {
     fn setup() -> (Imc, SharedBus) {
         let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600);
         let bus = SharedBus::new(DramDevice::new(timing, CAP));
-        let imc = Imc::new(ImcConfig::from_timing(&timing));
+        let imc = Imc::new(&timing);
         (imc, bus)
     }
 
@@ -654,10 +598,13 @@ mod tests {
         let (mut imc, mut bus) = setup();
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         let t0 = SimTime::from_ns(100);
-        let end = imc.write_bytes(&mut bus, t0, 8192, &payload).unwrap();
+        let end = imc
+            .transfer(&mut bus, t0, 8192, Io::Write(&payload), SimDuration::ZERO)
+            .unwrap();
         assert!(end > t0);
         let mut out = vec![0u8; 4096];
-        imc.read_bytes(&mut bus, end, 8192, &mut out).unwrap();
+        imc.transfer(&mut bus, end, 8192, Io::Read(&mut out), SimDuration::ZERO)
+            .unwrap();
         assert_eq!(out, payload);
     }
 
@@ -666,9 +613,12 @@ mod tests {
         let (mut imc, mut bus) = setup();
         let payload = [0xABu8; 100];
         let t0 = SimTime::from_ns(100);
-        let end = imc.write_bytes(&mut bus, t0, 1000, &payload).unwrap();
+        let end = imc
+            .transfer(&mut bus, t0, 1000, Io::Write(&payload), SimDuration::ZERO)
+            .unwrap();
         let mut out = [0u8; 100];
-        imc.read_bytes(&mut bus, end, 1000, &mut out).unwrap();
+        imc.transfer(&mut bus, end, 1000, Io::Read(&mut out), SimDuration::ZERO)
+            .unwrap();
         assert_eq!(out, payload);
     }
 
@@ -676,8 +626,14 @@ mod tests {
     fn row_hits_on_sequential_lines() {
         let (mut imc, mut bus) = setup();
         let mut buf = vec![0u8; 4096];
-        imc.read_bytes(&mut bus, SimTime::from_ns(100), 0, &mut buf)
-            .unwrap();
+        imc.transfer(
+            &mut bus,
+            SimTime::from_ns(100),
+            0,
+            Io::Read(&mut buf),
+            SimDuration::ZERO,
+        )
+        .unwrap();
         let s = imc.stats();
         // 64 lines in one 4KB page share a single row: 1 miss, 63 hits.
         assert_eq!(s.row_misses, 1);
@@ -709,7 +665,9 @@ mod tests {
         let (mut imc, mut bus) = setup();
         let mut buf = vec![0u8; 65536];
         let t0 = SimTime::from_ns(100);
-        let end = imc.read_bytes(&mut bus, t0, 0, &mut buf).unwrap();
+        let end = imc
+            .transfer(&mut bus, t0, 0, Io::Read(&mut buf), SimDuration::ZERO)
+            .unwrap();
         let elapsed = end.since(t0);
         let bw = 65536.0 / elapsed.as_secs_f64() / 1e9; // GB/s
                                                         // DDR4-1600 peak is 12.8 GB/s; pipelined reads should exceed 5 GB/s
@@ -725,12 +683,18 @@ mod tests {
             let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600)
                 .with_trefi(SimDuration::from_us(trefi_us));
             let mut bus = SharedBus::new(DramDevice::new(timing, CAP));
-            let mut imc = Imc::new(ImcConfig::from_timing(&timing));
+            let mut imc = Imc::new(&timing);
             let mut t = SimTime::from_ns(100);
             let mut buf = vec![0u8; 4096];
             for i in 0..200u64 {
                 t = imc
-                    .read_bytes(&mut bus, t, (i * 4096) % (CAP / 2), &mut buf)
+                    .transfer(
+                        &mut bus,
+                        t,
+                        (i * 4096) % (CAP / 2),
+                        Io::Read(&mut buf),
+                        SimDuration::ZERO,
+                    )
                     .unwrap();
             }
             t.since(SimTime::from_ns(100)).as_us_f64()
@@ -888,13 +852,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn set_trefi_validates() {
-        let (mut imc, _) = setup();
-        imc.set_trefi(SimDuration::from_us(3.9));
-        assert_eq!(imc.trefi(), SimDuration::from_us(3.9));
-    }
-
     /// A transfer one line at a time through [`Imc::access`]: the loop the
     /// column runs replace (pump refresh, open the row, issue the column
     /// command, pipeline the next line `max(tCCD_L, pace)` later).
@@ -947,11 +904,11 @@ mod tests {
                     AccessKind::Read => {
                         run_imc.read_timing_paced(&mut run_bus, at, addr, len, pace)
                     }
-                    AccessKind::Write => run_imc.write_bytes_paced(
+                    AccessKind::Write => run_imc.transfer(
                         &mut run_bus,
                         at,
                         addr,
-                        &vec![0x5A; len as usize],
+                        Io::Write(&vec![0x5A; len as usize]),
                         pace,
                     ),
                 }
@@ -976,14 +933,33 @@ mod tests {
         // partial burst must keep.
         let addr = 8192 - 100;
         let around = vec![0xEEu8; 8192 * 3];
-        imc.write_bytes(&mut bus, SimTime::from_ns(100), addr - 200, &around)
-            .unwrap();
+        imc.transfer(
+            &mut bus,
+            SimTime::from_ns(100),
+            addr - 200,
+            Io::Write(&around),
+            SimDuration::ZERO,
+        )
+        .unwrap();
         let payload: Vec<u8> = (0..8192 + 300).map(|i| (i % 253) as u8).collect();
         let t = imc
-            .write_bytes(&mut bus, SimTime::from_us(5), addr, &payload)
+            .transfer(
+                &mut bus,
+                SimTime::from_us(5),
+                addr,
+                Io::Write(&payload),
+                SimDuration::ZERO,
+            )
             .unwrap();
         let mut back = vec![0u8; payload.len() + 400];
-        imc.read_bytes(&mut bus, t, addr - 200, &mut back).unwrap();
+        imc.transfer(
+            &mut bus,
+            t,
+            addr - 200,
+            Io::Read(&mut back),
+            SimDuration::ZERO,
+        )
+        .unwrap();
         assert_eq!(&back[..200], &around[..200]);
         assert_eq!(&back[200..200 + payload.len()], &payload[..]);
         assert_eq!(&back[200 + payload.len()..], &around[..200]);

@@ -58,6 +58,6 @@ pub use ca::{CaCapture, CaPins};
 pub use command::{BankAddr, ColumnRun, Command};
 pub use device::{AddressMapping, DecodedAddr, DramDevice};
 pub use error::{BusViolation, DdrError};
-pub use imc::{AccessKind, Imc, ImcConfig};
+pub use imc::{AccessKind, Imc, Io};
 pub use timing::{RefreshMode, SpeedBin, TimingParams};
 pub use trace::{TraceEntry, TraceRecorder};

@@ -11,13 +11,8 @@
 //!   driver's explicit-coherence protocol;
 //! - [`PageTable`] / [`Tlb`] — virtual-to-physical mapping with
 //!   TLB-miss/page-fault semantics, the mechanism DAX rides on;
-//! - [`WritePendingQueue`] — the iMC's WPQ, whose interaction with power
-//!   failure defines the platform persistence domain (§V-C);
-//! - [`MemoryMap`] — the kernel `memmap=nn$ss` reservation that carves the
-//!   NVDIMM-C address space out of System RAM (§IV-B);
-//! - [`DaxFs`] — a minimal DAX-aware filesystem layout: files as extents
-//!   of device blocks, so a file offset resolves to the block number the
-//!   driver's `device_access` receives.
+//! - [`PersistEvent`] — the ordered store/flush/fence journal a
+//!   [`CpuCache`] records for pmemcheck-style verification.
 //!
 //! # Example
 //!
@@ -40,17 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod cpu_cache;
-pub mod dax;
 pub mod journal;
-pub mod memmap;
 pub mod memory;
 pub mod paging;
-pub mod wpq;
 
 pub use cpu_cache::{CacheStats, CpuCache};
-pub use dax::{DaxFile, DaxFs};
 pub use journal::PersistEvent;
-pub use memmap::{MemoryMap, Region, RegionKind};
-pub use memory::{Memory, SparseMemory, VecMemory};
+pub use memory::{Memory, VecMemory};
 pub use paging::{PageFault, PageTable, Pte, Tlb};
-pub use wpq::WritePendingQueue;

@@ -64,73 +64,6 @@ impl Memory for VecMemory {
     }
 }
 
-const FRAME: u64 = 4096;
-
-/// Sparse memory in 4 KB frames, for multi-gigabyte address spaces.
-#[derive(Debug, Clone, Default)]
-pub struct SparseMemory {
-    capacity: u64,
-    frames: std::collections::HashMap<u64, Box<[u8; FRAME as usize]>>,
-}
-
-impl SparseMemory {
-    /// Creates a sparse memory of `capacity` bytes (all zero).
-    pub fn new(capacity: u64) -> Self {
-        SparseMemory {
-            capacity,
-            frames: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Number of frames actually materialised.
-    pub fn resident_frames(&self) -> usize {
-        self.frames.len()
-    }
-}
-
-impl Memory for SparseMemory {
-    fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        assert!(
-            addr + buf.len() as u64 <= self.capacity,
-            "read past capacity"
-        );
-        let mut pos = 0;
-        while pos < buf.len() {
-            let a = addr + pos as u64;
-            let (frame, off) = (a / FRAME, (a % FRAME) as usize);
-            let n = (FRAME as usize - off).min(buf.len() - pos);
-            match self.frames.get(&frame) {
-                Some(f) => buf[pos..pos + n].copy_from_slice(&f[off..off + n]),
-                None => buf[pos..pos + n].fill(0),
-            }
-            pos += n;
-        }
-    }
-
-    fn write(&mut self, addr: u64, data: &[u8]) {
-        assert!(
-            addr + data.len() as u64 <= self.capacity,
-            "write past capacity"
-        );
-        let mut pos = 0;
-        while pos < data.len() {
-            let a = addr + pos as u64;
-            let (frame, off) = (a / FRAME, (a % FRAME) as usize);
-            let n = (FRAME as usize - off).min(data.len() - pos);
-            let f = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| Box::new([0u8; FRAME as usize]));
-            f[off..off + n].copy_from_slice(&data[pos..pos + n]);
-            pos += n;
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,33 +76,6 @@ mod tests {
         m.read(10, &mut buf);
         assert_eq!(buf, [1, 2, 3]);
         assert_eq!(m.capacity(), 1024);
-    }
-
-    #[test]
-    fn sparse_memory_roundtrip_across_frames() {
-        let mut m = SparseMemory::new(1 << 20);
-        let data: Vec<u8> = (0..8192u32).map(|i| (i % 256) as u8).collect();
-        m.write(4000, &data); // straddles three frames
-        let mut buf = vec![0u8; 8192];
-        m.read(4000, &mut buf);
-        assert_eq!(buf, data);
-        assert_eq!(m.resident_frames(), 3);
-    }
-
-    #[test]
-    fn sparse_memory_reads_zero_when_untouched() {
-        let mut m = SparseMemory::new(1 << 30);
-        let mut buf = [0xFFu8; 64];
-        m.read(1 << 29, &mut buf);
-        assert_eq!(buf, [0u8; 64]);
-        assert_eq!(m.resident_frames(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "past capacity")]
-    fn sparse_memory_bounds_checked() {
-        let mut m = SparseMemory::new(100);
-        m.write(90, &[0u8; 20]);
     }
 
     #[test]

@@ -843,11 +843,6 @@ impl ShardState {
         self.txn_index
     }
 
-    /// Highest generation on the persistent medium.
-    pub fn nand_generation(&self) -> u64 {
-        self.nand_gen
-    }
-
     /// Highest generation the driver believes durable.
     pub fn acked_generation(&self) -> u64 {
         self.acked_gen

@@ -91,9 +91,6 @@ fn parity64(x: u64) -> u8 {
 }
 
 impl Ecc {
-    /// Number of parity bits (7 Hamming + 1 overall).
-    pub const PARITY_BITS: u32 = 8;
-
     /// Encodes a word, returning its parity byte (7 Hamming bits + overall
     /// parity in bit 7).
     pub fn encode(word: u64) -> u8 {

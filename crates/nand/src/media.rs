@@ -38,14 +38,6 @@ impl NandTiming {
             xfer: SimDuration::from_us(8.0),
         }
     }
-
-    /// Z-NAND behind a full-speed controller.
-    pub fn znand_asic() -> Self {
-        NandTiming {
-            xfer: SimDuration::from_us(1.0),
-            ..Self::znand_poc()
-        }
-    }
 }
 
 /// Media counters.

@@ -4,8 +4,6 @@
 //!
 //! - [`SimTime`] / [`SimDuration`] — integer picosecond simulation time, so
 //!   that DDR4 clock arithmetic (e.g. 1.25 ns cycles at DDR4-1600) is exact;
-//! - [`EventQueue`] — a deterministic, cancellable priority queue of timed
-//!   events (ties broken by insertion order);
 //! - [`ShardCalendar`] — the discrete-event fast path for multi-shard
 //!   front-ends: per-shard next-event registration with deterministic
 //!   pop-min ordering, so executors advance each shard's clock straight
@@ -13,35 +11,31 @@
 //! - [`stats`] — counters, latency histograms with percentiles, bandwidth
 //!   time series and rate meters used by every experiment harness;
 //! - [`rng`] — deterministic random number helpers (uniform, Zipfian) so
-//!   every experiment is reproducible from a seed;
-//! - [`queueing`] — a small closed-loop queueing model used to project
-//!   multi-threaded throughput from single-stream service times.
+//!   every experiment is reproducible from a seed.
 //!
 //! # Example
 //!
 //! ```
-//! use nvdimmc_sim::{EventQueue, SimTime};
+//! use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::from_ns(30), "late");
-//! q.schedule(SimTime::from_ns(10), "early");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t, ev), (SimTime::from_ns(10), "early"));
+//! // Two shards register their next events; the earlier one is served first.
+//! let mut cal = ShardCalendar::new(2);
+//! cal.set(0, SimTime::ZERO + SimDuration::from_ns(30));
+//! cal.set(1, SimTime::from_ns(10));
+//! assert_eq!(cal.pop(), Some((SimTime::from_ns(10), 1)));
+//! assert_eq!(cal.pop(), Some((SimTime::from_ns(30), 0)));
+//! assert_eq!(cal.pop(), None);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calendar;
-pub mod event;
-pub mod queueing;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use calendar::ShardCalendar;
-pub use event::{EventHandle, EventQueue};
-pub use queueing::ClosedLoopModel;
 pub use rng::{DeterministicRng, Zipf};
 pub use stats::{Counter, Histogram, RateMeter, TimeSeries};
 pub use time::{SimDuration, SimTime};

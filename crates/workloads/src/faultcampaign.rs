@@ -30,8 +30,8 @@
 
 use nvdimmc_core::{
     BlockDevice, ChannelShard, CoreError, ExecutorConfig, FailoverPolicy, FaultKind, FaultPlan,
-    MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, RecoveryParams, RecoveryStats,
-    ShardExecutor, PAGE_BYTES,
+    MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, RecoveryParams, RecoveryStats, ReqKind,
+    ShardExecutor, TenantId, PAGE_BYTES,
 };
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_nand::ecc::crc32;
@@ -424,7 +424,16 @@ impl FaultCampaign {
             let (shards, map, _) = sys.parts_mut();
             for page in (0..pages).filter(|p| !excluded.contains(p)) {
                 loop {
-                    match exec.submit_read(map, page as u32, page * PAGE_BYTES, PAGE_BYTES, t0) {
+                    match exec.submit(
+                        map,
+                        TenantId::HOST,
+                        page as u32,
+                        ReqKind::Read,
+                        page * PAGE_BYTES,
+                        PAGE_BYTES,
+                        t0,
+                        &[],
+                    ) {
                         Ok(_) => break,
                         Err(CoreError::Overloaded { .. }) => {
                             fold_sweep(&mut exec, shards, &mut page_data)?;

@@ -27,20 +27,6 @@ pub struct FileCopy {
 }
 
 impl FileCopy {
-    /// The paper's configuration scaled by `scale` (1.0 = the full 20 GB
-    /// copy; figure runs use a smaller scale with the cache scaled the
-    /// same way).
-    pub fn paper_scaled(scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        FileCopy {
-            file_bytes: ((20u64 << 30) as f64 * scale) as u64 / 4096 * 4096,
-            chunk_bytes: 64 << 10,
-            source_bytes_per_s: 520e6,
-            bin: SimDuration::from_secs_f64(1.0 * scale),
-            seed: 42,
-        }
-    }
-
     /// Runs the copy onto `dev`, verifying the copied bytes afterwards on
     /// a sample of chunks.
     ///

@@ -21,15 +21,14 @@
 
 use nvdimmc_core::{
     BlockDevice, CoreError, ExecutorConfig, FaultKind, InterleaveMap, MaintStats,
-    MaintenanceConfig, MaintenanceScheduler, NvdimmCConfig, Priority, QosEngine, QosSnapshot,
-    ReqKind, ShardExecutor, SloClass, SloTargets, System, TenantId, TenantSpec, WfqArbiter,
-    PAGE_BYTES,
+    MaintenanceScheduler, NvdimmCConfig, Priority, QosEngine, QosSnapshot, ReqKind, ShardExecutor,
+    SloClass, SloTargets, System, TenantId, TenantSpec, WfqArbiter, PAGE_BYTES,
 };
 use nvdimmc_sim::{DeterministicRng, Histogram, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Multi-tenant soak configuration: tenant contracts, load shape, fault
-/// cadence and the maintenance calendar.
+/// Multi-tenant soak configuration: tenant contracts, load shape and
+/// fault cadence.
 #[derive(Debug, Clone)]
 pub struct QosTestConfig {
     /// Channels (= shards) behind the interleaver.
@@ -57,8 +56,6 @@ pub struct QosTestConfig {
     pub mailbox_kill: u32,
     /// Per-class p99 targets the run is judged against.
     pub slo: SloTargets,
-    /// Background maintenance tuning.
-    pub maintenance: MaintenanceConfig,
 }
 
 impl QosTestConfig {
@@ -90,7 +87,6 @@ impl QosTestConfig {
                 cached_p99: SimDuration::from_us(150.0),
                 uncached_p99: SimDuration::from_us(1_000.0),
             },
-            maintenance: MaintenanceConfig::default(),
         }
     }
 
@@ -152,7 +148,7 @@ impl QosTestConfig {
         let mut exec = ShardExecutor::new(shards, ExecutorConfig::default());
         exec.set_arbiter(Some(WfqArbiter::new(shards, &self.tenants)));
         let mut qos = QosEngine::new(&self.tenants);
-        let mut maint = MaintenanceScheduler::new(shards, self.maintenance);
+        let mut maint = MaintenanceScheduler::new(shards);
         let mut rng = DeterministicRng::new(self.seed).fork(0x0905);
 
         // Tenant regions are disjoint page ranges, so cross-tenant
@@ -230,19 +226,13 @@ impl QosTestConfig {
                         report.ops_throttled += 1;
                         continue;
                     }
-                    let res = if write {
-                        exec.submit_for(
-                            &map,
-                            spec.id,
-                            ti as u32,
-                            ReqKind::Write,
-                            off,
-                            now,
-                            &payload,
-                        )
+                    let (kind, data): (_, &[u8]) = if write {
+                        (ReqKind::Write, &payload)
                     } else {
-                        exec.submit_read_for(&map, spec.id, ti as u32, off, PAGE_BYTES, now)
+                        (ReqKind::Read, &[])
                     };
+                    let res =
+                        exec.submit(&map, spec.id, ti as u32, kind, off, PAGE_BYTES, now, data);
                     match res {
                         Ok(subs) => {
                             moved = true;
@@ -276,7 +266,7 @@ impl QosTestConfig {
                 // Every tenant throttled and nothing in flight: push the
                 // clocks forward so buckets refill and calendars fire.
                 for d in &mut devices {
-                    d.advance(self.maintenance.interval);
+                    d.advance(MaintenanceScheduler::INTERVAL);
                 }
             }
         }
@@ -296,7 +286,7 @@ impl QosTestConfig {
                 .map(BlockDevice::now)
                 .max()
                 .unwrap_or(SimTime::ZERO)
-                + self.maintenance.interval;
+                + MaintenanceScheduler::INTERVAL;
             maint.run_due(&mut devices, now, |_| 0);
             for d in &mut devices {
                 let target = now.saturating_since(d.now());

@@ -6,7 +6,7 @@
 //! - [`sim`] — discrete-event simulation engine
 //! - [`ddr`] — DDR4 command/timing substrate
 //! - [`nand`] — Z-NAND media, ECC and flash translation layer
-//! - [`host`] — host-side substrate (CPU cache, page tables, WPQ, DAX)
+//! - [`host`] — host-side substrate (CPU cache, persistence journal, page tables)
 //! - [`core`] — the NVDIMM-C device, driver and baseline
 //! - [`workloads`] — FIO-like, file-copy, TPC-H and mixed-load generators
 //! - [`check`] — trace-based protocol verifier, race detector and lint pass

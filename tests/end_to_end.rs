@@ -2,11 +2,12 @@
 //! refresh detector, shared bus, FTL, ECC, media — exercised together.
 
 use nvdimmc::core::{
-    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, MultiChannelConfig,
-    MultiChannelSystem, NvdimmCConfig, PerfParams, System, PAGE_BYTES,
+    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, ExecutorConfig, MultiChannelConfig,
+    MultiChannelSystem, NvdimmCConfig, PerfParams, ReqKind, ShardExecutor, System, TenantId,
+    PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
-use nvdimmc::sim::{DeterministicRng, SimDuration};
+use nvdimmc::sim::{DeterministicRng, SimDuration, SimTime};
 use nvdimmc::workloads::{FioJob, MixedLoad, StreamValidator};
 
 fn page(fill: u8) -> Vec<u8> {
@@ -255,6 +256,17 @@ fn range_checks_reject_ranges_whose_end_overflows() {
     out_of_range(front.read_at(off, &mut buf), "front read_at");
     out_of_range(front.write_at(off, &data), "front write_at");
     out_of_range(front.persist(off, PAGE_BYTES), "front persist");
+
+    // The executor rejects the range before splitting it, so no segment
+    // is queued for a completion that never comes.
+    let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
+    let (shards, map, _) = front.parts_mut();
+    let (host, t0) = (TenantId::HOST, SimTime::ZERO);
+    let write = exec.submit(map, host, 0, ReqKind::Write, off, PAGE_BYTES, t0, &data);
+    out_of_range(write, "executor write submit");
+    let read = exec.submit(map, host, 0, ReqKind::Read, off, PAGE_BYTES, t0, &[]);
+    out_of_range(read, "executor read submit");
+    assert!(exec.dispatch(shards).is_empty());
 
     let timing = TimingParams::nvdimmc_poc(SpeedBin::Ddr4_1600);
     let mut pmem = EmulatedPmem::new(64 << 20, timing, PerfParams::poc()).unwrap();

@@ -16,8 +16,8 @@
 
 use nvdimmc::check::check_qos;
 use nvdimmc::core::{
-    ExecutorConfig, InterleaveMap, MaintenanceConfig, MaintenanceScheduler, NvdimmCConfig, ReqKind,
-    ShardExecutor, ShardRequest, System, TenantId, TenantSpec, TokenBucket, WfqArbiter, PAGE_BYTES,
+    ExecutorConfig, InterleaveMap, MaintenanceScheduler, NvdimmCConfig, ReqKind, ShardExecutor,
+    ShardRequest, System, TenantId, TenantSpec, TokenBucket, WfqArbiter, PAGE_BYTES,
 };
 use nvdimmc::sim::{SimDuration, SimTime};
 use nvdimmc::workloads::QosTestConfig;
@@ -78,11 +78,10 @@ fn same_seed_reruns_are_bit_identical() {
 
 #[test]
 fn maintenance_is_preempted_by_foreground_pressure() {
-    let cfg = MaintenanceConfig::default();
     let mut devices = vec![System::new(NvdimmCConfig::small_for_tests()).unwrap()];
     devices[0].enable_scrub();
-    let mut maint = MaintenanceScheduler::new(1, cfg);
-    let due = SimTime::ZERO + cfg.interval;
+    let mut maint = MaintenanceScheduler::new(1);
+    let due = SimTime::ZERO + MaintenanceScheduler::INTERVAL;
 
     // Queue depth 3: the due slot must yield, not run.
     let ran = maint.run_due(&mut devices, due, |_| 3);
@@ -92,7 +91,7 @@ fn maintenance_is_preempted_by_foreground_pressure() {
 
     // The yielded slot was pushed one interval out; with the queue
     // drained it runs there.
-    let ran = maint.run_due(&mut devices, due + cfg.interval, |_| 0);
+    let ran = maint.run_due(&mut devices, due + MaintenanceScheduler::INTERVAL, |_| 0);
     assert_eq!(ran, 1);
     assert_eq!(maint.stats(0).steps, 1);
 }
@@ -107,13 +106,23 @@ fn tenancy_rides_every_completion() {
     let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
     let tenant = TenantId(7);
     let data = vec![0x5Au8; PAGE_BYTES as usize];
-    exec.submit_for(&map, tenant, 0, ReqKind::Write, 0, SimTime::ZERO, &data)
+    let (read, write, t0) = (ReqKind::Read, ReqKind::Write, SimTime::ZERO);
+    exec.submit(&map, tenant, 0, write, 0, PAGE_BYTES, t0, &data)
         .unwrap();
-    exec.submit_read_for(&map, tenant, 0, PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
+    exec.submit(&map, tenant, 0, read, PAGE_BYTES, PAGE_BYTES, t0, &[])
         .unwrap();
-    // Legacy submit stays on the host tenant.
-    exec.submit_read(&map, 0, 2 * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
-        .unwrap();
+    // The host tenant rides through the same call.
+    exec.submit(
+        &map,
+        TenantId::HOST,
+        0,
+        read,
+        2 * PAGE_BYTES,
+        PAGE_BYTES,
+        t0,
+        &[],
+    )
+    .unwrap();
     let done = exec.dispatch(&mut devices);
     assert_eq!(done.len(), 3);
     let mut tenants: Vec<TenantId> = done.iter().map(|c| c.tenant).collect();
@@ -133,8 +142,17 @@ fn wfq_arbiter_defaults_leave_the_executor_untouched() {
             exec.set_arbiter(Some(WfqArbiter::new(1, &[])));
         }
         for i in 0..8u64 {
-            exec.submit_read(&map, 0, (i % 4) * PAGE_BYTES, PAGE_BYTES, SimTime::ZERO)
-                .unwrap();
+            exec.submit(
+                &map,
+                TenantId::HOST,
+                0,
+                ReqKind::Read,
+                (i % 4) * PAGE_BYTES,
+                PAGE_BYTES,
+                SimTime::ZERO,
+                &[],
+            )
+            .unwrap();
         }
         exec.dispatch(&mut devices)
             .into_iter()
@@ -266,26 +284,30 @@ fn background_churn_cannot_evict_foreground_hot_set() {
 
     // Foreground makes 4 pages hot.
     for page in 0..4u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
             TenantId(1),
             0,
+            ReqKind::Read,
             page * PAGE_BYTES,
             PAGE_BYTES,
             SimTime::ZERO,
+            &[],
         )
         .unwrap();
         exec.dispatch(&mut devices);
     }
     // Background churns 16 distinct pages through the 8-slot cache.
     for page in 4..20u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
             TenantId(2),
             1,
+            ReqKind::Read,
             page * PAGE_BYTES,
             PAGE_BYTES,
             SimTime::ZERO,
+            &[],
         )
         .unwrap();
         exec.dispatch(&mut devices);
@@ -294,13 +316,15 @@ fn background_churn_cannot_evict_foreground_hot_set() {
     // (orders of magnitude under the Z-NAND fault path).
     let hits_before = devices[0].cache_stats().hits;
     for page in 0..4u64 {
-        exec.submit_read_for(
+        exec.submit(
             &map,
             TenantId(1),
             0,
+            ReqKind::Read,
             page * PAGE_BYTES,
             PAGE_BYTES,
             SimTime::ZERO,
+            &[],
         )
         .unwrap();
         let done = exec.dispatch(&mut devices);
