@@ -137,12 +137,11 @@ impl CpuCache {
         self.for_each_span(
             addr,
             buf.len(),
-            |cache, mem2, line_addr, off, pos, n, buf2: &mut [u8]| {
-                let data = cache.line_data(mem2, line_addr, false);
-                buf2[pos..pos + n].copy_from_slice(&data[off..off + n]);
-            },
             mem,
-            buf,
+            |cache, mem, line_addr, off, pos, n| {
+                let data = cache.line_data(mem, line_addr, false);
+                buf[pos..pos + n].copy_from_slice(&data[off..off + n]);
+            },
         );
     }
 
@@ -153,27 +152,25 @@ impl CpuCache {
             addr,
             len: data.len() as u64,
         });
-        let mut scratch = data.to_vec();
         self.for_each_span(
             addr,
             data.len(),
-            |cache, mem2, line_addr, off, pos, n, buf2: &mut [u8]| {
-                let line = cache.line_data_mut(mem2, line_addr);
-                line[off..off + n].copy_from_slice(&buf2[pos..pos + n]);
-            },
             mem,
-            &mut scratch,
+            |cache, mem, line_addr, off, pos, n| {
+                let line = cache.line_data_mut(mem, line_addr);
+                line[off..off + n].copy_from_slice(&data[pos..pos + n]);
+            },
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Calls `f(cache, mem, line_addr, offset_in_line, pos, n)` for each
+    /// line-sized piece of `len` bytes starting at `addr`.
     fn for_each_span<M: Memory>(
         &mut self,
         addr: u64,
         len: usize,
-        mut f: impl FnMut(&mut Self, &mut M, u64, usize, usize, usize, &mut [u8]),
         mem: &mut M,
-        buf: &mut [u8],
+        mut f: impl FnMut(&mut Self, &mut M, u64, usize, usize, usize),
     ) {
         let mut pos = 0;
         while pos < len {
@@ -181,7 +178,7 @@ impl CpuCache {
             let line_addr = a / LINE;
             let off = (a % LINE) as usize;
             let n = (LINE as usize - off).min(len - pos);
-            f(self, mem, line_addr, off, pos, n, buf);
+            f(self, mem, line_addr, off, pos, n);
             pos += n;
         }
     }

@@ -6,6 +6,11 @@
 //! and many SLC NAND controllers use — applied per 64-bit word, so a 4 KB
 //! page carries 512 ECC bytes, plus a page-level CRC-32 for end-to-end
 //! detection.
+//!
+//! Both codes are linear over GF(2), so each is evaluated a byte at a
+//! time from tables built at compile time: a word's Hamming bits are the
+//! XOR of eight per-byte rows, and the CRC consumes eight bytes per step
+//! (slicing-by-8).
 
 use serde::{Deserialize, Serialize};
 
@@ -51,42 +56,76 @@ pub enum Decode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ecc;
 
-/// Precomputed code tables: per-parity-bit data masks and the codeword
-/// position → data bit index map.
-struct Tables {
-    /// `masks[p]`: data bits whose codeword position has bit `p` set.
-    masks: [u64; 7],
-    /// Codeword position (1..=71) → data bit index, or `u8::MAX` for
-    /// parity positions.
-    pos_to_data: [u8; 72],
-}
-
-fn tables() -> &'static Tables {
-    use std::sync::OnceLock;
-    static T: OnceLock<Tables> = OnceLock::new();
-    T.get_or_init(|| {
-        let mut masks = [0u64; 7];
-        let mut pos_to_data = [u8::MAX; 72];
-        let mut pos = 1u32;
-        let mut i = 0u32;
-        while i < 64 {
-            if !pos.is_power_of_two() {
-                pos_to_data[pos as usize] = i as u8;
-                for (p, m) in masks.iter_mut().enumerate() {
-                    if pos & (1 << p) != 0 {
-                        *m |= 1u64 << i;
-                    }
-                }
-                i += 1;
-            }
-            pos += 1;
+/// Data bit index → its codeword position (1..=71): data bits fill the
+/// positions that are not powers of two, in order.
+const DATA_POS: [u8; 64] = {
+    let mut out = [0u8; 64];
+    let mut pos = 1u32;
+    let mut i = 0;
+    while i < 64 {
+        if !pos.is_power_of_two() {
+            out[i] = pos as u8;
+            i += 1;
         }
-        Tables { masks, pos_to_data }
-    })
+        pos += 1;
+    }
+    out
+};
+
+/// Codeword position (1..=71) → data bit index, or `u8::MAX` for the
+/// Hamming parity positions.
+const POS_TO_DATA: [u8; 72] = {
+    let mut out = [u8::MAX; 72];
+    let mut i = 0;
+    while i < 64 {
+        out[DATA_POS[i] as usize] = i as u8;
+        i += 1;
+    }
+    out
+};
+
+/// `BYTE_ROWS[k][v]`: the Hamming bits of the word `v << 8k` in bits
+/// 0..=6 (parity bit `p` covers the positions with bit `p` set, so they
+/// are the XOR of the set bits' positions) and the parity of `v` in
+/// bit 7. Both are linear, so a word's row is the XOR of its bytes' rows.
+const BYTE_ROWS: [[u8; 256]; 8] = {
+    let mut out = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut v = 0;
+        while v < 256 {
+            let mut row = 0u8;
+            let mut j = 0;
+            while j < 8 {
+                if v & (1 << j) != 0 {
+                    row ^= DATA_POS[8 * k + j] | 0x80;
+                }
+                j += 1;
+            }
+            out[k][v] = row;
+            v += 1;
+        }
+        k += 1;
+    }
+    out
+};
+
+/// Hamming bits of `word` in bits 0..=6, its parity in bit 7.
+#[inline]
+fn word_row(word: u64) -> u8 {
+    let b = word.to_le_bytes();
+    BYTE_ROWS[0][b[0] as usize]
+        ^ BYTE_ROWS[1][b[1] as usize]
+        ^ BYTE_ROWS[2][b[2] as usize]
+        ^ BYTE_ROWS[3][b[3] as usize]
+        ^ BYTE_ROWS[4][b[4] as usize]
+        ^ BYTE_ROWS[5][b[5] as usize]
+        ^ BYTE_ROWS[6][b[6] as usize]
+        ^ BYTE_ROWS[7][b[7] as usize]
 }
 
 #[inline]
-fn parity64(x: u64) -> u8 {
+fn parity8(x: u8) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
@@ -94,26 +133,19 @@ impl Ecc {
     /// Encodes a word, returning its parity byte (7 Hamming bits + overall
     /// parity in bit 7).
     pub fn encode(word: u64) -> u8 {
-        let t = tables();
-        let mut ham = 0u8;
-        for p in 0..7 {
-            ham |= parity64(word & t.masks[p]) << p;
-        }
-        // Overall parity covers all data and Hamming parity bits.
-        let overall = parity64(word) ^ parity64(u64::from(ham));
-        ham | (overall << 7)
+        let row = word_row(word);
+        // Overall parity covers all data and Hamming parity bits: the
+        // data's parity (bit 7 of the row) XOR the Hamming bits' parity.
+        row ^ (parity8(row & 0x7F) << 7)
     }
 
     /// Decodes a word given its parity byte.
     pub fn decode(word: u64, parity: u8) -> Decode {
-        let t = tables();
-        let mut syn = 0u32;
-        for p in 0..7 {
-            let bit = parity64(word & t.masks[p]) ^ ((parity >> p) & 1);
-            syn |= u32::from(bit) << p;
-        }
-        let overall_now = parity64(word) ^ parity64(u64::from(parity & 0x7F));
-        let overall_bad = overall_now != (parity >> 7) & 1;
+        let row = word_row(word);
+        let syn = u32::from((row ^ parity) & 0x7F);
+        // Data parity XOR the parity of all eight stored bits: zero when
+        // the overall parity still holds.
+        let overall_bad = (row >> 7) ^ parity8(parity) != 0;
 
         match (syn, overall_bad) {
             (0, false) => Decode::Clean(word),
@@ -122,7 +154,7 @@ impl Ecc {
             (pos, true) => {
                 // Single-bit error at codeword position `pos`.
                 if pos <= 71 {
-                    match t.pos_to_data[pos as usize] {
+                    match POS_TO_DATA[pos as usize] {
                         u8::MAX => Decode::Corrected(word), // a parity bit flipped
                         i => Decode::Corrected(word ^ (1u64 << i)),
                     }
@@ -136,41 +168,58 @@ impl Ecc {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) computed with a generated table.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Slicing-by-8 tables for the reflected IEEE polynomial. `CRC_TABLES[0]`
+/// is the classic byte table; `CRC_TABLES[k][v]` is the register after
+/// feeding byte `v` and then `k` zero bytes, so one step folds eight
+/// input bytes with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
     const POLY: u32 = 0xEDB8_8320;
-    // Table generated on first use; 256 entries.
-    fn table() -> &'static [u32; 256] {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, e) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 };
-                }
-                *e = c;
-            }
-            t
-        })
+    let mut t = [[0u32; 256]; 8];
+    let mut v = 0;
+    while v < 256 {
+        let mut c = v as u32;
+        let mut b = 0;
+        while b < 8 {
+            c = if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 };
+            b += 1;
+        }
+        t[0][v] = c;
+        v += 1;
     }
-    let t = table();
+    let mut k = 1;
+    while k < 8 {
+        let mut v = 0;
+        while v < 256 {
+            let prev = t[k - 1][v];
+            t[k][v] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            v += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ t[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        let x = u64::from_le_bytes(*word) ^ u64::from(crc);
+        let b = x.to_le_bytes();
+        crc = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
-}
-
-/// Loads a little-endian u64 from a slice produced by `chunks_exact(8)`
-/// without a fallible conversion (short slices read as zero-padded).
-fn le_word(chunk: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    for (dst, src) in w.iter_mut().zip(chunk) {
-        *dst = *src;
-    }
-    u64::from_le_bytes(w)
 }
 
 /// Encodes/decodes whole 4 KB pages: per-word SEC-DED plus a trailing
@@ -233,8 +282,8 @@ impl PageCodec {
         }
         let mut out = Vec::with_capacity(self.stored_bytes());
         out.extend_from_slice(data);
-        for chunk in data.chunks_exact(8) {
-            out.push(Ecc::encode(le_word(chunk)));
+        for word in data.as_chunks::<8>().0 {
+            out.push(Ecc::encode(u64::from_le_bytes(*word)));
         }
         out.extend_from_slice(&crc32(data).to_le_bytes());
         Ok(out)
@@ -245,10 +294,12 @@ impl PageCodec {
     ///
     /// # Errors
     ///
-    /// Returns `None`-equivalent errors: [`crate::NandError::BadPageSize`]
-    /// for a wrong-sized buffer, and a CRC/ECC failure is reported as
-    /// `Err(())`-style `Uncorrectable` via [`crate::NandError`]; callers
-    /// map it to the physical address.
+    /// Returns [`PageDecodeError::BadSize`] for a buffer that is not one
+    /// stored page, [`PageDecodeError::Uncorrectable`] when a word has two
+    /// or more bit errors, and [`PageDecodeError::CrcMismatch`] when the
+    /// corrected data fails the page CRC. The FTL retries a failed decode
+    /// and reports one that persists as [`crate::NandError::Uncorrectable`]
+    /// at the physical page.
     pub fn decode(&self, stored: &[u8]) -> Result<(Vec<u8>, u64), PageDecodeError> {
         if stored.len() != self.stored_bytes() {
             return Err(PageDecodeError::BadSize {
@@ -260,11 +311,11 @@ impl PageCodec {
         let (parities, crc_bytes) = rest.split_at(self.page_bytes / 8);
         let mut data = data_in.to_vec();
         let mut corrected = 0u64;
-        for (i, chunk) in data_in.chunks_exact(8).enumerate() {
-            match Ecc::decode(le_word(chunk), parities[i]) {
+        for (word, &parity) in data.as_chunks_mut::<8>().0.iter_mut().zip(parities) {
+            match Ecc::decode(u64::from_le_bytes(*word), parity) {
                 Decode::Clean(_) => {}
                 Decode::Corrected(fixed) => {
-                    data[i * 8..i * 8 + 8].copy_from_slice(&fixed.to_le_bytes());
+                    *word = fixed.to_le_bytes();
                     corrected += 1;
                 }
                 Decode::Uncorrectable => return Err(PageDecodeError::Uncorrectable),
@@ -316,6 +367,79 @@ impl std::error::Error for PageDecodeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvdimmc_sim::DeterministicRng;
+
+    /// The bit-serial CRC-32 definition: one polynomial step per bit.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The SEC-DED encoder as a formula: Hamming bit `p` is the parity of
+    /// the data bits whose codeword position has bit `p` set.
+    fn encode_by_masks(word: u64) -> u8 {
+        let mut masks = [0u64; 7];
+        let mut pos = 1u32;
+        let mut i = 0;
+        while i < 64 {
+            if !pos.is_power_of_two() {
+                for (p, m) in masks.iter_mut().enumerate() {
+                    if pos & (1 << p) != 0 {
+                        *m |= 1u64 << i;
+                    }
+                }
+                i += 1;
+            }
+            pos += 1;
+        }
+        let parity = |x: u64| (x.count_ones() & 1) as u8;
+        let mut ham = 0u8;
+        for (p, m) in masks.iter().enumerate() {
+            ham |= parity(word & m) << p;
+        }
+        ham | ((parity(word) ^ parity(u64::from(ham))) << 7)
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition() {
+        let mut rng = DeterministicRng::new(0xC3C3);
+        let mut buf = vec![0u8; 4096];
+        rng.fill_bytes(&mut buf);
+        // Every tail length around the 8-byte step, from every offset.
+        for len in 0..=64 {
+            for start in [0, 1, 3, 7] {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} at {start}");
+            }
+        }
+        for _ in 0..16 {
+            rng.fill_bytes(&mut buf);
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_mask_formula() {
+        for bit in 0..64 {
+            let w = 1u64 << bit;
+            assert_eq!(Ecc::encode(w), encode_by_masks(w), "one-hot bit {bit}");
+        }
+        let mut rng = DeterministicRng::new(0xECC);
+        for _ in 0..100_000 {
+            let w = rng.gen_u64();
+            assert_eq!(Ecc::encode(w), encode_by_masks(w), "word {w:#x}");
+        }
+    }
 
     #[test]
     fn clean_word_roundtrip() {
@@ -325,47 +449,55 @@ mod tests {
         }
     }
 
+    /// Words the error tests run over: all-zero, all-one, two fixed
+    /// patterns and 30 random words.
+    fn sample_words() -> Vec<u64> {
+        let mut rng = DeterministicRng::new(0x5EC);
+        let mut words = vec![0, u64::MAX, 0xA5A5_5A5A_F00D_CAFE, 0x1234_5678_9ABC_DEF0];
+        words.extend((0..30).map(|_| rng.gen_u64()));
+        words
+    }
+
+    /// Flips codeword bit `b`: bits 0..64 are data, 64..72 the parity byte.
+    fn flip(word: u64, parity: u8, b: u32) -> (u64, u8) {
+        if b < 64 {
+            (word ^ (1u64 << b), parity)
+        } else {
+            (word, parity ^ (1u8 << (b - 64)))
+        }
+    }
+
     #[test]
     fn every_single_bit_error_is_corrected() {
-        let word = 0xA5A5_5A5A_F00D_CAFEu64;
-        let parity = Ecc::encode(word);
-        for bit in 0..64 {
-            let corrupted = word ^ (1u64 << bit);
-            assert_eq!(
-                Ecc::decode(corrupted, parity),
-                Decode::Corrected(word),
-                "data bit {bit}"
-            );
-        }
-        for pbit in 0..8 {
-            let bad_parity = parity ^ (1u8 << pbit);
-            match Ecc::decode(word, bad_parity) {
-                Decode::Corrected(w) => assert_eq!(w, word, "parity bit {pbit}"),
-                other => panic!("parity bit {pbit}: {other:?}"),
+        for word in sample_words() {
+            let parity = Ecc::encode(word);
+            for bit in 0..72 {
+                let (w, p) = flip(word, parity, bit);
+                assert_eq!(
+                    Ecc::decode(w, p),
+                    Decode::Corrected(word),
+                    "{word:#x}: codeword bit {bit}"
+                );
             }
         }
     }
 
     #[test]
     fn double_bit_errors_detected_not_miscorrected() {
-        let word = 0x1234_5678_9ABC_DEF0u64;
-        let parity = Ecc::encode(word);
-        let mut detected = 0;
-        let mut total = 0;
-        for a in 0..64 {
-            for b in (a + 1)..64 {
-                let corrupted = word ^ (1u64 << a) ^ (1u64 << b);
-                total += 1;
-                match Ecc::decode(corrupted, parity) {
-                    Decode::Uncorrectable => detected += 1,
-                    Decode::Corrected(w) => {
-                        panic!("double error ({a},{b}) miscorrected to {w:#x}")
-                    }
-                    Decode::Clean(_) => panic!("double error ({a},{b}) passed as clean"),
+        for word in sample_words() {
+            let parity = Ecc::encode(word);
+            for a in 0..72 {
+                for b in (a + 1)..72 {
+                    let (w, p) = flip(word, parity, a);
+                    let (w, p) = flip(w, p, b);
+                    assert_eq!(
+                        Ecc::decode(w, p),
+                        Decode::Uncorrectable,
+                        "{word:#x}: codeword bits {a},{b}"
+                    );
                 }
             }
         }
-        assert_eq!(detected, total, "SEC-DED must detect all double errors");
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! [`into_crash_recovered`]: MultiChannelSystem::into_crash_recovered
 //! [`check_crash`]: nvdimmc_check::check_crash
 
+use crate::{fnv_fold, FNV_OFFSET};
 use nvdimmc_check::{check_crash, CrashObservation, Diagnostic, RecordExpectation, SectorView};
 use nvdimmc_core::{
     BlockDevice, CoreError, CrashPoint, CrashPointKind, MultiChannelConfig, MultiChannelSystem,
@@ -45,10 +46,6 @@ use serde::{Deserialize, Serialize};
 
 /// Magic prefix of every sector stamp.
 const STAMP_MAGIC: u64 = 0x4E56_4443_5245_C0DE;
-/// FNV offset/prime pair used for the fold digests (same constants as
-/// the fault campaign, so digests are comparable across harnesses).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// One operation of the crash schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -401,9 +398,7 @@ impl CrashSweep {
             let sectors = (0..self.sectors_per_record)
                 .map(|s| {
                     let bytes = &buf[s as usize * sector..(s as usize + 1) * sector];
-                    digest = digest
-                        .wrapping_mul(FNV_PRIME)
-                        .wrapping_add(u64::from(crc32(bytes)));
+                    digest = fnv_fold(digest, u64::from(crc32(bytes)));
                     Self::parse_sector(bytes)
                 })
                 .collect();
@@ -482,10 +477,7 @@ impl CrashSweep {
             for (k, kind) in self.select(points) {
                 let trial = self.run_trial(ops, shard, k)?;
                 report.trials += 1;
-                report.digest = report
-                    .digest
-                    .wrapping_mul(FNV_PRIME)
-                    .wrapping_add(trial.digest);
+                report.digest = fnv_fold(report.digest, trial.digest);
                 if trial.violations.is_empty() {
                     last_pass[kind_index(kind)] = Some(k);
                     continue;

@@ -28,6 +28,7 @@
 //! writeback/cachefill CP traffic continues for the whole run and armed
 //! mailbox/window faults always find a command to bite on.
 
+use crate::{fnv_fold, FNV_OFFSET};
 use nvdimmc_core::{
     BlockDevice, ChannelShard, CoreError, ExecutorConfig, FailoverPolicy, FaultKind, FaultPlan,
     MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, RecoveryParams, RecoveryStats, ReqKind,
@@ -455,10 +456,7 @@ impl FaultCampaign {
             if rejected.get(&page) == Some(&crc32(&got)) {
                 report.rejected_write_leaks += 1;
             }
-            report.digest = report
-                .digest
-                .wrapping_mul(0x0000_0100_0000_01B3)
-                .wrapping_add(u64::from(crc32(&got)));
+            report.digest = fnv_fold(report.digest, u64::from(crc32(&got)));
         }
 
         report.healthy = LatencySummary::from(&healthy_lat);
@@ -591,7 +589,7 @@ impl CampaignReport {
             oracle_mismatches: 0,
             healthy: LatencySummary::default(),
             impaired: LatencySummary::default(),
-            digest: 0xCBF2_9CE4_8422_2325,
+            digest: FNV_OFFSET,
             recovery: RecoveryStats::default(),
             final_clock: SimTime::ZERO,
         }

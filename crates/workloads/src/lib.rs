@@ -61,3 +61,15 @@ pub use mixedload::{MixedLoad, MixedLoadReport};
 pub use qostest::{QosReport, QosTestConfig, TenantReport};
 pub use stream::{StreamReport, StreamValidator};
 pub use tpch::{QueryProfile, TpchReport, TpchRunner};
+
+/// 64-bit FNV offset basis: the start value of every scenario digest
+/// (crash sweep, fault campaign, QoS soak).
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The scenario digests' one fold step: multiply by the FNV prime, then
+/// add the value.
+pub(crate) fn fnv_fold(digest: u64, value: u64) -> u64 {
+    digest.wrapping_mul(FNV_PRIME).wrapping_add(value)
+}

@@ -19,6 +19,7 @@
 //! functions of [`QosTestConfig`], so the same config reproduces the
 //! same [`QosReport`] digest bit-exactly.
 
+use crate::{fnv_fold, FNV_OFFSET};
 use nvdimmc_core::{
     BlockDevice, CoreError, ExecutorConfig, FaultKind, InterleaveMap, MaintStats,
     MaintenanceScheduler, NvdimmCConfig, Priority, QosEngine, QosSnapshot, ReqKind, ShardExecutor,
@@ -180,10 +181,10 @@ impl QosTestConfig {
                     .position(|s| s.id == c.tenant)
                     .unwrap_or(0);
                 let from = submitted_at.remove(&c.seq);
-                report.digest = report
-                    .digest
-                    .wrapping_mul(0x0000_0100_0000_01B3)
-                    .wrapping_add(c.seq ^ u64::from(c.tenant.0) << 48 ^ c.end.as_ps());
+                report.digest = fnv_fold(
+                    report.digest,
+                    c.seq ^ u64::from(c.tenant.0) << 48 ^ c.end.as_ps(),
+                );
                 if c.error.is_some() {
                     qos.note_failed(c.tenant);
                     report.ops_failed += 1;
@@ -396,7 +397,7 @@ impl QosReport {
             maint: MaintStats::default(),
             tenants: Vec::new(),
             snapshot: QosSnapshot::default(),
-            digest: 0xCBF2_9CE4_8422_2325,
+            digest: FNV_OFFSET,
         }
     }
 
