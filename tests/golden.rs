@@ -31,10 +31,10 @@ use nvdimmc::workloads::{
 /// both coalescing settings land on the same values.
 #[rustfmt::skip]
 const EXECUTOR: &[(u32, bool, u64, u64, u64, u64)] = &[
-    (1, false, 0x4079_3b73_fb75_2c34, 14_796_870, 16_777_216, 0x1e41_40f2_2493_623f),
-    (1, true, 0x4079_3b73_fb75_2c34, 14_796_870, 16_777_216, 0x1e41_40f2_2493_623f),
-    (4, false, 0x4090_1a76_4357_b4e3, 5_792_822, 13_107_200, 0x0135_78b6_412d_3b32),
-    (4, true, 0x4090_1a76_4357_b4e3, 5_792_822, 13_107_200, 0x0135_78b6_412d_3b32),
+    (1, false, 0x4079_3b73_fb75_2c34, 14_796_870, 16_777_216, 0x755c_a135_e000_5b91),
+    (1, true, 0x4079_3b73_fb75_2c34, 14_796_870, 16_777_216, 0x755c_a135_e000_5b91),
+    (4, false, 0x4090_1a76_4357_b4e3, 5_792_822, 13_107_200, 0x6ee9_32e2_88fb_fcbb),
+    (4, true, 0x4090_1a76_4357_b4e3, 5_792_822, 13_107_200, 0x6ee9_32e2_88fb_fcbb),
 ];
 
 /// `(cache slots per shard, kiops bits, mean ps, p99 ps, data digest)`
@@ -43,8 +43,8 @@ const EXECUTOR: &[(u32, bool, u64, u64, u64, u64)] = &[
 /// contended writes take the writeback and cachefill paths too.
 #[rustfmt::skip]
 const EXECUTOR_RW: &[(u64, u64, u64, u64, u64)] = &[
-    (3072, 0x408f_d2e9_d472_5f43, 5_859_275, 15_204_352, 0x6743_2fcf_9036_9938),
-    (64, 0x4072_1dbb_2bf3_3875, 20_248_421, 102_760_448, 0x6743_2fcf_9036_9938),
+    (3072, 0x408f_d2e9_d472_5f43, 5_859_275, 15_204_352, 0xd700_d6dc_5eb9_f46e),
+    (64, 0x4072_1dbb_2bf3_3875, 20_248_421, 102_760_448, 0xd700_d6dc_5eb9_f46e),
 ];
 
 /// A 70/30 `FioJob` on one blocking shard with a 64-slot cache:
@@ -66,7 +66,7 @@ const PMEM_EXECUTOR: (u64, u64, u64, u64) = (
     0x409e_4156_f5a2_79bd,
     3_087_710,
     3_866_624,
-    0x6daa_3215_808c_b4e2,
+    0xdecb_8629_85fa_a12d,
 );
 
 const SOAK_DIGEST: u64 = 0xe805_48e5_cb22_8cc9;
