@@ -67,7 +67,6 @@ pub mod crash;
 pub mod diag;
 pub mod health;
 pub mod persist;
-pub mod qos;
 pub mod races;
 pub mod recovery;
 pub mod refresh;
@@ -79,7 +78,6 @@ pub use crash::{check_crash, CrashObservation, RecordExpectation, SectorView};
 pub use diag::{Diagnostic, Report, Severity};
 pub use health::{check_health, check_system_health};
 pub use persist::check_persistence;
-pub use qos::check_qos;
 pub use races::detect_races;
 pub use recovery::check_recovery;
 pub use refresh::check_refresh_windows;

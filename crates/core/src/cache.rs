@@ -47,11 +47,6 @@ struct SlotMeta {
     /// Tick at which the slot was last filled (validates LRC queue
     /// entries lazily).
     fill_tick: u64,
-    /// Tenant priority class (0 = background/default). Victim selection
-    /// is restricted to the lowest class present, so a low-priority fill
-    /// can never evict a higher-priority tenant's slot while any slot of
-    /// its own class remains.
-    prio: u8,
 }
 
 /// The slot manager: NAND page → slot mapping plus eviction policy state.
@@ -102,7 +97,6 @@ impl DramCache {
                     referenced: false,
                     last_touch: 0,
                     fill_tick: 0,
-                    prio: 0,
                 };
                 slot_count as usize
             ],
@@ -216,70 +210,33 @@ impl DramCache {
         self.free.pop_front()
     }
 
-    /// The lowest priority class among resident slots — the only class
-    /// victims may come from.
-    fn prio_floor(&self) -> u8 {
-        self.slots
-            .iter()
-            .filter(|m| m.nand_page.is_some())
-            .map(|m| m.prio)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Chooses the eviction victim per the configured policy without
     /// removing it. Returns `(slot, page, dirty)`.
-    ///
-    /// Victim selection is *priority-aware*: only slots in the lowest
-    /// priority class currently resident are candidates, so a background
-    /// tenant's fill can never displace a foreground tenant's hot slot
-    /// while any background slot remains. When every slot carries the
-    /// default priority 0 (all pre-tenancy callers), the floor is 0 and
-    /// the selection is exactly the classic policy.
     ///
     /// Returns `None` when nothing is resident.
     pub fn pick_victim(&mut self) -> Option<(u64, u64, bool)> {
         if self.map.is_empty() {
             return None;
         }
-        let floor = self.prio_floor();
         let slot = match self.policy {
-            EvictionPolicyKind::Lrc => {
-                // Drop stale front entries eagerly (cheap, keeps the
-                // queue bounded), then take the first *live* entry in the
-                // floor class — higher-priority entries are passed over
-                // in place, preserving their FIFO position.
-                loop {
-                    let &(s, t) = self.lrc_queue.front()?;
-                    let meta = &self.slots[s as usize];
-                    if meta.nand_page.is_some() && meta.fill_tick == t {
-                        break;
-                    }
-                    self.lrc_queue.pop_front();
+            // The first *live* FIFO entry; stale front entries are
+            // dropped on the way (cheap, keeps the queue bounded).
+            EvictionPolicyKind::Lrc => loop {
+                let &(s, t) = self.lrc_queue.front()?;
+                let meta = &self.slots[s as usize];
+                if meta.nand_page.is_some() && meta.fill_tick == t {
+                    break s;
                 }
-                self.lrc_queue
-                    .iter()
-                    .find(|&&(s, t)| {
-                        let meta = &self.slots[s as usize];
-                        meta.nand_page.is_some() && meta.fill_tick == t && meta.prio == floor
-                    })
-                    .map(|&(s, _)| s)?
-            }
-            EvictionPolicyKind::Lru => {
-                self.lru_index
-                    .iter()
-                    .find(|&&(_, s)| self.slots[s as usize].prio == floor)?
-                    .1
-            }
+                self.lrc_queue.pop_front();
+            },
+            EvictionPolicyKind::Lru => self.lru_index.first()?.1,
             EvictionPolicyKind::Clock => {
                 let n = self.slots.len() as u64;
                 loop {
                     let s = self.clock_hand % n;
                     self.clock_hand = (self.clock_hand + 1) % n;
                     let meta = &mut self.slots[s as usize];
-                    if meta.nand_page.is_none() || meta.prio != floor {
-                        // Protected slots keep their reference bit — the
-                        // hand passes without aging them.
+                    if meta.nand_page.is_none() {
                         continue;
                     }
                     if meta.referenced {
@@ -309,7 +266,6 @@ impl DramCache {
         let last = meta.last_touch;
         meta.dirty = false;
         meta.referenced = false;
-        meta.prio = 0;
         self.map.remove(&page);
         // The LRC queue entry goes stale and is skipped lazily.
         self.lru_index.remove(&(last, slot));
@@ -354,41 +310,11 @@ impl DramCache {
         meta.referenced = true;
         meta.last_touch = self.tick;
         meta.fill_tick = self.tick;
-        meta.prio = 0;
         self.map.insert(nand_page, slot);
         self.lrc_queue.push_back((slot, self.tick));
         if self.policy == EvictionPolicyKind::Lru {
             self.lru_index.insert((self.tick, slot));
         }
-    }
-
-    /// Sets a resident slot's priority class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not resident.
-    pub fn set_priority(&mut self, slot: u64, prio: u8) {
-        let meta = &mut self.slots[slot as usize];
-        assert!(meta.nand_page.is_some(), "prioritising a free slot");
-        meta.prio = prio;
-    }
-
-    /// Raises a resident slot's priority class to at least `prio`
-    /// (never lowers it) — the hit path calls this so a slot shared by
-    /// tenants of different classes keeps the strongest protection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not resident.
-    pub fn promote(&mut self, slot: u64, prio: u8) {
-        let meta = &mut self.slots[slot as usize];
-        assert!(meta.nand_page.is_some(), "promoting a free slot");
-        meta.prio = meta.prio.max(prio);
-    }
-
-    /// A resident slot's priority class (0 for free slots).
-    pub fn priority_of(&self, slot: u64) -> u8 {
-        self.slots[slot as usize].prio
     }
 
     /// Iterates over resident `(slot, page, dirty)` entries — the
@@ -515,87 +441,111 @@ mod tests {
         assert!(entries.contains(&(a, 7, true)));
     }
 
-    #[test]
-    fn priority_floor_protects_foreground_slots() {
-        for policy in [
-            EvictionPolicyKind::Lrc,
-            EvictionPolicyKind::Lru,
-            EvictionPolicyKind::Clock,
-        ] {
-            let mut c = DramCache::new(3, policy);
-            let fg = fill_next(&mut c, 10); // oldest fill, foreground
-            c.set_priority(fg, 1);
-            let bg1 = fill_next(&mut c, 11);
-            let bg2 = fill_next(&mut c, 12);
-            // Despite being oldest/least-recent, the foreground slot is
-            // never the victim while any background slot remains.
-            let (v1, _, _) = c.pick_victim().unwrap();
-            assert!(v1 == bg1 || v1 == bg2, "{policy:?} evicted foreground");
-            c.evict(v1);
-            let (v2, _, _) = c.pick_victim().unwrap();
-            assert!(v2 == bg1 || v2 == bg2, "{policy:?} evicted foreground");
-            assert_ne!(v1, v2);
-            c.evict(v2);
-            // Only the foreground slot remains: the floor drops to 1 and
-            // it becomes evictable — no deadlock.
-            let (v3, page, _) = c.pick_victim().unwrap();
-            assert_eq!((v3, page), (fg, 10));
+    /// The three victim policies from their textbook definitions, kept
+    /// apart from the cache's own bookkeeping.
+    struct Reference {
+        policy: EvictionPolicyKind,
+        /// LRC: resident pages in fill order. LRU: in recency order. The
+        /// victim is the front.
+        queue: VecDeque<u64>,
+        /// CLOCK: each slot's page and reference bit, and the hand.
+        frames: Vec<Option<(u64, bool)>>,
+        hand: usize,
+    }
+
+    impl Reference {
+        fn new(policy: EvictionPolicyKind, slots: usize) -> Self {
+            Reference {
+                policy,
+                queue: VecDeque::new(),
+                frames: vec![None; slots],
+                hand: 0,
+            }
+        }
+
+        fn hit(&mut self, slot: u64, page: u64) {
+            match self.policy {
+                EvictionPolicyKind::Lrc => {}
+                EvictionPolicyKind::Lru => {
+                    self.queue.retain(|&p| p != page);
+                    self.queue.push_back(page);
+                }
+                EvictionPolicyKind::Clock => self.frames[slot as usize] = Some((page, true)),
+            }
+        }
+
+        fn fill(&mut self, slot: u64, page: u64) {
+            self.queue.push_back(page);
+            self.frames[slot as usize] = Some((page, true));
+        }
+
+        /// Removes the victim and returns its page.
+        fn evict(&mut self) -> u64 {
+            match self.policy {
+                EvictionPolicyKind::Lrc | EvictionPolicyKind::Lru => {
+                    self.queue.pop_front().expect("resident page")
+                }
+                EvictionPolicyKind::Clock => loop {
+                    let n = self.frames.len();
+                    let frame = &mut self.frames[self.hand];
+                    self.hand = (self.hand + 1) % n;
+                    match frame {
+                        Some((_, referenced)) if *referenced => *referenced = false,
+                        Some(_) => break frame.take().expect("resident frame").0,
+                        None => {}
+                    }
+                },
+            }
         }
     }
 
-    #[test]
-    fn promote_raises_but_never_lowers() {
-        let mut c = DramCache::new(2, EvictionPolicyKind::Lrc);
-        let s = fill_next(&mut c, 1);
-        assert_eq!(c.priority_of(s), 0);
-        c.promote(s, 1);
-        c.promote(s, 0); // no-op: promote never demotes
-        assert_eq!(c.priority_of(s), 1);
-        // Eviction resets the class; a refill starts at 0 again.
-        c.evict(s);
-        c.fill(s, 2);
-        assert_eq!(c.priority_of(s), 0);
+    /// Drives `policy` and its reference model through the same seeded
+    /// lookup/fill/evict workload and checks every victim.
+    fn workout_matches_reference(policy: EvictionPolicyKind) {
+        use nvdimmc_sim::DeterministicRng;
+        const SLOTS: u64 = 8;
+        let mut rng = DeterministicRng::new(11);
+        let mut c = DramCache::new(SLOTS, policy);
+        let mut reference = Reference::new(policy, SLOTS as usize);
+        let mut evictions = 0;
+        for _ in 0..2000 {
+            let page = rng.gen_range(0..24);
+            if let Some(slot) = c.lookup(page) {
+                reference.hit(slot, page);
+                continue;
+            }
+            let slot = match c.take_free_slot() {
+                Some(s) => s,
+                None => {
+                    let (victim, vpage, _) = c.pick_victim().unwrap();
+                    assert_eq!(
+                        vpage,
+                        reference.evict(),
+                        "{policy:?} victim diverged from reference"
+                    );
+                    assert_eq!(c.evict(victim), vpage);
+                    evictions += 1;
+                    victim
+                }
+            };
+            c.fill(slot, page);
+            reference.fill(slot, page);
+        }
+        assert!(evictions > 1000, "{policy:?}: only {evictions} evictions");
     }
 
     #[test]
-    fn uniform_priority_matches_classic_policies() {
-        // With every slot at the default class the floor logic must
-        // reproduce the classic victims (the bit-identity guarantee for
-        // pre-tenancy callers). Re-run the LRC scenario explicitly.
-        let mut c = DramCache::new(3, EvictionPolicyKind::Lrc);
-        let s0 = fill_next(&mut c, 10);
-        fill_next(&mut c, 11);
-        fill_next(&mut c, 12);
-        assert_eq!(c.pick_victim().unwrap().0, s0);
+    fn lrc_workout_matches_reference() {
+        workout_matches_reference(EvictionPolicyKind::Lrc);
     }
 
     #[test]
     fn lru_full_workout_matches_reference() {
-        // Cross-check LRU against a simple reference model under a random
-        // workload.
-        use nvdimmc_sim::DeterministicRng;
-        let mut rng = DeterministicRng::new(11);
-        let mut c = DramCache::new(8, EvictionPolicyKind::Lru);
-        let mut reference: Vec<u64> = Vec::new(); // most recent at back
-        for _ in 0..2000 {
-            let page = rng.gen_range(0..24);
-            if c.lookup(page).is_some() {
-                reference.retain(|&p| p != page);
-                reference.push(page);
-            } else {
-                let slot = match c.take_free_slot() {
-                    Some(s) => s,
-                    None => {
-                        let (victim, vpage, _) = c.pick_victim().unwrap();
-                        assert_eq!(vpage, reference[0], "LRU victim diverged from reference");
-                        reference.remove(0);
-                        c.evict(victim);
-                        victim
-                    }
-                };
-                c.fill(slot, page);
-                reference.push(page);
-            }
-        }
+        workout_matches_reference(EvictionPolicyKind::Lru);
+    }
+
+    #[test]
+    fn clock_workout_matches_reference() {
+        workout_matches_reference(EvictionPolicyKind::Clock);
     }
 }

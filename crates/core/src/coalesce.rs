@@ -21,7 +21,6 @@
 //!   parent's `not_before` (`max` over parents), so coalescing can only
 //!   model a *joint* DMA, never time travel.
 
-use crate::qos::TenantId;
 use crate::sched::{ReqKind, ShardRequest};
 use nvdimmc_sim::SimTime;
 
@@ -30,8 +29,6 @@ use nvdimmc_sim::SimTime;
 pub struct ParentSpan {
     /// The parent's executor-stamped sequence number.
     pub seq: u64,
-    /// The issuing tenant.
-    pub tenant: TenantId,
     /// The issuing workload thread.
     pub thread: u32,
     /// Parent's offset in the shard's local space.
@@ -46,10 +43,6 @@ pub struct ParentSpan {
 pub struct CoalescedReq {
     /// Direction (parents all share it).
     pub kind: ReqKind,
-    /// Issuing tenant (parents all share it — runs never cross a tenant
-    /// boundary, so per-run accounting and cache-fill priority stay
-    /// attributable).
-    pub tenant: TenantId,
     /// Start of the merged span in the shard's local space.
     pub local_offset: u64,
     /// Merged length in bytes (sum of the parents').
@@ -67,14 +60,12 @@ impl CoalescedReq {
     fn from_request(req: ShardRequest) -> Self {
         CoalescedReq {
             kind: req.kind,
-            tenant: req.tenant,
             local_offset: req.local_offset,
             len: req.len,
             not_before: req.not_before,
             data: req.data,
             parents: vec![ParentSpan {
                 seq: req.seq,
-                tenant: req.tenant,
                 thread: req.thread,
                 local_offset: req.local_offset,
                 len: req.len,
@@ -82,13 +73,10 @@ impl CoalescedReq {
         }
     }
 
-    /// Whether `req` extends this run: same direction and tenant, starts
-    /// exactly where the run ends, and the merged span stays under
-    /// `max_bytes`. Tenancy bounds the merge so one DMA never mixes two
-    /// tenants' accounting (or cache-fill priorities).
+    /// Whether `req` extends this run: same direction, starts exactly
+    /// where the run ends, and the merged span stays under `max_bytes`.
     fn accepts(&self, req: &ShardRequest, max_bytes: u64) -> bool {
         self.kind == req.kind
-            && self.tenant == req.tenant
             && req.local_offset == self.local_offset + self.len
             && self.len + req.len <= max_bytes
     }
@@ -96,7 +84,6 @@ impl CoalescedReq {
     fn absorb(&mut self, mut req: ShardRequest) {
         self.parents.push(ParentSpan {
             seq: req.seq,
-            tenant: req.tenant,
             thread: req.thread,
             local_offset: req.local_offset,
             len: req.len,
@@ -133,7 +120,6 @@ mod tests {
     fn req(seq: u64, kind: ReqKind, local_offset: u64, len: u64) -> ShardRequest {
         ShardRequest {
             seq,
-            tenant: TenantId::HOST,
             thread: seq as u32,
             kind,
             local_offset,
@@ -199,22 +185,6 @@ mod tests {
             (runs[0].local_offset, runs[0].len, runs[0].not_before),
             (100, 64, SimTime::from_ns(50))
         );
-    }
-
-    #[test]
-    fn tenant_boundary_breaks_runs() {
-        let mut a = req(0, ReqKind::Read, 0, PAGE_BYTES);
-        a.tenant = TenantId(1);
-        let mut b = req(1, ReqKind::Read, PAGE_BYTES, PAGE_BYTES);
-        b.tenant = TenantId(2);
-        let runs = coalesce(vec![a, b], 16 * PAGE_BYTES);
-        assert_eq!(
-            runs.len(),
-            2,
-            "adjacent cross-tenant requests must not merge"
-        );
-        assert_eq!(runs[0].tenant, TenantId(1));
-        assert_eq!(runs[1].tenant, TenantId(2));
     }
 
     #[test]

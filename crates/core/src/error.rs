@@ -1,7 +1,6 @@
 //! Error type for the NVDIMM-C core.
 
 use crate::health::DegradeReason;
-use crate::qos::TenantId;
 use nvdimmc_ddr::BusViolation;
 use nvdimmc_nand::NandError;
 use nvdimmc_sim::SimDuration;
@@ -68,15 +67,6 @@ pub enum CoreError {
         /// bounce came from a full queue).
         queue_limit: usize,
     },
-    /// The tenant exhausted its bytes/s or ops/s quota; retry after the
-    /// hinted delay (the earliest instant the token bucket will cover
-    /// the request).
-    Throttled {
-        /// The tenant whose quota ran dry.
-        tenant: TenantId,
-        /// How long the caller should wait before retrying.
-        retry_after: SimDuration,
-    },
     /// A simulated power failure interrupted the operation; recover with
     /// the power-fail dump and a rebuild.
     PowerInterrupted,
@@ -135,15 +125,6 @@ impl fmt::Display for CoreError {
                     f,
                     "shard {shard} is overloaded ({queued}/{queue_limit} queued); \
                      retry after {retry_after}"
-                )
-            }
-            CoreError::Throttled {
-                tenant,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "tenant {tenant} exceeded its quota; retry after {retry_after}"
                 )
             }
             CoreError::PowerInterrupted => write!(f, "power failure interrupted the operation"),

@@ -40,7 +40,6 @@
 use crate::coalesce::{coalesce, CoalescedReq};
 use crate::error::{check_range, CoreError};
 use crate::interleave::InterleaveMap;
-use crate::qos::{TenantId, WfqArbiter};
 use crate::ring::SpscRing;
 use crate::sched::{ReqKind, ShardRequest};
 use crate::shard::QueuedDevice;
@@ -116,8 +115,6 @@ pub struct Submitted {
 pub struct Completion {
     /// Sequence number from [`Submitted`].
     pub seq: u64,
-    /// Issuing tenant.
-    pub tenant: TenantId,
     /// Issuing workload thread.
     pub thread: u32,
     /// Serving shard.
@@ -178,9 +175,6 @@ struct WorkCell<'d, D> {
     shard: u32,
     device: &'d mut D,
     runs: Vec<CoalescedReq>,
-    /// Cache-fill priority per run (parallel to `runs`), from the WFQ
-    /// arbiter's tenant classes; all zeros without an arbiter.
-    prios: Vec<u8>,
     out: Vec<Completion>,
     busy: SimDuration,
 }
@@ -192,7 +186,7 @@ struct WorkCell<'d, D> {
 /// ```
 /// use nvdimmc_core::{
 ///     exec::{ExecutorConfig, ShardExecutor},
-///     InterleaveMap, NvdimmCConfig, ReqKind, System, TenantId,
+///     InterleaveMap, NvdimmCConfig, ReqKind, System,
 /// };
 /// use nvdimmc_sim::SimTime;
 ///
@@ -201,7 +195,7 @@ struct WorkCell<'d, D> {
 /// let mut devices = vec![System::new(NvdimmCConfig::small_for_tests())?];
 /// let mut exec = ShardExecutor::new(1, ExecutorConfig::default());
 /// let data = [0xA5; 4096];
-/// exec.submit(&map, TenantId::HOST, 0, ReqKind::Write, 0, 4096, SimTime::ZERO, &data)?;
+/// exec.submit(&map, 0, ReqKind::Write, 0, 4096, SimTime::ZERO, &data)?;
 /// let done = exec.dispatch(&mut devices);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].error.is_none());
@@ -214,9 +208,6 @@ pub struct ShardExecutor {
     cfg: ExecutorConfig,
     stats: Vec<ExecStats>,
     next_seq: u64,
-    /// Weighted fair dequeue across tenants sharing a shard ring.
-    /// `None` (the default) keeps the pre-QoS FIFO dispatch bit-exact.
-    arbiter: Option<WfqArbiter>,
 }
 
 impl ShardExecutor {
@@ -235,21 +226,7 @@ impl ShardExecutor {
             cfg,
             stats: vec![ExecStats::default(); shards],
             next_seq: 0,
-            arbiter: None,
         }
-    }
-
-    /// Installs (or removes) the weighted-fair arbiter. With an arbiter,
-    /// each dispatch round reorders every shard's drained batch by
-    /// per-tenant virtual time and tags cache fills with the issuing
-    /// tenant's priority class; without one, dispatch is plain FIFO.
-    pub fn set_arbiter(&mut self, arbiter: Option<WfqArbiter>) {
-        self.arbiter = arbiter;
-    }
-
-    /// The installed arbiter, if any.
-    pub fn arbiter(&self) -> Option<&WfqArbiter> {
-        self.arbiter.as_ref()
     }
 
     /// Number of shards.
@@ -336,31 +313,24 @@ impl ShardExecutor {
         Ok(seq)
     }
 
-    /// Routes one operation of `tenant`'s `thread`: splits
-    /// `[offset, offset + len)` with `map` and pushes one request per
-    /// segment onto the owning rings. A write's `payload` holds its `len`
-    /// bytes; a read passes an empty one. The tenant rides on every
-    /// generated [`ShardRequest`], drives weighted-fair dequeue and
-    /// cache-fill priority, and comes back on each [`Completion`] for
-    /// per-tenant accounting.
+    /// Routes one operation of `thread`: splits `[offset, offset + len)`
+    /// with `map` and pushes one request per segment onto the owning
+    /// rings. A write's `payload` holds its `len` bytes; a read passes an
+    /// empty one.
     ///
-    /// All-or-nothing: if any target ring lacks room the whole operation
-    /// bounces and no ring is touched, so a retry cannot double-enqueue.
+    /// All-or-nothing: if the operation is rejected, no ring is touched,
+    /// so a retry cannot double-enqueue.
     ///
     /// # Errors
     ///
-    /// [`CoreError::OutOfRange`] when `offset + len` overflows, and
-    /// [`CoreError::Overloaded`] (with the ring's depth) when a target
-    /// ring is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write's `payload` is shorter than `len`.
+    /// [`CoreError::OutOfRange`] when `offset + len` overflows,
+    /// [`CoreError::Config`] when a write's `payload` is shorter than
+    /// `len`, and [`CoreError::Overloaded`] (with the ring's depth) when a
+    /// target ring is full.
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
         map: &InterleaveMap,
-        tenant: TenantId,
         thread: u32,
         kind: ReqKind,
         offset: u64,
@@ -369,6 +339,12 @@ impl ShardExecutor {
         payload: &[u8],
     ) -> Result<Vec<Submitted>, CoreError> {
         check_range(offset, len, u64::MAX)?;
+        if kind == ReqKind::Write && (payload.len() as u64) < len {
+            return Err(CoreError::Config(format!(
+                "write of {len} bytes carries a {}-byte payload",
+                payload.len()
+            )));
+        }
         let segs = map.split_range(offset, len);
         // All-or-nothing admission: count demand per shard first.
         let mut demand = vec![0usize; self.rings.len()];
@@ -402,7 +378,6 @@ impl ShardExecutor {
             };
             let req = ShardRequest {
                 seq,
-                tenant,
                 thread,
                 kind,
                 local_offset: seg.local_offset,
@@ -440,7 +415,6 @@ impl ShardExecutor {
         // their next event (head-of-batch start), earliest first, ties by
         // shard index. Workers then claim shards in exactly that order.
         let mut calendar = ShardCalendar::new(self.rings.len());
-        let arbiter = &mut self.arbiter;
         for (shard, (ring, device)) in self.rings.iter_mut().zip(devices.iter_mut()).enumerate() {
             let mut batch = Vec::with_capacity(ring.len());
             while let Some(req) = ring.pop() {
@@ -449,17 +423,7 @@ impl ShardExecutor {
             if batch.is_empty() {
                 continue;
             }
-            // Weighted fair dequeue: reorder the drained FIFO batch by
-            // per-tenant virtual time before coalescing, so a flooding
-            // tenant's burst cannot monopolise the head of the batch.
-            if let Some(arb) = arbiter.as_mut() {
-                arb.order(shard, &mut batch);
-            }
             let runs = coalesce(batch, cap);
-            let prios: Vec<u8> = runs
-                .iter()
-                .map(|r| arbiter.as_ref().map_or(0, |a| a.fill_priority(r.tenant)))
-                .collect();
             if let Some(first) = runs.first() {
                 calendar.set(shard, first.not_before.max(device.clock()));
             }
@@ -468,7 +432,6 @@ impl ShardExecutor {
                 shard: shard as u32,
                 device,
                 runs,
-                prios,
                 out: Vec::new(),
                 busy: SimDuration::ZERO,
             }));
@@ -540,9 +503,6 @@ impl ShardExecutor {
 /// path.
 fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
     for (i, run) in cell.runs.iter().enumerate() {
-        // Slots this run fills inherit the tenant's cache-priority class.
-        cell.device
-            .set_fill_priority(cell.prios.get(i).copied().unwrap_or(0));
         // Per-shard backlog behind this run: the per-bank refresh planner
         // stretches NVMC windows when idle and shrinks them under load.
         cell.device.note_queue_depth(cell.runs.len() - 1 - i);
@@ -575,7 +535,6 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
                     cursor += p.len as usize;
                     cell.out.push(Completion {
                         seq: p.seq,
-                        tenant: p.tenant,
                         thread: p.thread,
                         shard: cell.shard,
                         kind: run.kind,
@@ -593,7 +552,6 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
                 for p in &run.parents {
                     cell.out.push(Completion {
                         seq: p.seq,
-                        tenant: p.tenant,
                         thread: p.thread,
                         shard: cell.shard,
                         kind: run.kind,

@@ -33,10 +33,7 @@
 //!   that serves ready shards in discrete-event order (scale-out request
 //!   path, §VII-A);
 //! - [`baseline`] — the emulated-NVDIMM `/dev/pmem0` comparator (§VI);
-//! - [`perf`] — the calibrated software-path constants with their anchors;
-//! - [`qos`] — multi-tenant quality of service: per-tenant token-bucket
-//!   quotas, weighted fair dequeue, priority-aware cache eviction, and
-//!   the idle-window maintenance scheduler.
+//! - [`perf`] — the calibrated software-path constants with their anchors.
 //!
 //! # Example
 //!
@@ -77,7 +74,6 @@ pub mod interleave;
 pub mod layout;
 pub mod perf;
 pub mod proto;
-pub mod qos;
 pub mod refresh;
 pub mod ring;
 pub mod sched;
@@ -98,10 +94,6 @@ pub use interleave::{InterleaveMap, Segment};
 pub use layout::Layout;
 pub use perf::PerfParams;
 pub use proto::{AckOutcome, DriverTxn, FpgaProto, PollVerdict, RetryOutcome};
-pub use qos::{
-    MaintStats, MaintenanceScheduler, Priority, QosEngine, QosSnapshot, SloClass, SloTargets,
-    TenantId, TenantSpec, TenantStats, TokenBucket, WfqArbiter,
-};
 pub use refresh::{DetectorPipeline, RefreshDetector};
 pub use ring::SpscRing;
 pub use sched::{RefreshPlanner, ReqKind, ShardRequest};

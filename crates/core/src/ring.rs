@@ -102,14 +102,12 @@ impl SpscRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qos::TenantId;
     use crate::sched::ReqKind;
     use nvdimmc_sim::SimTime;
 
     fn req(seq: u64) -> ShardRequest {
         ShardRequest {
             seq,
-            tenant: TenantId::HOST,
             thread: 0,
             kind: ReqKind::Read,
             local_offset: seq * 64,

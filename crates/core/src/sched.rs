@@ -13,8 +13,6 @@
 use nvdimmc_ddr::{BankAddr, TimingParams};
 use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
 
-use crate::qos::TenantId;
-
 /// Request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqKind {
@@ -29,8 +27,6 @@ pub enum ReqKind {
 pub struct ShardRequest {
     /// Global issue order (ties broken by this — deterministic).
     pub seq: u64,
-    /// Issuing tenant ([`TenantId::HOST`] for pre-tenancy call sites).
-    pub tenant: TenantId,
     /// Issuing workload thread.
     pub thread: u32,
     /// Direction.

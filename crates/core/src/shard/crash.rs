@@ -178,11 +178,11 @@ impl ChannelShard {
         self.crash_counter
     }
 
-    /// Crosses one [`CrashPointKind::Maintenance`] boundary. The
-    /// maintenance scheduler's host drives [`ChannelShard::scrub_step`]
-    /// and [`ChannelShard::ftl_housekeeping`] in bounded steps; calling
-    /// this between steps lets the crash sweep land a power cut
-    /// mid-scrub or mid-GC without changing those entry points.
+    /// Crosses one [`CrashPointKind::Maintenance`] boundary. Callers
+    /// drive [`ChannelShard::scrub_step`] and
+    /// [`ChannelShard::ftl_housekeeping`] in bounded steps; calling this
+    /// between steps lets the crash sweep land a power cut mid-scrub or
+    /// mid-GC without changing those entry points.
     ///
     /// # Errors
     ///

@@ -158,9 +158,6 @@ impl ChannelShard {
     /// dirty victim).
     fn ensure_resident(&mut self, page: u64) -> Result<u64, CoreError> {
         if let Some(slot) = self.cache.lookup(page) {
-            // A hit by a higher class raises the slot's protection (and a
-            // default-class hit is a no-op — promote never demotes).
-            self.cache.promote(slot, self.fill_prio);
             return Ok(slot);
         }
         if let HealthState::Degraded { reason, .. } = self.health {
@@ -213,9 +210,6 @@ impl ChannelShard {
         self.cpu
             .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
         self.cache.fill(slot, page);
-        if self.fill_prio != 0 {
-            self.cache.set_priority(slot, self.fill_prio);
-        }
         self.pt.map(page, slot);
         self.tlb.insert(page, slot);
         self.scrub_note(slot);
@@ -681,10 +675,6 @@ impl QueuedDevice for ChannelShard {
 
     fn drain_trace(&mut self) -> Vec<TraceEntry> {
         self.take_trace()
-    }
-
-    fn set_fill_priority(&mut self, prio: u8) {
-        self.fill_prio = prio;
     }
 
     fn note_queue_depth(&mut self, depth: usize) {

@@ -128,10 +128,10 @@ pub trait QueuedDevice: Send {
     fn drain_trace(&mut self) -> Vec<TraceEntry> {
         Vec::new()
     }
-    /// Sets the priority class tagged onto DRAM-cache slots filled by
-    /// subsequent requests (QoS: a foreground tenant's fills are
-    /// protected from background eviction). Devices without a priority-
-    /// aware cache ignore it — the default.
+    /// Has no effect: the executor never calls it and no device
+    /// overrides it. It stays only because the benchmark harness's timing
+    /// wrapper (`nvbench/src/timing.rs`) forwards it, and will be removed
+    /// together with that harness's next change (ROADMAP item 2).
     fn set_fill_priority(&mut self, _prio: u8) {}
     /// Informs the device how many requests are queued behind the one
     /// about to be served, so per-bank refresh placement can size NVMC
@@ -254,10 +254,6 @@ pub struct ChannelShard {
     /// cycles. The FTL, media, FPGA and injector fields stay zero here;
     /// [`ChannelShard::recovery_stats`] fills them in from their owners.
     rec: RecoveryStats,
-    /// Priority class tagged onto cache slots filled by the current
-    /// tenant's requests (0 = default/background; set per coalesced run
-    /// by the executor through [`QueuedDevice::set_fill_priority`]).
-    fill_prio: u8,
     /// Round-robin position of the background CRC scrub sweep
     /// ([`ChannelShard::scrub_step`]).
     scrub_cursor: u64,
@@ -341,7 +337,6 @@ impl ChannelShard {
             scrub: None,
             power_fail_pending: false,
             rec: RecoveryStats::default(),
-            fill_prio: 0,
             scrub_cursor: 0,
             crash: None,
             crash_counter: 0,

@@ -110,17 +110,6 @@ impl ShardCalendar {
         std::iter::from_fn(|| self.pop()).collect()
     }
 
-    /// Removes and returns the earliest live event only if it is due at
-    /// or before `now`; later events stay registered. The polling
-    /// primitive for maintenance slots: a caller sweeps due work without
-    /// disturbing the future schedule.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
-        match self.peek() {
-            Some((time, _)) if time <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of live events.
     pub fn len(&self) -> usize {
         self.live.iter().filter(|e| e.is_some()).count()

@@ -38,7 +38,7 @@
 use crate::fio::{FioJob, RwMode};
 use nvdimmc_core::{
     CoreError, EmulatedPmem, ExecStats, ExecutorConfig, InterleaveMap, MultiChannelSystem,
-    QueuedDevice, ReqKind, ShardExecutor, ShardRequest, TenantId,
+    QueuedDevice, ReqKind, ShardExecutor, ShardRequest,
 };
 use nvdimmc_sim::{DeterministicRng, Histogram, RateMeter, SimDuration, SimTime, Zipf};
 
@@ -216,7 +216,6 @@ impl RoundDriver {
                         seg.shard as usize,
                         ShardRequest {
                             seq: 0,
-                            tenant: TenantId::HOST,
                             thread: t as u32,
                             kind: if is_read {
                                 ReqKind::Read

@@ -32,7 +32,7 @@ use crate::{fnv_fold, FNV_OFFSET};
 use nvdimmc_core::{
     BlockDevice, ChannelShard, CoreError, ExecutorConfig, FailoverPolicy, FaultKind, FaultPlan,
     MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, RecoveryParams, RecoveryStats, ReqKind,
-    ShardExecutor, TenantId, PAGE_BYTES,
+    ShardExecutor, PAGE_BYTES,
 };
 use nvdimmc_ddr::TraceEntry;
 use nvdimmc_nand::ecc::crc32;
@@ -427,7 +427,6 @@ impl FaultCampaign {
                 loop {
                     match exec.submit(
                         map,
-                        TenantId::HOST,
                         page as u32,
                         ReqKind::Read,
                         page * PAGE_BYTES,

@@ -46,7 +46,6 @@ pub mod faultcampaign;
 pub mod filecopy;
 pub mod fio;
 pub mod mixedload;
-pub mod qostest;
 pub mod stream;
 pub mod tpch;
 
@@ -58,12 +57,11 @@ pub use faultcampaign::{CampaignReport, FaultCampaign, LatencySummary, TraceEpoc
 pub use filecopy::{CopyReport, FileCopy};
 pub use fio::{FioJob, FioReport, RwMode};
 pub use mixedload::{MixedLoad, MixedLoadReport};
-pub use qostest::{QosReport, QosTestConfig, TenantReport};
 pub use stream::{StreamReport, StreamValidator};
 pub use tpch::{QueryProfile, TpchReport, TpchRunner};
 
 /// 64-bit FNV offset basis: the start value of every scenario digest
-/// (crash sweep, fault campaign, QoS soak).
+/// (crash sweep, fault campaign).
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// 64-bit FNV prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;

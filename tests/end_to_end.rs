@@ -2,9 +2,9 @@
 //! refresh detector, shared bus, FTL, ECC, media — exercised together.
 
 use nvdimmc::core::{
-    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, ExecutorConfig, MultiChannelConfig,
-    MultiChannelSystem, NvdimmCConfig, PerfParams, ReqKind, ShardExecutor, System, TenantId,
-    PAGE_BYTES,
+    BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, ExecutorConfig, InterleaveMap,
+    MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, PerfParams, ReqKind, ShardExecutor,
+    System, PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
 use nvdimmc::sim::{DeterministicRng, SimDuration, SimTime};
@@ -261,10 +261,10 @@ fn range_checks_reject_ranges_whose_end_overflows() {
     // is queued for a completion that never comes.
     let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
     let (shards, map, _) = front.parts_mut();
-    let (host, t0) = (TenantId::HOST, SimTime::ZERO);
-    let write = exec.submit(map, host, 0, ReqKind::Write, off, PAGE_BYTES, t0, &data);
+    let t0 = SimTime::ZERO;
+    let write = exec.submit(map, 0, ReqKind::Write, off, PAGE_BYTES, t0, &data);
     out_of_range(write, "executor write submit");
-    let read = exec.submit(map, host, 0, ReqKind::Read, off, PAGE_BYTES, t0, &[]);
+    let read = exec.submit(map, 0, ReqKind::Read, off, PAGE_BYTES, t0, &[]);
     out_of_range(read, "executor read submit");
     assert!(exec.dispatch(shards).is_empty());
 
@@ -275,6 +275,54 @@ fn range_checks_reject_ranges_whose_end_overflows() {
     out_of_range(pmem.write_at(off, &data), "pmem write_at");
     out_of_range(pmem.serve_read(now, off, &mut buf), "pmem serve_read");
     out_of_range(pmem.serve_write(now, off, &data), "pmem serve_write");
+}
+
+#[test]
+fn short_write_payload_is_rejected_before_any_ring_is_touched() {
+    // An 8 KB write striped over two shards with only 4 KB of payload:
+    // the first segment's bytes exist, the second's do not. The executor
+    // must refuse the whole operation up front, not queue the first
+    // segment and then fail on the second.
+    let map = InterleaveMap::new(2, PAGE_BYTES).unwrap();
+    let mut devices = vec![
+        System::new(NvdimmCConfig::small_for_tests()).unwrap(),
+        System::new(NvdimmCConfig::small_for_tests()).unwrap(),
+    ];
+    let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
+    let data = page(7);
+    let r = exec.submit(
+        &map,
+        0,
+        ReqKind::Write,
+        0,
+        2 * PAGE_BYTES,
+        SimTime::ZERO,
+        &data,
+    );
+    assert!(
+        matches!(r, Err(CoreError::Config(_))),
+        "short payload: {r:?}"
+    );
+    assert!(!exec.has_pending(), "a ring holds part of the operation");
+    assert_eq!(exec.conservation(), vec![(0, 0), (0, 0)]);
+    assert!(exec.dispatch(&mut devices).is_empty());
+    // The executor still accepts the same write with its full payload.
+    let full = [data.clone(), data].concat();
+    let segs = exec
+        .submit(
+            &map,
+            0,
+            ReqKind::Write,
+            0,
+            2 * PAGE_BYTES,
+            SimTime::ZERO,
+            &full,
+        )
+        .unwrap();
+    assert_eq!(segs.len(), 2);
+    let done = exec.dispatch(&mut devices);
+    assert_eq!(done.len(), 2);
+    assert!(done.iter().all(|c| c.error.is_none()));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! them unnoticed. These literals were recorded once and must reproduce
 //! bit for bit: executor throughput and latency at 1 and 4 channels with
 //! coalescing off and on, the report digests of the soak, fault
-//! campaign, QoS and crash-sweep presets, and the counters, clocks and
+//! campaign and crash-sweep presets, and the counters, clocks and
 //! latencies of the soak and campaign runs — a digest alone cannot see a
 //! termination change such as the drain ending one read later. Three
 //! more rows pin one path each that no other literal reaches: the
@@ -23,7 +23,7 @@ use nvdimmc::core::{
 use nvdimmc::ddr::{SpeedBin, TimingParams};
 use nvdimmc::workloads::{
     CampaignReport, ConcurrentFio, ConcurrentReport, CrashSweep, FaultCampaign, FioJob, FioReport,
-    QosTestConfig, RwMode,
+    RwMode,
 };
 
 /// `(channels, coalescing, kiops bits, mean ps, p99 ps, data digest)`.
@@ -71,7 +71,6 @@ const PMEM_EXECUTOR: (u64, u64, u64, u64) = (
 
 const SOAK_DIGEST: u64 = 0xe805_48e5_cb22_8cc9;
 const CAMPAIGN_DIGEST: u64 = 0x0dd4_9c93_cf60_9750;
-const QOS_DIGEST: u64 = 0xb315_554b_90e6_414c;
 const CRASH_SWEEP_DIGEST: u64 = 0x881a_4d93_5d4f_ae22;
 const POWER_FAIL_DIGEST: u64 = 0xb8b6_e1e1_c2c0_78b2;
 
@@ -289,12 +288,6 @@ fn power_fail_campaign_counters_match_recorded_values() {
         "power-fail campaign counters moved: {r:?}"
     );
     assert_eq!(r.power_fail_points, POWER_FAIL_POINTS, "power cuts moved");
-}
-
-#[test]
-fn qos_digest_matches_recorded_value() {
-    let r = QosTestConfig::smoke(4).run().expect("qos");
-    assert_eq!(r.digest, QOS_DIGEST, "qos digest {:#x}", r.digest);
 }
 
 #[test]

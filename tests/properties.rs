@@ -576,14 +576,13 @@ mod histogram_props {
 
 mod ring_props {
     use super::*;
-    use nvdimmc::core::{ReqKind, ShardRequest, SpscRing, TenantId};
+    use nvdimmc::core::{ReqKind, ShardRequest, SpscRing};
     use nvdimmc::sim::SimTime;
     use std::collections::VecDeque;
 
     fn req(seq: u64) -> ShardRequest {
         ShardRequest {
             seq,
-            tenant: TenantId::HOST,
             thread: (seq % 7) as u32,
             kind: if seq.is_multiple_of(3) {
                 ReqKind::Write
@@ -666,7 +665,6 @@ mod coalesce_props {
                         };
                         ShardRequest {
                             seq: i as u64,
-                            tenant: nvdimmc::core::TenantId::HOST,
                             thread: (i % 5) as u32,
                             kind,
                             local_offset,
