@@ -3,7 +3,7 @@
 //! with its evictions, CP mailbox transactions, refresh-window servicing
 //! and application-level persist.
 
-use super::{BlockDevice, ChannelShard, CrashPointKind, DramBackdoor, QueuedDevice};
+use super::{BlockDevice, ChannelShard, CrashPointKind, DramBackdoor, QueuedDevice, ZERO_PAGE};
 use crate::config::{Backend, PAGE_BYTES};
 use crate::cp::{CpAck, CpCommand, CpOpcode, ACK_ERR_UNCORRECTABLE};
 use crate::error::{check_range, CoreError};
@@ -98,8 +98,12 @@ impl ChannelShard {
         for page in first..=last {
             self.take_power_fail()?;
             self.crash_tick(CrashPointKind::BusOp)?;
-            let slot = self.ensure_resident(page)?;
-            self.scrub_verify(slot, page)?;
+            let (slot, was_resident) = self.ensure_resident(page)?;
+            // A fill records the slot's CRC as its last step, so only a
+            // slot that was resident before this access needs checking.
+            if was_resident {
+                self.scrub_verify(slot, page)?;
+            }
             let _ = self.tlb.translate(&mut self.pt, page, write);
             if write {
                 self.cache.mark_dirty(slot);
@@ -153,12 +157,12 @@ impl ChannelShard {
         }
     }
 
-    /// Ensures `page` is resident; returns its slot. This is the DAX fault
-    /// path: `device_access` → cachefill (plus writeback when evicting a
-    /// dirty victim).
-    fn ensure_resident(&mut self, page: u64) -> Result<u64, CoreError> {
+    /// Ensures `page` is resident; returns its slot and whether it was
+    /// resident already. This is the DAX fault path: `device_access` →
+    /// cachefill (plus writeback when evicting a dirty victim).
+    fn ensure_resident(&mut self, page: u64) -> Result<(u64, bool), CoreError> {
         if let Some(slot) = self.cache.lookup(page) {
-            return Ok(slot);
+            return Ok((slot, true));
         }
         if let HealthState::Degraded { reason, .. } = self.health {
             // Degraded mode still serves what it can without the CP
@@ -196,8 +200,7 @@ impl ChannelShard {
                         // Zero with non-temporal stores: straight to DRAM,
                         // no cache allocation (the post-fill invalidation
                         // below must not drop the zeros).
-                        let zeros = vec![0u8; PAGE_BYTES as usize];
-                        DramBackdoor(&mut self.bus).write(addr, &zeros);
+                        DramBackdoor(&mut self.bus).write(addr, &ZERO_PAGE);
                         self.clock += self.cfg.perf.copy_time(PAGE_BYTES);
                         self.stats.zero_fills += 1;
                     }
@@ -213,7 +216,7 @@ impl ChannelShard {
         self.pt.map(page, slot);
         self.tlb.insert(page, slot);
         self.scrub_note(slot);
-        Ok(slot)
+        Ok((slot, false))
     }
 
     /// Hypothetical-device fill (§VII-D1): the NVM access and all FPGA
@@ -609,8 +612,7 @@ impl ChannelShard {
     ///
     /// Propagates fault-path errors.
     pub fn prefault(&mut self, page: u64) -> Result<(), CoreError> {
-        self.ensure_resident(page)?;
-        Ok(())
+        self.ensure_resident(page).map(|_| ())
     }
 }
 
@@ -1090,5 +1092,36 @@ mod tests {
         let done = s.serve_read(s.now(), 3 * PAGE_BYTES, &mut buf).unwrap();
         assert!(done >= s.now());
         assert_eq!(buf, page(0x77));
+    }
+
+    #[test]
+    fn read_after_a_fill_still_catches_slot_corruption() {
+        use crate::faults::FaultKind;
+        let slots = 4;
+        let mut cfg = NvdimmCConfig::small_for_tests();
+        cfg.cache_slots = slots;
+        let mut s = System::new(cfg).unwrap();
+        s.enable_scrub();
+        s.write_at(0, &page(0x5A)).unwrap();
+        // Push page 0 out to Z-NAND with dirty pages that stay resident.
+        for i in 1..=slots {
+            s.write_at(i * PAGE_BYTES, &page(0x80)).unwrap();
+        }
+        let mut out = page(0);
+        let fills = s.stats().cachefills;
+        s.read_at(0, &mut out).unwrap();
+        assert_eq!(s.stats().cachefills, fills + 1, "page 0 filled from Z-NAND");
+        assert_eq!(out, page(0x5A));
+        // Page 0 is the only clean tracked slot; with no injector the
+        // corruption lands at its fixed offset.
+        assert!(s.inject_fault(FaultKind::SlotCorruption));
+        s.read_at(0, &mut out).unwrap();
+        assert_eq!(out, page(0x5A), "the scrub healed the slot before serving");
+        let rec = s.recovery_stats();
+        assert_eq!((rec.scrub_detected, rec.scrub_refills), (1, 1));
+        s.read_at(0, &mut out).unwrap();
+        assert_eq!(out, page(0x5A));
+        let rec = s.recovery_stats();
+        assert_eq!((rec.scrub_detected, rec.scrub_refills), (1, 1));
     }
 }

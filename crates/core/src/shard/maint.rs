@@ -1,7 +1,7 @@
 //! Scrub and maintenance: the driver's per-slot CRC scrub (read path,
 //! eviction gate and background sweep) and bounded FTL housekeeping.
 
-use super::{ChannelShard, DramBackdoor};
+use super::{ChannelShard, DramBackdoor, ZERO_PAGE};
 use crate::config::PAGE_BYTES;
 use crate::cp::CpOpcode;
 use crate::error::CoreError;
@@ -21,7 +21,7 @@ impl ChannelShard {
     /// CRC of the CPU-visible view of a slot's full page.
     fn page_crc(&mut self, slot: u64) -> u32 {
         let addr = self.layout.slot_addr(slot);
-        let mut data = vec![0u8; PAGE_BYTES as usize];
+        let mut data = [0u8; PAGE_BYTES as usize];
         self.cpu
             .load(&mut DramBackdoor(&mut self.bus), addr, &mut data);
         nvdimmc_nand::ecc::crc32(&data)
@@ -77,8 +77,7 @@ impl ChannelShard {
         if self.nvmc.is_mapped(page) {
             self.cp_transaction(CpOpcode::Cachefill, slot, page, None)?;
         } else {
-            let zeros = vec![0u8; PAGE_BYTES as usize];
-            DramBackdoor(&mut self.bus).write(addr, &zeros);
+            DramBackdoor(&mut self.bus).write(addr, &ZERO_PAGE);
         }
         self.cpu.invalidate_range(addr, PAGE_BYTES);
         self.rec.scrub_refills += 1;

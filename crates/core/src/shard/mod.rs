@@ -33,7 +33,7 @@ mod maint;
 pub use crash::{CrashPoint, CrashPointKind, DumpReport, PowerFailReport};
 
 use crate::cache::DramCache;
-use crate::config::NvdimmCConfig;
+use crate::config::{NvdimmCConfig, PAGE_BYTES};
 use crate::error::CoreError;
 use crate::faults::{FaultInjector, RecoveryStats};
 use crate::fpga::Fpga;
@@ -139,6 +139,9 @@ pub trait QueuedDevice: Send {
     /// it — the default.
     fn note_queue_depth(&mut self, _depth: usize) {}
 }
+
+/// A page of zeros: what a never-written block reads as.
+const ZERO_PAGE: [u8; PAGE_BYTES as usize] = [0; PAGE_BYTES as usize];
 
 /// Zero-time backdoor [`Memory`] view of the DRAM array, used for the
 /// *functional* data path (the CPU cache model needs a byte-addressable

@@ -10,7 +10,8 @@
 //! Both codes are linear over GF(2), so each is evaluated a byte at a
 //! time from tables built at compile time: a word's Hamming bits are the
 //! XOR of eight per-byte rows, and the CRC consumes eight bytes per step
-//! (slicing-by-8).
+//! (slicing-by-8) in four interleaved stripes whose registers fold back
+//! into the serial value.
 
 use serde::{Deserialize, Serialize};
 
@@ -168,19 +169,31 @@ impl Ecc {
     }
 }
 
+/// The reflected IEEE polynomial. In the reflected representation bit 31
+/// is the coefficient of x^0 and bit 0 that of x^31.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// One bit step of the division: `c · x mod P`.
+const fn times_x(c: u32) -> u32 {
+    if c & 1 == 1 {
+        (c >> 1) ^ CRC_POLY
+    } else {
+        c >> 1
+    }
+}
+
 /// Slicing-by-8 tables for the reflected IEEE polynomial. `CRC_TABLES[0]`
 /// is the classic byte table; `CRC_TABLES[k][v]` is the register after
 /// feeding byte `v` and then `k` zero bytes, so one step folds eight
 /// input bytes with eight independent lookups.
 const CRC_TABLES: [[u32; 256]; 8] = {
-    const POLY: u32 = 0xEDB8_8320;
     let mut t = [[0u32; 256]; 8];
     let mut v = 0;
     while v < 256 {
         let mut c = v as u32;
         let mut b = 0;
         while b < 8 {
-            c = if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 };
+            c = times_x(c);
             b += 1;
         }
         t[0][v] = c;
@@ -199,27 +212,116 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE 802.3, reflected), eight bytes per step.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Product of two polynomials mod P, both in the reflected representation
+/// (zlib's `multmodp`).
+const fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = times_x(b);
+    }
+    p
+}
+
+/// `X2N[k]` is x^(2^k) mod P. The sequence has period 32 (checked below),
+/// so any power x^(n·2^k) is a product of these entries.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        t[k] = mult_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+const _: () = assert!(mult_mod_p(X2N[31], X2N[31]) == X2N[0]);
+
+/// x^(8·bytes) mod P: multiplying a register by it is the same as feeding
+/// it `bytes` zero bytes.
+fn x8n_mod_p(bytes: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = bytes;
+    let mut k = 3; // one byte is x^(2^3)
+    while n != 0 {
+        if n & 1 == 1 {
+            p = mult_mod_p(X2N[k % 32], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// Inputs of at least this many bytes run as four stripes.
+const CRC_STRIPE_MIN: usize = 1024;
+
+/// One slicing-by-8 step: the register after eight more input bytes.
+#[inline(always)]
+fn crc_word(crc: u32, word: &[u8; 8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    let b = (u64::from_le_bytes(*word) ^ u64::from(crc)).to_le_bytes();
+    t[7][b[0] as usize]
+        ^ t[6][b[1] as usize]
+        ^ t[5][b[2] as usize]
+        ^ t[4][b[3] as usize]
+        ^ t[3][b[4] as usize]
+        ^ t[2][b[5] as usize]
+        ^ t[1][b[6] as usize]
+        ^ t[0][b[7] as usize]
+}
+
+/// The serial update: the raw register after `data`, eight bytes per
+/// step and the byte table for a tail shorter than eight.
+fn crc_serial(mut crc: u32, data: &[u8]) -> u32 {
     let (words, tail) = data.as_chunks::<8>();
     for word in words {
-        let x = u64::from_le_bytes(*word) ^ u64::from(crc);
-        let b = x.to_le_bytes();
-        crc = t[7][b[0] as usize]
-            ^ t[6][b[1] as usize]
-            ^ t[5][b[2] as usize]
-            ^ t[4][b[3] as usize]
-            ^ t[3][b[4] as usize]
-            ^ t[2][b[5] as usize]
-            ^ t[1][b[6] as usize]
-            ^ t[0][b[7] as usize];
+        crc = crc_word(crc, word);
     }
     for &b in tail {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per step.
+///
+/// From 1 KB on, the first `len / 32 * 32` bytes are split into four
+/// equal stripes, each with its own register, so the table lookups of
+/// different stripes overlap. The CRC is linear: the register after
+/// stripes `A` then `B` is `A`'s register shifted by `B`'s length, XOR
+/// `B`'s register from zero. The shift is a multiplication by
+/// x^(8·len B) mod P, so the four registers fold into exactly the value
+/// the serial loop gives, and the tail finishes serially.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut rest = data;
+    if data.len() >= CRC_STRIPE_MIN {
+        // Four stripes of `n` eight-byte words each.
+        let n = data.len() / 32;
+        let (striped, tail) = data.split_at(n * 32);
+        let (words, _) = striped.as_chunks::<8>();
+        let (w0, w123) = words.split_at(n);
+        let (w1, w23) = w123.split_at(n);
+        let (w2, w3) = w23.split_at(n);
+        let (mut c0, mut c1, mut c2, mut c3) = (crc, 0, 0, 0);
+        for (((a, b), c), d) in w0.iter().zip(w1).zip(w2).zip(w3) {
+            c0 = crc_word(c0, a);
+            c1 = crc_word(c1, b);
+            c2 = crc_word(c2, c);
+            c3 = crc_word(c3, d);
+        }
+        let shift = x8n_mod_p(n * 8);
+        crc = [c1, c2, c3]
+            .into_iter()
+            .fold(c0, |acc, r| mult_mod_p(shift, acc) ^ r);
+        rest = tail;
+    }
+    !crc_serial(crc, rest)
 }
 
 /// Encodes/decodes whole 4 KB pages: per-word SEC-DED plus a trailing
@@ -413,18 +515,32 @@ mod tests {
     #[test]
     fn crc32_matches_the_bitwise_definition() {
         let mut rng = DeterministicRng::new(0xC3C3);
-        let mut buf = vec![0u8; 4096];
+        let mut buf = vec![0u8; 8203];
         rng.fill_bytes(&mut buf);
-        // Every tail length around the 8-byte step, from every offset.
-        for len in 0..=64 {
-            for start in [0, 1, 3, 7] {
+        // Every tail around the 8-byte step and the 32-byte stripe group,
+        // below and above the striping threshold (including the 4092-byte
+        // sector stamp), at an aligned and an unaligned offset.
+        for len in (0..=4200).chain(8192..=8199) {
+            for start in [0, 3] {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bitwise(s), "len {len} at {start}");
             }
         }
         for _ in 0..16 {
-            rng.fill_bytes(&mut buf);
-            assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+            rng.fill_bytes(&mut buf[..4096]);
+            assert_eq!(crc32(&buf[..4096]), crc32_bitwise(&buf[..4096]));
+        }
+        // The stripe fold's shift: multiplying a register by x^(8n) is
+        // feeding it n zero bytes.
+        let zeros = [0u8; 5000];
+        for crc in [0xFFFF_FFFFu32, 0x1234_5678, 1, 0x8000_0000] {
+            for n in [0, 1, 7, 8, 31, 256, 1016, 1024, 4999] {
+                assert_eq!(
+                    mult_mod_p(x8n_mod_p(n), crc),
+                    crc_serial(crc, &zeros[..n]),
+                    "register {crc:#x}, {n} zero bytes"
+                );
+            }
         }
     }
 
