@@ -331,8 +331,8 @@ fn cached_front(span: u64) -> MultiChannelSystem {
 
 /// Figure 9: thread-count scaling, *measured* by request-level concurrent
 /// simulation: one closed-loop worker per simulated thread, device phases
-/// queued on the `ShardExecutor`'s per-shard rings and served by its
-/// worker pool. (Earlier revisions projected this figure from an analytic
+/// queued on the `ShardExecutor`'s bounded per-shard queues and served in
+/// shard order. (Earlier revisions projected this figure from an analytic
 /// closed-loop model; every row below is now a real run.)
 pub fn fig9() -> Figure {
     let mut f = Figure::new(

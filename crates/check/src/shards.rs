@@ -5,7 +5,7 @@
 //! is verified independently with the full single-channel pass — one
 //! shard's refresh phase tells you nothing about another's. What *is*
 //! global is the executor's accounting: every request accepted onto a
-//! shard ring must eventually complete there. A mismatch means the
+//! shard queue must eventually complete there. A mismatch means the
 //! request path dropped or double-counted work, which no per-shard
 //! timing check would ever notice.
 

@@ -1,6 +1,6 @@
 //! Adjacent-page request coalescing in front of the DMA engine.
 //!
-//! Consecutive requests on one shard's ring frequently target adjacent
+//! Consecutive requests on one shard's queue frequently target adjacent
 //! byte ranges — sequential fio streams split at the interleave stripe
 //! land as runs of contiguous segments. Issuing each as its own device
 //! request pays the per-request software cost once per segment; a real
@@ -100,7 +100,10 @@ impl CoalescedReq {
 /// `max_bytes` per merged request. A batch of one (the single-channel /
 /// single-thread case) passes through untouched, which is what keeps the
 /// one-channel executor bit-identical to the monolith.
-pub fn coalesce(batch: Vec<ShardRequest>, max_bytes: u64) -> Vec<CoalescedReq> {
+pub fn coalesce(
+    batch: impl IntoIterator<Item = ShardRequest>,
+    max_bytes: u64,
+) -> Vec<CoalescedReq> {
     let max_bytes = max_bytes.max(1);
     let mut out: Vec<CoalescedReq> = Vec::new();
     for req in batch {

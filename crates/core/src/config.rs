@@ -62,8 +62,6 @@ pub struct NvdimmCConfig {
     pub perf: PerfParams,
     /// CPU L1/L2 model size (functional coherence only).
     pub cpu_cache_bytes: usize,
-    /// TLB capacity in entries.
-    pub tlb_entries: usize,
     /// RNG seed for the media model.
     pub seed: u64,
     /// Driver-side fault-recovery parameters (CP timeout, retransmit
@@ -97,7 +95,6 @@ impl NvdimmCConfig {
             window_xfer_bytes: PAGE_BYTES,
             perf: PerfParams::poc(),
             cpu_cache_bytes: 64 << 10,
-            tlb_entries: 256,
             seed: 42,
             recovery: RecoveryParams::default(),
             refresh_mode: RefreshMode::RankLevel,
@@ -131,7 +128,6 @@ impl NvdimmCConfig {
             window_xfer_bytes: PAGE_BYTES,
             perf: PerfParams::poc(),
             cpu_cache_bytes: 1 << 20,
-            tlb_entries: 1536,
             seed: 42,
             recovery: RecoveryParams::default(),
             refresh_mode: RefreshMode::RankLevel,

@@ -1,60 +1,50 @@
-//! The scale-out request executor: per-shard rings, coalescing, and a
-//! fixed work-stealing worker pool.
-//!
-//! The pre-refactor drivers spawned one scoped OS thread per shard per
-//! round — fine at 4 channels, dead at 256. The executor replaces that
-//! with a batched, lock-light design:
+//! The scale-out request executor: bounded per-shard queues, coalescing
+//! and inline service in shard order.
 //!
 //! 1. **Route** — [`ShardExecutor::submit`] splits each global operation
-//!    with the [`InterleaveMap`] and pushes one [`ShardRequest`] per
-//!    segment onto the owning shard's bounded [`SpscRing`]. The router is
-//!    each ring's only producer; a full ring bounces the *whole*
+//!    with the [`InterleaveMap`] and appends one [`ShardRequest`] per
+//!    segment to the owning shard's queue, bounded by
+//!    [`ExecutorConfig::ring_depth`]. A full queue bounces the *whole*
 //!    operation back with [`CoreError::Overloaded`] (carrying the queue
 //!    depth, so callers back off proportionally).
-//! 2. **Batch + coalesce** — [`ShardExecutor::dispatch`] drains every
-//!    ring FIFO into a per-shard batch and folds adjacent same-kind
-//!    requests into single DMAs ([`coalesce`]).
-//! 3. **Serve** — a fixed pool of `M = workers` threads claims ready
-//!    shards from a shared [`ShardCalendar`]-ordered list (one atomic
-//!    `fetch_add` per claim — work-stealing without per-request locks;
-//!    the per-shard mutex is only ever taken by the one claiming worker,
-//!    so it never contends). Each claimed shard serves its whole batch on
-//!    its own clock via [`QueuedDevice::serve_read`] /
-//!    [`QueuedDevice::serve_write`]; the device's idle-jump *is* the
-//!    discrete-event fast path — the clock advances straight to the
+//! 2. **Serve** — [`ShardExecutor::dispatch`] visits the shards in index
+//!    order. Each shard's queue drains FIFO, adjacent same-kind requests
+//!    fold into single DMAs ([`coalesce`]), and the runs are served on
+//!    the shard's own clock via [`QueuedDevice::serve_read`] /
+//!    [`QueuedDevice::serve_write`]. The device's idle-jump *is* the
+//!    discrete-event fast path: the clock advances straight to the
 //!    request's `not_before` instead of ticking through idle time.
-//! 4. **Fold** — completions are collected in shard-index order, FIFO
-//!    within a shard. Shards share no state, so the result is a pure
-//!    function of the submitted requests: **bit-identical for any worker
-//!    count**, which is what makes the executor safe to drop under the
-//!    deterministic drivers and the `nvdimmc-check` passes.
+//! 3. **Fold** — completions come back in shard-index order, FIFO within
+//!    a shard, as a `Vec` or, through [`ShardExecutor::dispatch_each`],
+//!    one at a time as they are produced. Shards share no state, so the
+//!    result is a pure function of the submitted requests, which is what
+//!    makes the executor safe to drop under the deterministic drivers and
+//!    the `nvdimmc-check` passes.
+//!
+//! Batches are served on the calling thread. A shard's batch costs
+//! microseconds of host time, and spreading them over a thread pool never
+//! paid for the spawn and join on the traffic the executor serves.
 //!
 //! Trace capture needs no executor bookkeeping: entries accumulate in
 //! each device's own recorder while its batch is served, so front-driven
 //! runs keep collecting epochs through
 //! `MultiChannelSystem::set_trace_capture(false)` unchanged. Raw-device
 //! runs claim them zero-copy through [`ShardExecutor::take_traces`],
-//! which moves each buffer out via [`QueuedDevice::drain_trace`] — no
-//! clone, no post-hoc lock.
+//! which moves each buffer out via [`QueuedDevice::drain_trace`].
 
 use crate::coalesce::{coalesce, CoalescedReq};
 use crate::error::{check_range, CoreError};
 use crate::interleave::InterleaveMap;
-use crate::ring::SpscRing;
 use crate::sched::{ReqKind, ShardRequest};
 use crate::shard::QueuedDevice;
 use nvdimmc_ddr::TraceEntry;
-use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use nvdimmc_sim::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Tuning knobs for a [`ShardExecutor`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorConfig {
-    /// Worker threads serving ready shards (`M` in "M workers × N
-    /// shards"). Clamped to at least 1; 1 serves inline without spawning.
-    pub workers: usize,
-    /// Bound on each shard's inbound ring.
+    /// Bound on each shard's request queue (at least 1).
     pub ring_depth: usize,
     /// Byte cap on one coalesced DMA. `1` effectively disables merging
     /// (no two requests fit), which the equivalence tests use.
@@ -62,11 +52,10 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// 4 workers, 64-deep rings, 64 KiB DMA cap — a typical
-    /// controller's max transfer.
+    /// 64-deep queues, 64 KiB DMA cap — a typical controller's max
+    /// transfer.
     fn default() -> Self {
         ExecutorConfig {
-            workers: 4,
             ring_depth: 64,
             coalesce_bytes: 64 * 1024,
         }
@@ -74,14 +63,16 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Overrides the worker count.
+    /// Has no effect: batches are always served on the calling thread.
+    /// It stays only because the benchmark harness (`nvbench/src/fio.rs`
+    /// and its wrapper test) still calls it, and will be removed together
+    /// with that harness's next change (ROADMAP item 2).
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
-    /// Overrides the ring bound.
+    /// Overrides the queue bound.
     #[must_use]
     pub fn with_ring_depth(mut self, depth: usize) -> Self {
         self.ring_depth = depth;
@@ -139,7 +130,7 @@ pub struct Completion {
 /// Per-shard executor counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Requests accepted onto the ring at submit.
+    /// Requests accepted onto the queue at submit.
     pub accepted: u64,
     /// Requests served (completions produced, including failures).
     pub served: u64,
@@ -147,7 +138,7 @@ pub struct ExecStats {
     pub dmas: u64,
     /// Requests that shared a DMA with at least one other request.
     pub coalesced_reqs: u64,
-    /// Operations bounced at submit because a ring was full.
+    /// Operations bounced at submit because a queue was full.
     pub rejected_ring_full: u64,
     /// Accumulated device-phase busy time (service end minus service
     /// start, idle gaps excluded) — the numerator of shard utilisation.
@@ -166,20 +157,7 @@ impl ExecStats {
     }
 }
 
-/// What one worker needs to serve one shard's batch: exclusive device
-/// access plus the coalesced runs. The mutex is claimed by exactly one
-/// worker (the one that won the shard's index from the shared counter),
-/// so it never blocks — it exists to satisfy the borrow checker across
-/// the scoped threads, not to arbitrate.
-struct WorkCell<'d, D> {
-    shard: u32,
-    device: &'d mut D,
-    runs: Vec<CoalescedReq>,
-    out: Vec<Completion>,
-    busy: SimDuration,
-}
-
-/// Batched, lock-light request executor over N shards.
+/// Batched request executor over N shards.
 ///
 /// # Example
 ///
@@ -204,7 +182,7 @@ struct WorkCell<'d, D> {
 /// ```
 #[derive(Debug)]
 pub struct ShardExecutor {
-    rings: Vec<SpscRing>,
+    queues: Vec<VecDeque<ShardRequest>>,
     cfg: ExecutorConfig,
     stats: Vec<ExecStats>,
     next_seq: u64,
@@ -217,12 +195,11 @@ impl ShardExecutor {
     /// An executor over `shards` shards.
     pub fn new(shards: usize, cfg: ExecutorConfig) -> Self {
         let cfg = ExecutorConfig {
-            workers: cfg.workers.max(1),
             ring_depth: cfg.ring_depth.max(1),
             coalesce_bytes: cfg.coalesce_bytes.max(1),
         };
         ShardExecutor {
-            rings: (0..shards).map(|_| SpscRing::new(cfg.ring_depth)).collect(),
+            queues: vec![VecDeque::new(); shards],
             cfg,
             stats: vec![ExecStats::default(); shards],
             next_seq: 0,
@@ -231,7 +208,7 @@ impl ShardExecutor {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.rings.len()
+        self.queues.len()
     }
 
     /// The active configuration.
@@ -253,20 +230,20 @@ impl ShardExecutor {
         t
     }
 
-    /// Per-shard `(accepted, served)` pairs: with empty rings, every
+    /// Per-shard `(accepted, served)` pairs: with empty queues, every
     /// accepted request must have produced a completion.
     pub fn conservation(&self) -> Vec<(u64, u64)> {
         self.stats.iter().map(|s| (s.accepted, s.served)).collect()
     }
 
-    /// Requests currently queued on `shard`'s ring.
+    /// Requests currently queued on `shard`.
     pub fn pending(&self, shard: usize) -> usize {
-        self.rings[shard].len()
+        self.queues[shard].len()
     }
 
-    /// Whether any ring holds work.
+    /// Whether any queue holds work.
     pub fn has_pending(&self) -> bool {
-        self.rings.iter().any(|r| !r.is_empty())
+        self.queues.iter().any(|q| !q.is_empty())
     }
 
     /// Moves each device's captured bus trace out (index = shard) via
@@ -277,56 +254,55 @@ impl ShardExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if `devices` does not cover every shard.
+    /// Panics unless `devices` holds exactly one device per shard.
     pub fn take_traces<D: QueuedDevice>(&self, devices: &mut [D]) -> Vec<Vec<TraceEntry>> {
         assert_eq!(
             devices.len(),
             self.shards(),
-            "devices must cover every shard"
+            "executor needs exactly one device per shard"
         );
         devices.iter_mut().map(QueuedDevice::drain_trace).collect()
     }
 
-    /// Routes one *pre-split* request onto `shard`'s ring — for drivers
+    /// Routes one *pre-split* request onto `shard`'s queue — for drivers
     /// that run the interleave splitter themselves. Stamps and returns
-    /// the sequence number; a full ring bounces the request back so the
+    /// the sequence number; a full queue bounces the request back so the
     /// caller can drain and retry without losing it.
     ///
     /// # Errors
     ///
-    /// Returns the request itself when the ring is at capacity.
+    /// Returns the request itself when the queue is at its bound.
     pub fn submit_request(
         &mut self,
         shard: usize,
         mut req: ShardRequest,
     ) -> Result<u64, ShardRequest> {
-        if self.rings[shard].is_full() {
+        if self.queues[shard].len() >= self.cfg.ring_depth {
             self.stats[shard].rejected_ring_full += 1;
             return Err(req);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         req.seq = seq;
-        // INVARIANT: the fullness check above reserved the slot.
-        self.rings[shard].try_push(req)?;
+        self.queues[shard].push_back(req);
         self.stats[shard].accepted += 1;
         Ok(seq)
     }
 
     /// Routes one operation of `thread`: splits `[offset, offset + len)`
-    /// with `map` and pushes one request per segment onto the owning
-    /// rings. A write's `payload` holds its `len` bytes; a read passes an
+    /// with `map` and appends one request per segment to the owning
+    /// queues. A write's `payload` holds its `len` bytes; a read passes an
     /// empty one.
     ///
-    /// All-or-nothing: if the operation is rejected, no ring is touched,
+    /// All-or-nothing: if the operation is rejected, no queue is touched,
     /// so a retry cannot double-enqueue.
     ///
     /// # Errors
     ///
     /// [`CoreError::OutOfRange`] when `offset + len` overflows,
     /// [`CoreError::Config`] when a write's `payload` is shorter than
-    /// `len`, and [`CoreError::Overloaded`] (with the ring's depth) when a
-    /// target ring is full.
+    /// `len`, and [`CoreError::Overloaded`] (with the queue's depth) when a
+    /// target queue cannot take its segments.
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
@@ -347,23 +323,24 @@ impl ShardExecutor {
         }
         let segs = map.split_range(offset, len);
         // All-or-nothing admission: count demand per shard first.
-        let mut demand = vec![0usize; self.rings.len()];
+        let mut demand = vec![0usize; self.queues.len()];
         for seg in &segs {
             demand[seg.shard as usize] += 1;
         }
+        let limit = self.cfg.ring_depth;
         for (shard, need) in demand.iter().enumerate() {
-            let ring = &self.rings[shard];
-            if *need > 0 && ring.len() + need > ring.capacity() {
+            let queued = self.queues[shard].len();
+            if *need > 0 && queued + need > limit {
                 self.stats[shard].rejected_ring_full += 1;
-                // Pressure-proportional hint: an empty ring retries after
+                // Pressure-proportional hint: an empty queue retries after
                 // the base delay, a full one after twice it.
                 let base = Self::RETRY_AFTER;
-                let scaled = base + base.mul_f64(ring.len() as f64 / ring.capacity().max(1) as f64);
+                let scaled = base + base.mul_f64(queued as f64 / limit as f64);
                 return Err(CoreError::Overloaded {
                     shard: shard as u32,
                     retry_after: scaled,
-                    queued: ring.len(),
-                    queue_limit: ring.capacity(),
+                    queued,
+                    queue_limit: limit,
                 });
             }
         }
@@ -385,12 +362,7 @@ impl ShardExecutor {
                 not_before,
                 data,
             };
-            // INVARIANT: the demand pre-check reserved this slot.
-            if self.rings[seg.shard as usize].try_push(req).is_err() {
-                return Err(CoreError::Config(
-                    "executor ring capacity invariant violated".into(),
-                ));
-            }
+            self.queues[seg.shard as usize].push_back(req);
             self.stats[seg.shard as usize].accepted += 1;
             accepted.push(Submitted {
                 seq,
@@ -402,127 +374,86 @@ impl ShardExecutor {
         Ok(accepted)
     }
 
-    /// Drains every ring, coalesces, and serves all batches on the worker
-    /// pool. Completions come back in shard-index order, FIFO within a
-    /// shard — a deterministic order independent of the worker count.
+    /// Drains every queue and serves it, shard by shard in index order:
+    /// FIFO within a shard, with adjacent same-kind requests coalesced
+    /// into one device operation. Completions come back in that order.
     ///
-    /// `devices[i]` serves shard `i`; the slice must cover every shard.
+    /// # Panics
+    ///
+    /// Panics unless `devices` holds exactly one device per shard
+    /// (`devices[i]` serves shard `i`).
     pub fn dispatch<D: QueuedDevice>(&mut self, devices: &mut [D]) -> Vec<Completion> {
-        let cap = self.cfg.coalesce_bytes;
-        let mut ready: Vec<usize> = Vec::new();
-        let mut cells: Vec<Mutex<WorkCell<'_, D>>> = Vec::new();
-        // The discrete-event fast path: order ready shards by the time of
-        // their next event (head-of-batch start), earliest first, ties by
-        // shard index. Workers then claim shards in exactly that order.
-        let mut calendar = ShardCalendar::new(self.rings.len());
-        for (shard, (ring, device)) in self.rings.iter_mut().zip(devices.iter_mut()).enumerate() {
-            let mut batch = Vec::with_capacity(ring.len());
-            while let Some(req) = ring.pop() {
-                batch.push(req);
-            }
-            if batch.is_empty() {
+        let mut completions = Vec::new();
+        self.dispatch_each(devices, |c| completions.push(c));
+        completions
+    }
+
+    /// [`Self::dispatch`], handing each completion to `sink` as soon as
+    /// it is produced. A caller that is done with a read's payload when
+    /// `sink` returns frees it before the next read allocates its buffer,
+    /// so a round holds one payload at a time instead of all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `devices` holds exactly one device per shard
+    /// (`devices[i]` serves shard `i`).
+    pub fn dispatch_each<D: QueuedDevice>(
+        &mut self,
+        devices: &mut [D],
+        mut sink: impl FnMut(Completion),
+    ) {
+        assert_eq!(
+            devices.len(),
+            self.shards(),
+            "executor needs exactly one device per shard"
+        );
+        let shards = self.queues.iter_mut().zip(&mut self.stats).zip(devices);
+        for (shard, ((queue, st), device)) in shards.enumerate() {
+            if queue.is_empty() {
                 continue;
             }
-            let runs = coalesce(batch, cap);
-            if let Some(first) = runs.first() {
-                calendar.set(shard, first.not_before.max(device.clock()));
-            }
-            ready.push(shard);
-            cells.push(Mutex::new(WorkCell {
-                shard: shard as u32,
-                device,
-                runs,
-                out: Vec::new(),
-                busy: SimDuration::ZERO,
-            }));
-        }
-        if ready.is_empty() {
-            return Vec::new();
-        }
-        // cells[i] serves shard ready[i]; map the calendar's event order
-        // onto cell indices for the claim sequence.
-        let order: Vec<usize> = calendar
-            .drain_order()
-            .into_iter()
-            .filter_map(|(_, shard)| ready.iter().position(|&s| s == shard))
-            .collect();
-        let workers = self.cfg.workers.min(order.len());
-        if workers <= 1 {
-            for &cell_idx in &order {
-                let cell = cells[cell_idx]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner);
-                serve_cell(cell);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let claim = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cell_idx) = order.get(claim) else {
-                            break;
-                        };
-                        // Only this worker ever touches the claimed cell,
-                        // so the lock is uncontended by construction.
-                        let mut cell = cells[cell_idx]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        serve_cell(&mut cell);
-                    });
-                }
+            let runs = coalesce(queue.drain(..), self.cfg.coalesce_bytes);
+            st.dmas += runs.len() as u64;
+            st.busy += serve_runs(shard as u32, device, &runs, |c| {
+                st.served += 1;
+                st.coalesced_reqs += u64::from(c.coalesced);
+                sink(c);
             });
         }
-        // Deterministic fold: shard-index order, FIFO within each shard —
-        // identical for every worker count.
-        let mut completions = Vec::new();
-        let mut folded: Vec<(usize, WorkCell<'_, D>)> = ready
-            .into_iter()
-            .zip(
-                cells
-                    .into_iter()
-                    .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner)),
-            )
-            .collect();
-        folded.sort_by_key(|(shard, _)| *shard);
-        for (shard, mut cell) in folded {
-            let st = &mut self.stats[shard];
-            st.served += cell.out.len() as u64;
-            st.dmas += cell.runs.len() as u64;
-            st.coalesced_reqs += cell.out.iter().filter(|c| c.coalesced).count() as u64;
-            st.busy += cell.busy;
-            completions.append(&mut cell.out);
-        }
-        completions
     }
 }
 
-/// Serves one shard's coalesced batch on its device and fans completions
-/// back out to the parents. Runs after an error still execute — each
-/// operation fails or succeeds on its own, exactly like the blocking
-/// path.
-fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
-    for (i, run) in cell.runs.iter().enumerate() {
+/// Serves one shard's coalesced batch on its device and hands the
+/// parents' completions to `emit`, in order; returns the device-busy
+/// time. Runs after an error still execute — each operation fails or
+/// succeeds on its own, exactly like the blocking path.
+fn serve_runs<D: QueuedDevice>(
+    shard: u32,
+    device: &mut D,
+    runs: &[CoalescedReq],
+    mut emit: impl FnMut(Completion),
+) -> SimDuration {
+    let mut busy = SimDuration::ZERO;
+    for (i, run) in runs.iter().enumerate() {
         // Per-shard backlog behind this run: the per-bank refresh planner
         // stretches NVMC windows when idle and shrinks them under load.
-        cell.device.note_queue_depth(cell.runs.len() - 1 - i);
-        let start = cell.device.clock().max(run.not_before);
+        device.note_queue_depth(runs.len() - 1 - i);
+        let start = device.clock().max(run.not_before);
         let multi = run.parents.len() > 1;
         let served = match run.kind {
             ReqKind::Read => {
                 let mut buf = vec![0u8; run.len as usize];
-                cell.device
+                device
                     .serve_read(run.not_before, run.local_offset, &mut buf)
                     .map(|end| (end, buf))
             }
-            ReqKind::Write => cell
-                .device
+            ReqKind::Write => device
                 .serve_write(run.not_before, run.local_offset, &run.data)
                 .map(|end| (end, Vec::new())),
         };
         match served {
             Ok((end, mut buf)) => {
-                cell.busy += end.saturating_since(start);
+                busy += end.saturating_since(start);
                 let mut cursor = 0usize;
                 for p in &run.parents {
                     let data = match run.kind {
@@ -533,10 +464,10 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
                         ReqKind::Write => Vec::new(),
                     };
                     cursor += p.len as usize;
-                    cell.out.push(Completion {
+                    emit(Completion {
                         seq: p.seq,
                         thread: p.thread,
-                        shard: cell.shard,
+                        shard,
                         kind: run.kind,
                         local_offset: p.local_offset,
                         len: p.len,
@@ -548,12 +479,12 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
                 }
             }
             Err(e) => {
-                let end = cell.device.clock();
+                let end = device.clock();
                 for p in &run.parents {
-                    cell.out.push(Completion {
+                    emit(Completion {
                         seq: p.seq,
                         thread: p.thread,
-                        shard: cell.shard,
+                        shard,
                         kind: run.kind,
                         local_offset: p.local_offset,
                         len: p.len,
@@ -566,4 +497,5 @@ fn serve_cell<D: QueuedDevice>(cell: &mut WorkCell<'_, D>) {
             }
         }
     }
+    busy
 }

@@ -9,8 +9,8 @@
 //!
 //! The granularity is configurable but must be a whole multiple of the
 //! 4 KB cache page so a page never straddles two shards — each shard's
-//! DRAM cache, page table and FTL stay completely independent, which is
-//! what lets shards run on separate threads with no shared state.
+//! DRAM cache and FTL stay completely independent, so shards share no
+//! state and can be served in any order.
 
 use crate::config::PAGE_BYTES;
 use crate::error::CoreError;

@@ -26,12 +26,10 @@
 //!   planner;
 //! - [`front`] — [`MultiChannelSystem`]: N shards behind the interleaver,
 //!   with online repair and cross-shard persist ordering;
-//! - [`ring`] — the bounded per-shard SPSC inbound rings feeding the
-//!   executor;
 //! - [`mod@coalesce`] — adjacent-request merging in front of the DMA engine;
-//! - [`exec`] — [`ShardExecutor`]: the batched, lock-light worker pool
-//!   that serves ready shards in discrete-event order (scale-out request
-//!   path, §VII-A);
+//! - [`exec`] — [`ShardExecutor`]: bounded per-shard queues whose
+//!   batches are coalesced and served inline in shard order (scale-out
+//!   request path, §VII-A);
 //! - [`baseline`] — the emulated-NVDIMM `/dev/pmem0` comparator (§VI);
 //! - [`perf`] — the calibrated software-path constants with their anchors.
 //!
@@ -75,7 +73,6 @@ pub mod layout;
 pub mod perf;
 pub mod proto;
 pub mod refresh;
-pub mod ring;
 pub mod sched;
 pub mod shard;
 
@@ -95,7 +92,6 @@ pub use layout::Layout;
 pub use perf::PerfParams;
 pub use proto::{AckOutcome, DriverTxn, FpgaProto, PollVerdict, RetryOutcome};
 pub use refresh::{DetectorPipeline, RefreshDetector};
-pub use ring::SpscRing;
 pub use sched::{RefreshPlanner, ReqKind, ShardRequest};
 pub use shard::{
     BlockDevice, ChannelShard, CrashPoint, CrashPointKind, DumpReport, PowerFailReport,

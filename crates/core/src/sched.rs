@@ -3,7 +3,7 @@
 //! Every operation bound for a shard becomes one [`ShardRequest`] per
 //! interleave segment. The [`ShardExecutor`](crate::exec::ShardExecutor)
 //! is the only request queue in the system: it stamps each request's
-//! sequence number, holds it on the shard's bounded ring and serves it
+//! sequence number, holds it on the shard's bounded queue and serves it
 //! in arrival order. Row-buffer-aware reordering happens below the
 //! shard, in the host iMC's open-page policy, exactly where the paper's
 //! unmodified memory controller does it. The [`RefreshPlanner`] turns
@@ -11,7 +11,7 @@
 //! placement.
 
 use nvdimmc_ddr::{BankAddr, TimingParams};
-use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
+use nvdimmc_sim::{SimDuration, SimTime};
 
 /// Request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +46,9 @@ pub struct ShardRequest {
 /// REFpb targets and how far its NVMC window stretches.
 ///
 /// Placement is demand-driven with a postpone/pull-in credit in the
-/// style of DARP (Chang et al., *Refresh-Access Parallelism*), tracked in
-/// a [`ShardCalendar`] keyed by bank index (the same deterministic
-/// pop-min structure the executor uses for shards):
+/// style of DARP (Chang et al., *Refresh-Access Parallelism*), tracked as
+/// one refresh deadline per bank; the earliest deadline wins, ties going
+/// to the lower bank index:
 ///
 /// 1. a bank whose per-bank deadline (one refresh per interval, the JEDEC
 ///    average-interval budget) has lapsed by more than
@@ -69,8 +69,8 @@ pub struct ShardRequest {
 /// get their banks back sooner.
 #[derive(Debug)]
 pub struct RefreshPlanner {
-    /// Per-bank refresh deadlines; calendar slot = bank index.
-    deadlines: ShardCalendar,
+    /// Per-bank refresh deadlines, indexed by bank.
+    deadlines: [SimTime; BankAddr::COUNT as usize],
     /// Per-bank close of the NVMC window the bank's last REFpb opened.
     open_until: [SimTime; BankAddr::COUNT as usize],
     /// Deadline spacing: every bank must be refreshed once per interval.
@@ -96,18 +96,26 @@ impl RefreshPlanner {
     /// queues behind another's forced refresh, even at start-up.
     pub fn new(interval: SimDuration) -> Self {
         let slot = interval / u64::from(BankAddr::COUNT);
-        let mut deadlines = ShardCalendar::new(usize::from(BankAddr::COUNT));
-        for b in 0..usize::from(BankAddr::COUNT) {
-            deadlines.set(b, SimTime::ZERO + slot * (b as u64 + 1));
-        }
         RefreshPlanner {
-            deadlines,
+            deadlines: std::array::from_fn(|b| SimTime::ZERO + slot * (b as u64 + 1)),
             open_until: [SimTime::ZERO; BankAddr::COUNT as usize],
             interval,
             queue_depth: 0,
             demand_placed: 0,
             deadline_forced: 0,
         }
+    }
+
+    /// The earliest deadline and its bank index; ties go to the lower
+    /// index.
+    fn earliest(&self) -> (SimTime, u8) {
+        // A fixed non-empty array always has a minimum.
+        self.deadlines
+            .iter()
+            .zip(0u8..)
+            .map(|(&due, idx)| (due, idx))
+            .min()
+            .unwrap_or_default()
     }
 
     /// How far past its deadline a bank's refresh may be postponed.
@@ -134,34 +142,32 @@ impl RefreshPlanner {
         // A bank whose own window is still open cannot take another REFpb
         // until it closes: re-targeting it would only stall the REFpb.
         let wanted = wanted.filter(|b| self.open_until[usize::from(b.index())] <= now);
-        if let Some((due, idx)) = self.deadlines.peek() {
-            if due + self.slack() <= now {
-                self.deadline_forced += 1;
-                let bank = BankAddr::from_index(idx as u8);
-                // A backstop refresh is pure duty: no NVMC demand behind
-                // it, so keep the window minimal unless it happens to be
-                // the wanted bank anyway.
-                let stretch = if wanted == Some(bank) {
-                    self.stretch_hint()
-                } else {
-                    0
-                };
-                return (bank, stretch);
-            }
+        let (due, idx) = self.earliest();
+        if due + self.slack() <= now {
+            self.deadline_forced += 1;
+            let bank = BankAddr::from_index(idx);
+            // A backstop refresh is pure duty: no NVMC demand behind it,
+            // so keep the window minimal unless it happens to be the
+            // wanted bank anyway.
+            let stretch = if wanted == Some(bank) {
+                self.stretch_hint()
+            } else {
+                0
+            };
+            return (bank, stretch);
         }
         if let Some(bank) = wanted {
             self.demand_placed += 1;
             return (bank, self.stretch_hint());
         }
-        let idx = self.deadlines.peek().map_or(0, |(_, b)| b);
-        (BankAddr::from_index(idx as u8), 0)
+        (BankAddr::from_index(idx), 0)
     }
 
     /// Records a REFpb actually issued to `bank` at `at` whose NVMC window
     /// closes at `closes`, pushing its deadline out one interval.
     pub fn note_refreshed(&mut self, bank: BankAddr, at: SimTime, closes: SimTime) {
         let idx = usize::from(bank.index());
-        self.deadlines.set(idx, at + self.interval);
+        self.deadlines[idx] = at + self.interval;
         self.open_until[idx] = closes;
     }
 
@@ -275,6 +281,31 @@ mod tests {
         }
         // Once its window has closed the bank is demand-placeable again.
         assert_eq!(p.choose(next, Some(hot)).0, hot);
+    }
+
+    #[test]
+    fn tied_deadlines_resolve_to_the_lower_bank_index() {
+        let trefi = SimDuration::from_us(TREFI_US);
+        let mut p = RefreshPlanner::new(trefi);
+        let (b3, b9) = (BankAddr::from_index(3), BankAddr::from_index(9));
+        // Push every deadline late, then give banks 9 and 3 (in that
+        // order) the same, earliest deadline.
+        let late = SimTime::ZERO + trefi * 4;
+        for idx in 0..BankAddr::COUNT {
+            p.note_refreshed(BankAddr::from_index(idx), late, late);
+        }
+        let at = SimTime::ZERO + slot();
+        p.note_refreshed(b9, at, at);
+        p.note_refreshed(b3, at, at);
+        assert_eq!(p.earliest(), (at + trefi, 3));
+        // With no demand the pull-in goes to the lower index; once the
+        // tie lapses past its credit, the backstop forces it too.
+        assert_eq!(p.choose(at + slot(), None), (b3, 0));
+        let overdue = at + trefi + p.slack();
+        assert_eq!(p.choose(overdue, None), (b3, 0));
+        assert_eq!(p.placement_counts(), (0, 1));
+        p.note_refreshed(b3, overdue, overdue);
+        assert_eq!(p.choose(overdue, None), (b9, 0));
     }
 
     #[test]

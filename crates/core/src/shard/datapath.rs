@@ -84,9 +84,9 @@ impl ChannelShard {
         Ok(self.clock)
     }
 
-    /// The functional+timing core of an access: per-page fault-in, scrub
-    /// check, TLB walk and a real bus transfer issued at `pace` per
-    /// cacheline (ZERO = the tCCD-limited pipelined rate), then the data
+    /// The functional+timing core of an access: per-page fault-in (the
+    /// DRAM cache's page→slot map is the translation), scrub check and a
+    /// real bus transfer issued at `pace` per cacheline (ZERO = the tCCD-limited pipelined rate), then the data
     /// through the CPU cache. The caller owns software costs and any
     /// CPU-copy overlap.
     fn access(&mut self, offset: u64, mut io: Io<'_>, pace: SimDuration) -> Result<(), CoreError> {
@@ -104,7 +104,6 @@ impl ChannelShard {
             if was_resident {
                 self.scrub_verify(slot, page)?;
             }
-            let _ = self.tlb.translate(&mut self.pt, page, write);
             if write {
                 self.cache.mark_dirty(slot);
             }
@@ -213,8 +212,6 @@ impl ChannelShard {
         self.cpu
             .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
         self.cache.fill(slot, page);
-        self.pt.map(page, slot);
-        self.tlb.insert(page, slot);
         self.scrub_note(slot);
         Ok((slot, false))
     }
@@ -244,8 +241,6 @@ impl ChannelShard {
                     self.nvmc.write_page(vpage, &data, self.clock)?;
                 }
                 self.cache.evict(victim);
-                self.pt.unmap(vpage);
-                self.tlb.flush_page(vpage);
                 victim
             }
         };
@@ -286,8 +281,6 @@ impl ChannelShard {
         }
         self.cache.evict(victim);
         self.scrub_forget(victim);
-        self.pt.unmap(vpage);
-        self.tlb.flush_page(vpage);
         Ok((victim, filled))
     }
 
@@ -437,7 +430,7 @@ impl ChannelShard {
 
     /// Consumes pending CA captures while the FPGA is idle (refreshes that
     /// elapsed during plain host activity; polls would observe nothing).
-    /// Per-bank refreshes still feed the planner's deadline calendar so a
+    /// Per-bank refreshes still feed the planner's bank deadlines so a
     /// bank refreshed during idle traffic is not immediately re-picked.
     fn drain_detector_idle(&mut self) {
         let log = self.bus.drain_ca_log();

@@ -363,8 +363,6 @@ impl ChannelShard {
                 self.cache.evict(slot);
                 self.cache.release(slot);
                 self.scrub_forget(slot);
-                self.pt.unmap(page);
-                self.tlb.flush_page(page);
                 continue;
             }
             // Corrupt but clean: the backing copy still holds the truth.

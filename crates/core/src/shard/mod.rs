@@ -13,8 +13,8 @@
 //! one-shard system is the default and [`System`] remains its name: it is
 //! a type alias for `ChannelShard`. Multi-channel deployments compose
 //! shards behind [`crate::front::MultiChannelSystem`]; because shards
-//! share no mutable state they can be served in parallel by the
-//! [`crate::exec::ShardExecutor`] worker pool (see [`QueuedDevice`]).
+//! share no mutable state, the [`crate::exec::ShardExecutor`] can serve
+//! them in any order with the same result (see [`QueuedDevice`]).
 //!
 //! The shard's methods live in four modules, one per concern:
 //! - `datapath` — the one op body behind every read and write, the DAX
@@ -43,7 +43,7 @@ use crate::refresh::DetectorPipeline;
 use crate::sched::RefreshPlanner;
 use crash::CrashHook;
 use nvdimmc_ddr::{DramDevice, Imc, SharedBus, TraceEntry};
-use nvdimmc_host::{CpuCache, Memory, PageTable, Tlb};
+use nvdimmc_host::{CpuCache, Memory};
 use nvdimmc_nand::Nvmc;
 use nvdimmc_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -83,9 +83,9 @@ pub trait BlockDevice {
 /// copy ([`QueuedDevice::copy_cost`]) elapse on the thread's own timeline
 /// and overlap other threads' device phases. Implemented by
 /// [`ChannelShard`] and [`crate::baseline::EmulatedPmem`]; the
-/// [`crate::exec::ShardExecutor`] fans batches out over implementations
-/// from its worker pool, each shard claimed by exactly one worker.
-pub trait QueuedDevice: Send {
+/// [`crate::exec::ShardExecutor`] serves each shard's batch through it,
+/// one shard after another.
+pub trait QueuedDevice {
     /// Exported capacity in bytes.
     fn capacity_bytes(&self) -> u64;
     /// The device's simulated clock.
@@ -121,10 +121,10 @@ pub trait QueuedDevice: Send {
         offset: u64,
         data: &[u8],
     ) -> Result<SimTime, CoreError>;
-    /// Moves the device's captured bus trace out (zero-copy handoff: the
-    /// executor takes the buffer right after serving a batch, while the
-    /// device is still claimed, so capture never crosses a lock later).
-    /// Devices without trace capture return an empty vec — the default.
+    /// Moves the device's captured bus trace out, without copying it
+    /// ([`crate::exec::ShardExecutor::take_traces`] calls it once per
+    /// shard). Devices without trace capture return an empty vec — the
+    /// default.
     fn drain_trace(&mut self) -> Vec<TraceEntry> {
         Vec::new()
     }
@@ -213,8 +213,6 @@ pub struct ChannelShard {
     bus: SharedBus,
     imc: Imc,
     cpu: CpuCache,
-    pt: PageTable,
-    tlb: Tlb,
     nvmc: Nvmc,
     fpga: Fpga,
     cache: DramCache,
@@ -313,14 +311,11 @@ impl ChannelShard {
         let fpga = Fpga::new(cfg.perf.fsm_step_delay, cfg.window_xfer_bytes);
         let cache = DramCache::new(cfg.cache_slots, cfg.eviction);
         let cpu = CpuCache::new(cfg.cpu_cache_bytes, 8);
-        let tlb = Tlb::new(cfg.tlb_entries);
         ChannelShard {
             layout,
             bus,
             imc,
             cpu,
-            pt: PageTable::new(),
-            tlb,
             nvmc,
             fpga,
             cache,

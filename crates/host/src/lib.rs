@@ -9,8 +9,6 @@
 //!   `clwb` / `invd`-style line operations and an `sfence` marker, enough
 //!   to reproduce the paper's cache-incoherence scenarios and the nvdc
 //!   driver's explicit-coherence protocol;
-//! - [`PageTable`] / [`Tlb`] — virtual-to-physical mapping with
-//!   TLB-miss/page-fault semantics, the mechanism DAX rides on;
 //! - [`PersistEvent`] — the ordered store/flush/fence journal a
 //!   [`CpuCache`] records for pmemcheck-style verification.
 //!
@@ -37,9 +35,7 @@
 pub mod cpu_cache;
 pub mod journal;
 pub mod memory;
-pub mod paging;
 
 pub use cpu_cache::{CacheStats, CpuCache};
 pub use journal::PersistEvent;
 pub use memory::{Memory, VecMemory};
-pub use paging::{PageFault, PageTable, Pte, Tlb};

@@ -1,41 +1,39 @@
-//! # nvdimmc-sim — discrete-event simulation engine
+//! # nvdimmc-sim — simulation foundation
 //!
 //! Foundation crate for the NVDIMM-C reproduction. It provides:
 //!
 //! - [`SimTime`] / [`SimDuration`] — integer picosecond simulation time, so
 //!   that DDR4 clock arithmetic (e.g. 1.25 ns cycles at DDR4-1600) is exact;
-//! - [`ShardCalendar`] — the discrete-event fast path for multi-shard
-//!   front-ends: per-shard next-event registration with deterministic
-//!   pop-min ordering, so executors advance each shard's clock straight
-//!   to its next scheduled event instead of ticking idle shards;
-//! - [`stats`] — counters, latency histograms with percentiles, bandwidth
-//!   time series and rate meters used by every experiment harness;
+//! - [`stats`] — latency histograms with percentiles, bandwidth time
+//!   series and rate meters used by every experiment harness;
 //! - [`rng`] — deterministic random number helpers (uniform, Zipfian) so
 //!   every experiment is reproducible from a seed.
 //!
 //! # Example
 //!
 //! ```
-//! use nvdimmc_sim::{ShardCalendar, SimDuration, SimTime};
+//! use nvdimmc_sim::{Histogram, SimDuration, SimTime};
 //!
-//! // Two shards register their next events; the earlier one is served first.
-//! let mut cal = ShardCalendar::new(2);
-//! cal.set(0, SimTime::ZERO + SimDuration::from_ns(30));
-//! cal.set(1, SimTime::from_ns(10));
-//! assert_eq!(cal.pop(), Some((SimTime::from_ns(10), 1)));
-//! assert_eq!(cal.pop(), Some((SimTime::from_ns(30), 0)));
-//! assert_eq!(cal.pop(), None);
+//! // DDR4-1600 clock arithmetic stays exact in integer picoseconds.
+//! let tck = SimDuration::from_ps(1250);
+//! assert_eq!(SimTime::ZERO + tck * 8, SimTime::from_ns(10));
+//!
+//! // Latencies land in a histogram that reports percentiles.
+//! let mut lat = Histogram::new();
+//! for us in [1.0, 2.0, 3.0, 4.0] {
+//!     lat.record(SimDuration::from_us(us));
+//! }
+//! assert_eq!(lat.count(), 4);
+//! assert!(lat.percentile(50.0) <= lat.percentile(99.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::ShardCalendar;
 pub use rng::{DeterministicRng, Zipf};
-pub use stats::{Counter, Histogram, RateMeter, TimeSeries};
+pub use stats::{Histogram, RateMeter, TimeSeries};
 pub use time::{SimDuration, SimTime};

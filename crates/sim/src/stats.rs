@@ -1,64 +1,11 @@
-//! Measurement primitives: counters, latency histograms, bandwidth time
-//! series and rate meters.
+//! Measurement primitives: latency histograms, bandwidth time series and
+//! rate meters.
 //!
 //! Every experiment in the NVDIMM-C reproduction reports through these types
 //! so that the figure harness can format results uniformly.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing named counter.
-///
-/// # Example
-///
-/// ```
-/// use nvdimmc_sim::Counter;
-///
-/// let mut hits = Counter::new("dram_cache_hits");
-/// hits.add(3);
-/// hits.incr();
-/// assert_eq!(hits.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
 
 /// A log-linear latency histogram over [`SimDuration`] samples.
 ///
@@ -349,17 +296,6 @@ impl RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.add(10);
-        c.incr();
-        assert_eq!(c.value(), 11);
-        assert_eq!(c.name(), "x");
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
 
     #[test]
     fn histogram_mean_min_max() {

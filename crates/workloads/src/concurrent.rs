@@ -1,6 +1,6 @@
-//! Genuinely concurrent fio driving on the scale-out executor: per-shard
-//! SPSC rings, adjacent-request coalescing, and a fixed work-stealing
-//! worker pool instead of one OS thread per shard.
+//! Concurrent fio driving on the scale-out executor: bounded per-shard
+//! queues, adjacent-request coalescing, and inline service in shard
+//! order instead of one OS thread per shard.
 //!
 //! This replaces the old analytic closed-loop contention model with a
 //! *measured* multi-thread result (the paper's Figure 9 methodology):
@@ -8,12 +8,11 @@
 //! private software cost, queue the device phase, overlap its CPU copy
 //! with the device-serial transfer, repeat. Device phases are routed by
 //! the [`InterleaveMap`] onto the [`ShardExecutor`]'s bounded per-shard
-//! rings and served by `M` pool workers claiming ready shards in
-//! discrete-event order — wall-clock cost scales with the worker pool,
-//! not the channel count, which is what lets one process drive 256
-//! channels. Shards share no mutable state and completions fold in shard
-//! order, so the result is deterministic regardless of the worker count
-//! or how the OS schedules the pool.
+//! queues and served shard by shard, each shard's idle time skipped by
+//! its own clock — host cost scales with the work served, not the
+//! channel count, which is what lets one process drive 256 channels.
+//! Shards share no mutable state and completions fold in shard order,
+//! so the result is deterministic.
 //!
 //! The pre-executor round engine survives as a test-only reference: it
 //! serves each shard's segments sequentially in arrival order exactly as
@@ -120,12 +119,19 @@ struct Worker {
     remaining: u64,
 }
 
-/// One generated op, pre-split into shard segments.
+/// One generated op: what the closed loop folds back once its segments
+/// have been served.
 struct PendingOp {
     thread: u32,
     is_read: bool,
     bus_at: SimTime,
     copy: SimDuration,
+}
+
+/// One round: its ops in device arrival order, and their shard segments
+/// `(shard, request)` in the same order, each request owning its payload.
+struct Round {
+    ops: Vec<PendingOp>,
     segs: Vec<(usize, ShardRequest)>,
 }
 
@@ -178,9 +184,9 @@ impl RoundDriver {
     /// Generates one op per live thread, pre-split into segments, sorted
     /// by device arrival time (stable: ties keep thread-id order) — the
     /// arrival order both engines serve in.
-    fn next_round<D: QueuedDevice>(&mut self, dev0: &D, map: &InterleaveMap) -> Vec<PendingOp> {
+    fn next_round<D: QueuedDevice>(&mut self, dev0: &D, map: &InterleaveMap) -> Round {
         let job = self.job;
-        let mut round: Vec<PendingOp> = Vec::new();
+        let mut round: Vec<(PendingOp, Vec<(usize, ShardRequest)>)> = Vec::new();
         for (t, w) in self.workers.iter_mut().enumerate() {
             if w.remaining == 0 {
                 continue;
@@ -208,7 +214,7 @@ impl RoundDriver {
             let bus_at = w.ready + dev0.pre_cost(job.block_size, !is_read);
             let copy = dev0.copy_cost(job.block_size);
             let buf = &self.buf;
-            let segs = map
+            let segs: Vec<_> = map
                 .split_range(off, job.block_size)
                 .into_iter()
                 .map(|seg| {
@@ -234,16 +240,20 @@ impl RoundDriver {
                     )
                 })
                 .collect();
-            round.push(PendingOp {
+            let op = PendingOp {
                 thread: t as u32,
                 is_read,
                 bus_at,
                 copy,
-                segs,
-            });
+            };
+            round.push((op, segs));
         }
-        round.sort_by_key(|op| op.bus_at);
-        round
+        round.sort_by_key(|(op, _)| op.bus_at);
+        let (ops, segs): (Vec<_>, Vec<_>) = round.into_iter().unzip();
+        Round {
+            ops,
+            segs: segs.into_iter().flatten().collect(),
+        }
     }
 
     /// Folds one round's per-thread completion times back into the closed
@@ -346,15 +356,11 @@ fn check_shapes<D: QueuedDevice>(
 }
 
 impl ConcurrentFio {
-    /// Sizes an executor for this run: rings deep enough that a full
+    /// Sizes an executor for this run: queues deep enough that a full
     /// round (one op per thread, every segment on one shard in the worst
-    /// case) fits without bouncing, and one pool worker per available
-    /// core (the worker count never changes results, only wall clock).
+    /// case) fits without bouncing.
     pub fn executor_config(&self) -> ExecutorConfig {
-        let workers = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-        ExecutorConfig::default()
-            .with_workers(workers)
-            .with_ring_depth((self.threads as usize * 4).max(64))
+        ExecutorConfig::default().with_ring_depth((self.threads as usize * 4).max(64))
     }
 
     /// Runs against a [`MultiChannelSystem`] on the scale-out executor.
@@ -384,10 +390,10 @@ impl ConcurrentFio {
     }
 
     /// The scale-out engine: routes every round through a
-    /// [`ShardExecutor`] — bounded SPSC rings, coalescing, and a fixed
-    /// worker pool claiming ready shards in discrete-event order.
-    /// Deterministic for any worker count; a bounced round (full ring)
-    /// drains in place and retries, so backpressure never drops work.
+    /// [`ShardExecutor`] — bounded per-shard queues, coalescing, and
+    /// service in shard order. Deterministic; a bounced request (full
+    /// queue) drains the executor in place and retries, so backpressure
+    /// never drops work.
     ///
     /// # Errors
     ///
@@ -412,25 +418,18 @@ impl ConcurrentFio {
         let mut op_done: Vec<SimTime> = vec![SimTime::ZERO; driver.workers.len()];
         let mut digest = 0u64;
         while driver.live() {
-            let round = driver.next_round(&devices[0], map);
+            let Round { ops, segs } = driver.next_round(&devices[0], map);
             op_done.iter_mut().for_each(|t| *t = SimTime::ZERO);
-            for op in &round {
-                for (shard, req) in &op.segs {
-                    let mut req = req.clone();
-                    loop {
-                        match exec.submit_request(*shard, req) {
-                            Ok(_) => break,
-                            Err(bounced) => {
-                                // Ring full: serve what's queued, retry.
-                                req = bounced;
-                                drain_completions(&mut exec, devices, &mut op_done, &mut digest)?;
-                            }
-                        }
-                    }
+            for (shard, mut req) in segs {
+                // A full queue bounces the request: serve what's queued,
+                // then retry.
+                while let Err(bounced) = exec.submit_request(shard, req) {
+                    req = bounced;
+                    drain_completions(&mut exec, devices, &mut op_done, &mut digest)?;
                 }
             }
             drain_completions(&mut exec, devices, &mut op_done, &mut digest)?;
-            driver.fold_round(&round, &op_done);
+            driver.fold_round(&ops, &op_done);
         }
         let (mut report, elapsed) = driver.finish(self.threads);
         report.data_digest = digest;
@@ -459,17 +458,17 @@ fn drain_completions<D: QueuedDevice>(
     digest: &mut u64,
 ) -> Result<(), CoreError> {
     let mut first_err = None;
-    for c in exec.dispatch(devices) {
+    exec.dispatch_each(devices, |c| {
         if let Some(e) = c.error {
             first_err.get_or_insert(e);
-            continue;
+            return;
         }
         if c.kind == ReqKind::Read {
             *digest = digest.wrapping_add(digest_record(c.shard, c.local_offset, &c.data));
         }
         let t = c.thread as usize;
         op_done[t] = op_done[t].max(c.end);
-    }
+    });
     match first_err {
         Some(e) => Err(e),
         None => Ok(()),
@@ -548,10 +547,8 @@ mod tests {
         while driver.live() {
             let round = driver.next_round(&devices[0], map);
             let mut batches: Vec<Vec<&ShardRequest>> = vec![Vec::new(); devices.len()];
-            for op in &round {
-                for (shard, req) in &op.segs {
-                    batches[*shard].push(req);
-                }
+            for (shard, req) in &round.segs {
+                batches[*shard].push(req);
             }
             op_done.fill(SimTime::ZERO);
             for (shard, batch) in batches.into_iter().enumerate() {
@@ -574,7 +571,7 @@ mod tests {
                     op_done[t] = op_done[t].max(end);
                 }
             }
-            driver.fold_round(&round, &op_done);
+            driver.fold_round(&round.ops, &op_done);
         }
         let (mut report, _) = driver.finish(fio.threads);
         report.data_digest = digest;
@@ -645,27 +642,6 @@ mod tests {
             assert_eq!(lock.mean_latency(), exec.mean_latency());
             assert_eq!(lock.latency_percentile(99.0), exec.latency_percentile(99.0));
         }
-    }
-
-    #[test]
-    fn worker_count_never_changes_results() {
-        let job = FioJob::rand_write_4k(24 << 20, 800);
-        let fio = ConcurrentFio { job, threads: 8 };
-        let run = |workers: usize| {
-            let mut sys = MultiChannelSystem::new(MultiChannelConfig::new(
-                NvdimmCConfig::small_for_tests(),
-                4,
-            ))
-            .unwrap();
-            let (shards, map, _) = sys.parts_mut();
-            let cfg = fio.executor_config().with_workers(workers);
-            fio.run_executor(shards, map, cfg).unwrap()
-        };
-        let (a, b, c) = (run(1), run(3), run(16));
-        assert_eq!(a.kiops(), b.kiops(), "1 vs 3 workers");
-        assert_eq!(a.kiops(), c.kiops(), "1 vs 16 workers");
-        assert_eq!(a.mean_latency(), c.mean_latency());
-        assert_eq!(a.utilisation, c.utilisation);
     }
 
     #[test]

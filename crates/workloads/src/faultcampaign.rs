@@ -400,9 +400,9 @@ impl FaultCampaign {
         // the oracle, no rejected payload visible. This also forces the
         // scrub over any still-resident corrupted slot, closing the
         // detection ledger. The sweep batches through the scale-out
-        // [`ShardExecutor`]: reads are ring-queued per shard (adjacent
-        // pages coalesce into joint DMAs on one channel) and served in
-        // discrete-event order; the payloads fold back in page order, so
+        // [`ShardExecutor`]: reads are queued per shard (adjacent pages
+        // coalesce into joint DMAs on one channel) and served in shard
+        // order; the payloads fold back in page order, so
         // the digest is deterministic. Trace capture is untouched: entries
         // stay in each shard's recorder until the epoch is spliced below.
         let t0 = sys.now();

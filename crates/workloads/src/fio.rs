@@ -6,7 +6,7 @@
 //! single-thread harness over the [`BlockDevice`] trait; the multi-thread
 //! Figure 9 sweeps are driven for real by
 //! [`crate::concurrent::ConcurrentFio`], which fans the same job out over
-//! the executor's per-shard rings from one closed loop per simulated
+//! the executor's per-shard queues from one closed loop per simulated
 //! thread.
 
 use nvdimmc_core::{BlockDevice, CoreError};

@@ -6,8 +6,8 @@
 //! - [`fio`] — a flexible-I/O-tester clone: random/sequential read/write
 //!   sweeps over block size;
 //! - [`concurrent`] — the multi-thread fio driver: one closed-loop worker
-//!   per simulated thread, requests batched onto per-shard rings and
-//!   served by the `ShardExecutor` worker pool (the measured Figure 9);
+//!   per simulated thread, requests batched onto bounded per-shard
+//!   queues and served by the `ShardExecutor` (the measured Figure 9);
 //! - [`filecopy`] — the §VII-B1 experiment: copy a large file from a
 //!   rate-capped SSD onto the device, recording throughput over time;
 //! - [`stream`] — the §VII-A validation: a STREAM-like kernel that

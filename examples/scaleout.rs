@@ -3,9 +3,9 @@
 //! the executor keeps while it serves.
 //!
 //! Each channel gets a cached working-set slice and four closed-loop
-//! threads; requests fan out through the interleave map onto per-shard
-//! SPSC rings, coalesce, and are served by the worker pool in
-//! discrete-event order. The run is deterministic for any worker count.
+//! threads; requests fan out through the interleave map onto bounded
+//! per-shard queues, coalesce, and are served shard by shard, each shard
+//! skipping its idle time on its own clock. The run is deterministic.
 //!
 //! ```text
 //! cargo run --release --example scaleout

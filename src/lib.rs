@@ -3,10 +3,10 @@
 //! This crate re-exports the whole workspace so applications can depend on a
 //! single crate. See the individual crates for details:
 //!
-//! - [`sim`] — discrete-event simulation engine
+//! - [`sim`] — simulation time, statistics and deterministic RNG
 //! - [`ddr`] — DDR4 command/timing substrate
 //! - [`nand`] — Z-NAND media, ECC and flash translation layer
-//! - [`host`] — host-side substrate (CPU cache, persistence journal, page tables)
+//! - [`host`] — host-side substrate (CPU cache, persistence journal)
 //! - [`core`] — the NVDIMM-C device, driver and baseline
 //! - [`workloads`] — FIO-like, file-copy, TPC-H and mixed-load generators
 //! - [`check`] — trace-based protocol verifier, race detector and lint pass

@@ -4,7 +4,7 @@
 use nvdimmc::core::{
     BlockDevice, CoreError, EmulatedPmem, EvictionPolicyKind, ExecutorConfig, InterleaveMap,
     MultiChannelConfig, MultiChannelSystem, NvdimmCConfig, PerfParams, ReqKind, ShardExecutor,
-    System, PAGE_BYTES,
+    ShardRequest, System, PAGE_BYTES,
 };
 use nvdimmc::ddr::{SpeedBin, TimingParams};
 use nvdimmc::sim::{DeterministicRng, SimDuration, SimTime};
@@ -303,7 +303,7 @@ fn short_write_payload_is_rejected_before_any_ring_is_touched() {
         matches!(r, Err(CoreError::Config(_))),
         "short payload: {r:?}"
     );
-    assert!(!exec.has_pending(), "a ring holds part of the operation");
+    assert!(!exec.has_pending(), "a queue holds part of the operation");
     assert_eq!(exec.conservation(), vec![(0, 0), (0, 0)]);
     assert!(exec.dispatch(&mut devices).is_empty());
     // The executor still accepts the same write with its full payload.
@@ -323,6 +323,127 @@ fn short_write_payload_is_rejected_before_any_ring_is_touched() {
     let done = exec.dispatch(&mut devices);
     assert_eq!(done.len(), 2);
     assert!(done.iter().all(|c| c.error.is_none()));
+}
+
+#[test]
+fn a_full_queue_bounces_whole_operations_without_touching_other_shards() {
+    // Page-interleaved over two shards: even pages live on shard 0, odd
+    // pages on shard 1, at local page `page / 2`.
+    const DEPTH: usize = 4;
+    let map = InterleaveMap::new(2, PAGE_BYTES).unwrap();
+    let mut devices = vec![
+        System::new(NvdimmCConfig::small_for_tests()).unwrap(),
+        System::new(NvdimmCConfig::small_for_tests()).unwrap(),
+    ];
+    let mut exec = ShardExecutor::new(2, ExecutorConfig::default().with_ring_depth(DEPTH));
+    let t0 = SimTime::ZERO;
+    let one = exec
+        .submit(
+            &map,
+            9,
+            ReqKind::Write,
+            PAGE_BYTES,
+            PAGE_BYTES,
+            t0,
+            &page(0x90),
+        )
+        .unwrap();
+    assert_eq!(one[0].shard, 1);
+    // Fill shard 0's queue to its bound, one distinct page per thread.
+    let mut queued = Vec::new();
+    for k in 0..DEPTH as u64 {
+        let off = 2 * k * PAGE_BYTES;
+        let segs = exec
+            .submit(
+                &map,
+                k as u32,
+                ReqKind::Write,
+                off,
+                PAGE_BYTES,
+                t0,
+                &page(k as u8),
+            )
+            .unwrap();
+        assert_eq!((segs.len(), segs[0].shard), (1, 0));
+        queued.push(segs[0].seq);
+    }
+    assert_eq!((exec.pending(0), exec.pending(1)), (DEPTH, 1));
+
+    // A pre-split request comes back whole, unstamped, and is counted.
+    let req = ShardRequest {
+        seq: 0,
+        thread: 7,
+        kind: ReqKind::Write,
+        local_offset: 8 * PAGE_BYTES,
+        len: PAGE_BYTES,
+        not_before: t0,
+        data: page(0xEE),
+    };
+    let bounced = exec.submit_request(0, req).unwrap_err();
+    assert_eq!(bounced.seq, 0, "a bounced request is not stamped");
+    assert_eq!(
+        (
+            bounced.thread,
+            bounced.kind,
+            bounced.local_offset,
+            bounced.len
+        ),
+        (7, ReqKind::Write, 8 * PAGE_BYTES, PAGE_BYTES)
+    );
+    assert_eq!(bounced.data, page(0xEE));
+    assert_eq!(exec.stats(0).rejected_ring_full, 1);
+
+    // Pages 1 and 2: the first segment targets shard 1, which has room,
+    // the second the full shard 0. Nothing may be queued anywhere.
+    let r = exec.submit(&map, 8, ReqKind::Read, PAGE_BYTES, 2 * PAGE_BYTES, t0, &[]);
+    match r {
+        Err(CoreError::Overloaded {
+            shard,
+            queued,
+            queue_limit,
+            ..
+        }) => assert_eq!((shard, queued, queue_limit), (0, DEPTH, DEPTH)),
+        other => panic!("expected Overloaded from shard 0, got {other:?}"),
+    }
+    assert_eq!((exec.pending(0), exec.pending(1)), (DEPTH, 1));
+    assert_eq!(exec.stats(0).rejected_ring_full, 2);
+    assert_eq!(exec.stats(1).rejected_ring_full, 0);
+    assert_eq!(exec.conservation(), vec![(DEPTH as u64, 0), (1, 0)]);
+
+    // Shard 0's completions come back first, in submit order.
+    let done = exec.dispatch(&mut devices);
+    assert!(done.iter().all(|c| c.error.is_none()));
+    let order: Vec<(u32, u64)> = done.iter().map(|c| (c.shard, c.seq)).collect();
+    let mut want: Vec<(u32, u64)> = queued.iter().map(|&seq| (0, seq)).collect();
+    want.push((1, one[0].seq));
+    assert_eq!(order, want);
+    assert_eq!(
+        exec.conservation(),
+        vec![(DEPTH as u64, DEPTH as u64), (1, 1)]
+    );
+    // The drained queue takes the bounced request again.
+    assert!(exec.submit_request(0, bounced).is_ok());
+}
+
+#[test]
+#[should_panic(expected = "executor needs exactly one device per shard")]
+fn dispatch_rejects_a_device_slice_shorter_than_the_shard_count() {
+    let map = InterleaveMap::new(2, PAGE_BYTES).unwrap();
+    let mut exec = ShardExecutor::new(2, ExecutorConfig::default());
+    exec.submit(
+        &map,
+        0,
+        ReqKind::Read,
+        PAGE_BYTES,
+        PAGE_BYTES,
+        SimTime::ZERO,
+        &[],
+    )
+    .unwrap();
+    // Shard 1's request has no device: serving the slice would leave it
+    // queued for ever.
+    let mut devices = vec![System::new(NvdimmCConfig::small_for_tests()).unwrap()];
+    exec.dispatch(&mut devices);
 }
 
 #[test]

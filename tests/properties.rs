@@ -574,70 +574,6 @@ mod histogram_props {
     }
 }
 
-mod ring_props {
-    use super::*;
-    use nvdimmc::core::{ReqKind, ShardRequest, SpscRing};
-    use nvdimmc::sim::SimTime;
-    use std::collections::VecDeque;
-
-    fn req(seq: u64) -> ShardRequest {
-        ShardRequest {
-            seq,
-            thread: (seq % 7) as u32,
-            kind: if seq.is_multiple_of(3) {
-                ReqKind::Write
-            } else {
-                ReqKind::Read
-            },
-            local_offset: seq * 4096,
-            len: 4096,
-            not_before: SimTime::ZERO,
-            data: Vec::new(),
-        }
-    }
-
-    proptest! {
-        /// The bounded SPSC ring is an exact FIFO against a VecDeque
-        /// model under arbitrary interleavings of pushes and pops, and
-        /// bounces (returns the request) exactly when the model is at
-        /// capacity.
-        #[test]
-        fn ring_is_an_exact_bounded_fifo(
-            capacity in 1usize..12,
-            ops in proptest::collection::vec(any::<bool>(), 1..200),
-        ) {
-            let mut ring = SpscRing::new(capacity);
-            let mut model: VecDeque<u64> = VecDeque::new();
-            let mut next = 0u64;
-            for push in ops {
-                if push {
-                    match ring.try_push(req(next)) {
-                        Ok(()) => {
-                            prop_assert!(model.len() < capacity, "accepted past capacity");
-                            model.push_back(next);
-                        }
-                        Err(bounced) => {
-                            prop_assert_eq!(model.len(), capacity, "bounced below capacity");
-                            prop_assert_eq!(bounced.seq, next, "bounce returned a different request");
-                        }
-                    }
-                    next += 1;
-                } else {
-                    let got = ring.pop().map(|r| r.seq);
-                    prop_assert_eq!(got, model.pop_front(), "FIFO order diverged");
-                }
-                prop_assert_eq!(ring.len(), model.len());
-                prop_assert_eq!(ring.peek().map(|r| r.seq), model.front().copied());
-            }
-            // Drain: everything still inside comes out in order.
-            while let Some(r) = ring.pop() {
-                prop_assert_eq!(Some(r.seq), model.pop_front());
-            }
-            prop_assert!(model.is_empty());
-        }
-    }
-}
-
 mod coalesce_props {
     use super::*;
     use nvdimmc::core::{coalesce, ReqKind, ShardRequest};
