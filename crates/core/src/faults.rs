@@ -38,8 +38,9 @@ pub enum FaultKind {
     /// Bit corruption in a clean DRAM cache slot: the driver's CRC scrub
     /// detects it and refills from Z-NAND.
     SlotCorruption,
-    /// Power failure mid-operation: the battery-backed dump plus reboot
-    /// recover.
+    /// Power failure mid-operation: the cut lands at the shard's next
+    /// crash boundary, and the caller's `power_cycle` (battery-backed
+    /// dump plus reboot) recovers.
     PowerFail,
     /// A CP *command* word whose FPGA-side capture is mangled: the FPGA
     /// drops it as a decode failure and never executes or acks, so the

@@ -223,19 +223,24 @@ impl Fpga {
         self.ack_faults.len() + self.cmd_faults_armed as usize + usize::from(self.stall_armed)
     }
 
-    /// Carries the cumulative recovery counters of a pre-power-cycle FPGA
-    /// into this (freshly assembled) one, so campaign accounting spans
-    /// power cycles.
-    pub(crate) fn carry_recovery_counters(&mut self, prev: &FpgaStats) {
-        self.stats.probes += prev.probes;
-        self.stats.acks_dropped += prev.acks_dropped;
-        self.stats.acks_corrupted += prev.acks_corrupted;
-        self.stats.cmd_decode_failures += prev.cmd_decode_failures;
-        self.stats.nand_errors_nacked += prev.nand_errors_nacked;
-        self.stats.replayed_acks += prev.replayed_acks;
-        self.stats.overrun_stalls += prev.overrun_stalls;
-        self.stats.bursts_split += prev.bursts_split;
-        self.stats.bursts_resumed += prev.bursts_resumed;
+    /// Carries what a power cycle must not lose from the pre-cycle FPGA
+    /// into this freshly assembled one: the cumulative recovery counters,
+    /// so campaign accounting spans power cycles, and the injected faults
+    /// still armed, which the injector already counted as fired.
+    pub(crate) fn carry_across_reboot(&mut self, prev: Fpga) {
+        let p = prev.stats;
+        self.stats.probes += p.probes;
+        self.stats.acks_dropped += p.acks_dropped;
+        self.stats.acks_corrupted += p.acks_corrupted;
+        self.stats.cmd_decode_failures += p.cmd_decode_failures;
+        self.stats.nand_errors_nacked += p.nand_errors_nacked;
+        self.stats.replayed_acks += p.replayed_acks;
+        self.stats.overrun_stalls += p.overrun_stalls;
+        self.stats.bursts_split += p.bursts_split;
+        self.stats.bursts_resumed += p.bursts_resumed;
+        self.ack_faults = prev.ack_faults;
+        self.cmd_faults_armed = prev.cmd_faults_armed;
+        self.stall_armed = prev.stall_armed;
     }
 
     /// Services one detected refresh window.

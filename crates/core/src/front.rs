@@ -11,8 +11,8 @@
 //! instead ([`MultiChannelSystem::parts_mut`]), which holds the only
 //! request queue in the system. Shards share *no* mutable state —
 //! separate buses, iMCs, FPGA pipelines, caches and RNG streams — which
-//! is what lets the [`ShardExecutor`](crate::exec::ShardExecutor) worker
-//! pool serve many shards concurrently.
+//! is what lets the [`ShardExecutor`](crate::exec::ShardExecutor) serve
+//! each shard's batch in any order with the same result.
 //!
 //! The single-channel configuration ([`MultiChannelConfig::single`]) is
 //! the paper's artifact and stays bit-identical to driving a bare
@@ -314,62 +314,27 @@ impl MultiChannelSystem {
         Ok(())
     }
 
-    /// Simulates a power failure on every shard; reports the merged dump.
+    /// One power cycle of the whole machine (§V-C): every shard's
+    /// battery-backed dump runs before any shard reboots, then each
+    /// reboots in place from its Z-NAND snapshot
+    /// ([`ChannelShard::power_cycle`]). The interleave map and the
+    /// failover policy survive. Reports the merged dump.
     ///
     /// # Errors
     ///
     /// Propagates NAND errors from the dumps.
-    pub fn power_fail(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
+    pub fn power_cycle(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
         let mut report = PowerFailReport {
             adr_worked: adr_works,
             ..PowerFailReport::default()
         };
         for s in &mut self.shards {
-            report.merge(&s.power_fail(adr_works)?);
+            report.merge(&s.dump(adr_works)?);
+        }
+        for s in &mut self.shards {
+            s.reboot()?;
         }
         Ok(report)
-    }
-
-    /// Rebuilds every shard after a power failure, keeping the persistent
-    /// Z-NAND contents, the interleave map and the failover policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors (none expected).
-    pub fn into_recovered(self) -> Result<MultiChannelSystem, CoreError> {
-        let map = self.map;
-        let shards = self
-            .shards
-            .into_iter()
-            .map(ChannelShard::into_recovered)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MultiChannelSystem {
-            shards,
-            map,
-            failover: self.failover,
-        })
-    }
-
-    /// Crash-sweep variant of [`MultiChannelSystem::into_recovered`]:
-    /// every shard reboots through the persistent-state snapshot APIs
-    /// ([`ChannelShard::into_crash_recovered`]), so only what the Z-NAND
-    /// media and the FTL maps hold survives the cut.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors (none expected).
-    pub fn into_crash_recovered(self) -> Result<MultiChannelSystem, CoreError> {
-        let map = self.map;
-        let shards = self
-            .shards
-            .into_iter()
-            .map(ChannelShard::into_crash_recovered)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MultiChannelSystem {
-            shards,
-            map,
-            failover: self.failover,
-        })
     }
 
     /// Starts a crash-boundary rehearsal on every shard (see
@@ -606,12 +571,11 @@ mod tests {
         let data: Vec<u8> = (0..4 * PAGE_BYTES).map(|i| (i % 251) as u8).collect();
         sys.write_at(0, &data).unwrap();
         sys.persist(0, data.len() as u64).unwrap();
-        let report = sys.power_fail(false).unwrap();
+        let report = sys.power_cycle(false).unwrap();
         assert!(report.slots_flushed >= 4, "both shards dumped");
         assert!(!report.adr_worked);
-        let mut back = sys.into_recovered().unwrap();
         let mut out = vec![0u8; data.len()];
-        back.read_at(0, &mut out).unwrap();
+        sys.read_at(0, &mut out).unwrap();
         assert_eq!(out, data, "persisted data survived across shards");
     }
 

@@ -94,6 +94,6 @@ pub use proto::{AckOutcome, DriverTxn, FpgaProto, PollVerdict, RetryOutcome};
 pub use refresh::{DetectorPipeline, RefreshDetector};
 pub use sched::{RefreshPlanner, ReqKind, ShardRequest};
 pub use shard::{
-    BlockDevice, ChannelShard, CrashPoint, CrashPointKind, DumpReport, PowerFailReport,
-    QueuedDevice, System, SystemStats,
+    BlockDevice, ChannelShard, CrashPoint, CrashPointKind, PowerFailReport, QueuedDevice, System,
+    SystemStats,
 };

@@ -1,12 +1,15 @@
-//! Power loss: the battery-backed dirty-slot dump of §V-C, the reboot
-//! through the persistent-state snapshot, and the typed crash boundaries
-//! the crash-sweep harness enumerates and arms.
+//! Power loss: the typed crash boundaries where a cut lands (armed by
+//! the crash sweep or by an injected `PowerFail`), and the one power
+//! cycle of §V-C — the battery-backed dirty-slot dump followed by a
+//! reboot from the Z-NAND snapshot.
 
 use super::{build_nvmc, ChannelShard, DramBackdoor};
 use crate::config::PAGE_BYTES;
 use crate::error::CoreError;
+use crate::faults::RecoveryStats;
 use nvdimmc_host::Memory;
 use nvdimmc_sim::SimTime;
+use std::collections::HashMap;
 
 /// Report from a simulated power failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,10 +27,6 @@ pub struct PowerFailReport {
     /// weak persistence domain of §V-C).
     pub adr_worked: bool,
 }
-
-/// Alias under the paper's own name for the §V-C dump: the report of the
-/// battery-backed dirty-slot dump is exactly the power-fail report.
-pub type DumpReport = PowerFailReport;
 
 impl PowerFailReport {
     /// Accumulates another shard's dump into this report. Commutative
@@ -191,16 +190,32 @@ impl ChannelShard {
         self.crash_tick(CrashPointKind::Maintenance)
     }
 
-    /// Simulates a power failure (§V-C): the battery-backed FPGA walks the
-    /// metadata area and dumps every dirty slot to Z-NAND, ignoring the
-    /// tRFC serialisation (the host is dead). With `adr_works == false`,
-    /// CPU-cache contents that were never flushed are lost first — the
-    /// weak persistence domain.
+    /// One power cycle (§V-C): the battery-backed FPGA dumps every dirty
+    /// slot to Z-NAND, then the shard reboots from what the NAND holds.
+    /// With `adr_works == false`, CPU-cache contents that were never
+    /// flushed are lost first — the weak persistence domain.
+    ///
+    /// The reboot keeps only the Z-NAND media and FTL map (through the
+    /// NVMC snapshot/restore, so controller SRAM and die-busy clocks drop
+    /// with the power) plus the carried ledgers: FPGA recovery counters
+    /// and armed FPGA faults, the driver's recovery stats, the fault
+    /// injector, the CP sequence number and the rebuild log. Everything
+    /// else — DRAM cache, CPU cache, clock, health log, bus trace —
+    /// starts over as at boot.
     ///
     /// # Errors
     ///
     /// Propagates NAND errors from the dump.
-    pub fn power_fail(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
+    pub fn power_cycle(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
+        let report = self.dump(adr_works)?;
+        self.reboot()?;
+        Ok(report)
+    }
+
+    /// The dump half of [`ChannelShard::power_cycle`]: walks the metadata
+    /// area and writes every dirty slot to Z-NAND, ignoring the tRFC
+    /// serialisation (the host is dead).
+    pub(crate) fn dump(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
         self.cpu
             .journal_push(nvdimmc_host::PersistEvent::PowerFail { adr: adr_works });
         if adr_works {
@@ -235,24 +250,26 @@ impl ChannelShard {
         Ok(report)
     }
 
-    /// Crash-sweep variant of [`ChannelShard::into_recovered`]: reboots
-    /// through the persistent-state snapshot APIs so *only* what the
-    /// Z-NAND media and the FTL map actually hold survives. The NVMC's
-    /// timing-side state (inflight/buffered windows, die busy times)
-    /// drops with the power, exactly as on real hardware; the carried
-    /// ledgers (FPGA counters, driver recovery stats, fault injector,
-    /// sequence number) follow the same rules as `into_recovered`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors (none expected for a config that
-    /// already booted once).
-    pub fn into_crash_recovered(mut self) -> Result<ChannelShard, CoreError> {
-        let snap = self.nvmc.snapshot();
-        let mut fresh = build_nvmc(&self.cfg)?;
-        fresh.restore(&snap);
-        self.nvmc = fresh;
-        self.into_recovered()
+    /// The reboot half of [`ChannelShard::power_cycle`], in place.
+    pub(crate) fn reboot(&mut self) -> Result<(), CoreError> {
+        let mut nvmc = build_nvmc(&self.cfg)?;
+        nvmc.restore(&self.nvmc.snapshot());
+        let fresh = Self::assemble(self.cfg.clone(), nvmc);
+        let old = std::mem::replace(self, fresh);
+        self.fpga.carry_across_reboot(old.fpga);
+        self.rec = RecoveryStats {
+            power_fails_recovered: old.rec.power_fails_fired,
+            ..old.rec
+        };
+        self.injector = old.injector;
+        self.scrub = old.scrub.map(|_| HashMap::new());
+        self.seq = old.seq;
+        // The rebuild ledgers are per-attempt facts and span power
+        // cycles; the health log restarts with the clock (fresh boot =
+        // fresh `Healthy`).
+        self.rebuild_log = old.rebuild_log;
+        self.shard_index = old.shard_index;
+        Ok(())
     }
 }
 
@@ -260,6 +277,7 @@ impl ChannelShard {
 mod tests {
     use super::*;
     use crate::config::NvdimmCConfig;
+    use crate::faults::FaultKind;
     use crate::shard::tests::{page, sys};
     use crate::shard::{BlockDevice, System};
 
@@ -268,13 +286,12 @@ mod tests {
         let mut s = sys();
         s.write_at(0, &page(0xEE)).unwrap();
         s.write_at(PAGE_BYTES, &page(0xDD)).unwrap();
-        let report = s.power_fail(true).unwrap();
+        let report = s.power_cycle(true).unwrap();
         assert!(report.slots_flushed >= 2);
-        let mut s2 = s.into_recovered().unwrap();
         let mut out = page(0);
-        s2.read_at(0, &mut out).unwrap();
+        s.read_at(0, &mut out).unwrap();
         assert_eq!(out, page(0xEE));
-        s2.read_at(PAGE_BYTES, &mut out).unwrap();
+        s.read_at(PAGE_BYTES, &mut out).unwrap();
         assert_eq!(out, page(0xDD));
     }
 
@@ -284,10 +301,9 @@ mod tests {
         // power failure are lost without ADR...
         let mut s = sys();
         s.write_at(0, b"fresh-data-here!").unwrap();
-        let _ = s.power_fail(false).unwrap();
-        let mut s2 = s.into_recovered().unwrap();
+        let _ = s.power_cycle(false).unwrap();
         let mut out = [0u8; 16];
-        s2.read_at(0, &mut out).unwrap();
+        s.read_at(0, &mut out).unwrap();
         assert_ne!(&out, b"fresh-data-here!", "unflushed store must be lost");
     }
 
@@ -298,11 +314,10 @@ mod tests {
         let mut s = sys();
         s.write_at(0, b"fresh-data-here!").unwrap();
         s.persist(0, 16).unwrap();
-        let report = s.power_fail(false).unwrap();
+        let report = s.power_cycle(false).unwrap();
         assert!(report.slots_flushed >= 1);
-        let mut s2 = s.into_recovered().unwrap();
         let mut out = [0u8; 16];
-        s2.read_at(0, &mut out).unwrap();
+        s.read_at(0, &mut out).unwrap();
         assert_eq!(&out, b"fresh-data-here!");
     }
 
@@ -398,15 +413,71 @@ mod tests {
         s.crash_arm(3);
         let err = crash_workload(&mut s).unwrap_err();
         assert!(matches!(err, CoreError::PowerInterrupted), "{err}");
-        let report = s.power_fail(true).unwrap();
+        let report = s.power_cycle(true).unwrap();
         assert!(report.adr_worked);
-        let mut s2 = s.into_crash_recovered().unwrap();
         let mut out = [0u8; 16];
-        s2.read_at(rec, &mut out).unwrap();
+        s.read_at(rec, &mut out).unwrap();
         assert_eq!(&out, b"persisted-record");
-        let rs = s2.recovery_stats();
+        let rs = s.recovery_stats();
         assert_eq!(rs.power_fails_fired, 1);
         assert_eq!(rs.power_fails_recovered, 1);
+    }
+
+    #[test]
+    fn reboot_resets_the_nand_timing_domain() {
+        // A burst of dirty evictions leaves the NVMC's SRAM buffer full
+        // of programs and the die-busy clocks far ahead of the new boot's
+        // clock zero.
+        let mut s = tiny_cache_sys();
+        for i in 0..64u64 {
+            s.write_at(i * PAGE_BYTES, &page(0x60 | (i % 16) as u8))
+                .unwrap();
+        }
+        assert!(s.stats().writebacks >= 32, "burst reached NAND");
+        s.power_cycle(true).unwrap();
+        // Fill the new boot's cache with dirty never-written pages
+        // (zero-fills, no NAND traffic)...
+        for i in 0..4u64 {
+            s.write_at((1000 + i) * PAGE_BYTES, &page(0x70)).unwrap();
+        }
+        // ...so the first NAND-backed miss is a full writeback plus
+        // cachefill. It waits on nothing of the dead boot's NAND timing:
+        // it finishes within the ordinary Uncached bound.
+        let mut buf = page(0);
+        let lat = s.read_at(0, &mut buf).unwrap().as_us_f64();
+        assert_eq!(buf, page(0x60), "data came back from NAND");
+        assert_eq!(s.stats().writebacks, 1, "the miss wrote a victim back");
+        assert!(lat < 90.0, "first Uncached miss after reboot = {lat:.2}us");
+    }
+
+    #[test]
+    fn injected_power_fail_cuts_at_the_next_crash_boundary() {
+        let mut s = sys();
+        s.write_at(0, &page(0x11)).unwrap();
+        assert!(s.faults_quiescent());
+        assert!(s.inject_fault(FaultKind::PowerFail));
+        assert!(!s.faults_quiescent(), "an armed cut is outstanding");
+        let mut buf = page(0);
+        let err = s.read_at(0, &mut buf).unwrap_err();
+        assert!(matches!(err, CoreError::PowerInterrupted), "{err}");
+        assert_eq!(s.crash_boundaries_crossed(), 1, "cut at the first boundary");
+        assert_eq!(s.recovery_stats().power_fails_fired, 1);
+        assert!(s.faults_quiescent(), "the cut fired once");
+        s.power_cycle(true).unwrap();
+        s.read_at(0, &mut buf).unwrap();
+        assert_eq!(buf, page(0x11));
+        assert_eq!(s.recovery_stats().power_fails_recovered, 1);
+    }
+
+    #[test]
+    fn injected_power_fail_cuts_a_persist_at_its_first_clflush() {
+        let mut s = sys();
+        s.write_at(0, &page(0x22)).unwrap();
+        assert!(s.inject_fault(FaultKind::PowerFail));
+        let err = s.persist(0, 2 * PAGE_BYTES).unwrap_err();
+        assert!(matches!(err, CoreError::PowerInterrupted), "{err}");
+        assert_eq!(s.crash_boundaries_crossed(), 1, "cut at the first clflush");
+        assert!(s.faults_quiescent());
     }
 
     #[test]

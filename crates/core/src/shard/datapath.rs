@@ -96,7 +96,6 @@ impl ChannelShard {
         let last = (offset + len as u64 - 1) / PAGE_BYTES;
         let mut pos = 0usize;
         for page in first..=last {
-            self.take_power_fail()?;
             self.crash_tick(CrashPointKind::BusOp)?;
             let (slot, was_resident) = self.ensure_resident(page)?;
             // A fill records the slot's CRC as its last step, so only a
@@ -364,7 +363,6 @@ impl ChannelShard {
 
             // Wait for the acknowledgement, one window at a time.
             loop {
-                self.take_power_fail()?;
                 // Every poll iteration is a CP mailbox transition edge:
                 // the command is published but its ack may or may not have
                 // landed — the crash sweep probes both sides.

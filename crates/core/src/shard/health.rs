@@ -1,5 +1,5 @@
-//! Health and repair: fault injection, degraded mode, the online rebuild
-//! that re-admits a degraded shard, and the reboot after a power cycle.
+//! Health and repair: fault injection, degraded mode and the online
+//! rebuild that re-admits a degraded shard.
 
 use super::{ChannelShard, CrashPointKind, DramBackdoor};
 use crate::config::PAGE_BYTES;
@@ -10,7 +10,6 @@ use crate::fpga::AckFault;
 use crate::health::{DegradeReason, HealthState, HealthTransition, RebuildReport};
 use nvdimmc_host::Memory;
 use nvdimmc_sim::{DeterministicRng, SimTime};
-use std::collections::HashMap;
 
 impl ChannelShard {
     /// Attaches a deterministic fault injector (campaign mode) and enables
@@ -85,7 +84,7 @@ impl ChannelShard {
         !pending
             && self.nvmc.ftl().media().armed_uncorrectable() == 0
             && self.fpga.armed_faults() == 0
-            && !self.power_fail_pending
+            && !self.crash_armed()
     }
 
     /// Merged recovery statistics: NAND retry ladder (FTL), media
@@ -134,16 +133,6 @@ impl ChannelShard {
             }
         }
         self.injector = Some(inj);
-    }
-
-    /// Fires a pending injected power failure, if one is armed.
-    pub(super) fn take_power_fail(&mut self) -> Result<(), CoreError> {
-        if self.power_fail_pending {
-            self.power_fail_pending = false;
-            self.rec.power_fails_fired += 1;
-            return Err(CoreError::PowerInterrupted);
-        }
-        Ok(())
     }
 
     /// Records a health-state edge and switches to `to`.
@@ -196,7 +185,9 @@ impl ChannelShard {
                 true
             }
             FaultKind::PowerFail => {
-                self.power_fail_pending = true;
+                // The cut lands at the next crash boundary, the same
+                // mechanism the crash sweep arms.
+                self.crash_arm(0);
                 true
             }
             FaultKind::SlotCorruption => self.corrupt_clean_slot(rng),
@@ -335,7 +326,6 @@ impl ChannelShard {
         report.resident_at_start = entries.len() as u64;
         report.dirty_at_start = entries.iter().filter(|&&(_, _, dirty)| dirty).count() as u64;
         for (slot, page, dirty) in entries {
-            self.take_power_fail()?;
             self.crash_tick(CrashPointKind::Maintenance)?;
             report.slots_scrubbed += 1;
             if !self.slot_corrupt(slot) {
@@ -370,40 +360,5 @@ impl ChannelShard {
             report.clean_healed += 1;
         }
         Ok(())
-    }
-
-    /// Rebuilds the shard after a power failure, keeping the persistent
-    /// Z-NAND contents. Volatile state (DRAM cache, CPU caches, mappings,
-    /// degraded mode) starts empty, as at boot; the fault injector and
-    /// the recovery counters survive so a campaign's accounting spans
-    /// power cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors (none expected for a config that
-    /// already booted once).
-    pub fn into_recovered(self) -> Result<ChannelShard, CoreError> {
-        let fpga_prev = self.fpga.stats();
-        let mut rec = self.rec;
-        rec.power_fails_recovered = rec.power_fails_fired;
-        let injector = self.injector;
-        let scrub_on = self.scrub.is_some();
-        let seq = self.seq;
-        // The rebuild ledgers are per-attempt facts and span power
-        // cycles; the health log restarts with the clock (fresh boot =
-        // fresh `Healthy`).
-        let rebuild_log = self.rebuild_log;
-        let shard_index = self.shard_index;
-        let mut s = Self::assemble(self.cfg, self.nvmc);
-        s.fpga.carry_recovery_counters(&fpga_prev);
-        s.rec = rec;
-        s.injector = injector;
-        if scrub_on {
-            s.scrub = Some(HashMap::new());
-        }
-        s.seq = seq;
-        s.rebuild_log = rebuild_log;
-        s.shard_index = shard_index;
-        Ok(s)
     }
 }

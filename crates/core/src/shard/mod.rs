@@ -19,10 +19,9 @@
 //! The shard's methods live in four modules, one per concern:
 //! - `datapath` — the one op body behind every read and write, the DAX
 //!   fault path, CP transactions and refresh-window servicing;
-//! - `health` — fault injection, degraded mode, online repair and the
-//!   power-cycle reboot;
-//! - `crash` — the power-fail dump and the crash-boundary hooks of the
-//!   crash sweep;
+//! - `health` — fault injection, degraded mode and online repair;
+//! - `crash` — the crash-boundary hooks where a power cut lands and the
+//!   one power cycle (dump, then reboot from the NAND snapshot);
 //! - `maint` — the CRC scrub and FTL housekeeping.
 
 mod crash;
@@ -30,7 +29,7 @@ mod datapath;
 mod health;
 mod maint;
 
-pub use crash::{CrashPoint, CrashPointKind, DumpReport, PowerFailReport};
+pub use crash::{CrashPoint, CrashPointKind, PowerFailReport};
 
 use crate::cache::DramCache;
 use crate::config::{NvdimmCConfig, PAGE_BYTES};
@@ -248,8 +247,6 @@ pub struct ChannelShard {
     /// CRC per tracked cache slot — the driver's scrub, enabled with the
     /// injector (campaign mode only; `None` keeps the fast path exact).
     scrub: Option<HashMap<u64, u32>>,
-    /// An injected power failure waiting to fire at the next checkpoint.
-    power_fail_pending: bool,
     /// The driver's own recovery counters (CP retransmit machinery, cache
     /// scrub, power-fail and repair accounting), carried across power
     /// cycles. The FTL, media, FPGA and injector fields stay zero here;
@@ -333,7 +330,6 @@ impl ChannelShard {
             rebuild_attempt: 0,
             shard_index: 0,
             scrub: None,
-            power_fail_pending: false,
             rec: RecoveryStats::default(),
             scrub_cursor: 0,
             crash: None,

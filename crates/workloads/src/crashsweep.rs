@@ -14,8 +14,8 @@
 //! 2. **Sweep** — for each selected boundary `k`, replay the identical
 //!    schedule with shard `s` armed to cut power exactly at `k`
 //!    (determinism makes the boundary sequence bit-identical), dump the
-//!    battery-backed state per the ADR policy, reboot through the
-//!    persistent-state snapshot APIs ([`into_crash_recovered`]), and run
+//!    battery-backed state per the ADR policy and reboot from the Z-NAND
+//!    snapshot (one [`power_cycle`]), and run
 //!    the [`check_crash`] persistence oracle over the read-back:
 //!    acked-persisted generations survive, no invented generations, no
 //!    torn multi-sector record (in-flight writes leave a clean prefix),
@@ -30,7 +30,7 @@
 //!    `tests/crash_corpus/` — the same replay-from-text shape as the
 //!    model checker's counterexample corpus.
 //!
-//! [`into_crash_recovered`]: MultiChannelSystem::into_crash_recovered
+//! [`power_cycle`]: MultiChannelSystem::power_cycle
 //! [`check_crash`]: nvdimmc_check::check_crash
 
 use crate::{fnv_fold, FNV_OFFSET};
@@ -370,8 +370,7 @@ impl CrashSweep {
         let fired_at_op = self.run_ops(&mut sys, ops, &mut ledger)?;
         let fired = fired_at_op.is_some();
         if fired {
-            sys.power_fail(self.adr_works)?;
-            sys = sys.into_crash_recovered()?;
+            sys.power_cycle(self.adr_works)?;
         } else {
             // The armed boundary was past the end of the run; disarm
             // and audit the completed state (no cut, so no in-flight).

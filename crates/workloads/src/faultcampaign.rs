@@ -350,8 +350,7 @@ impl FaultCampaign {
                     report.power_cycles += 1;
                     report.power_fail_points.push(report.ops_attempted - 1);
                     Self::splice_traces(&mut sys, capture, &mut traces);
-                    sys.power_fail(true)?;
-                    sys = sys.into_recovered()?;
+                    sys.power_cycle(true)?;
                     if capture {
                         sys.set_trace_capture(true);
                     }

@@ -6,9 +6,10 @@
 //! 2. stores still sitting in the volatile CPU cache are lost when ADR is
 //!    absent — the "weak persistence domain";
 //! 3. a power failure injected *mid-operation* (the fault-injection
-//!    subsystem's `PowerFail` class) interrupts the in-flight write with
-//!    a typed error, and the dump + rebuild path brings the device back
-//!    with everything previously persisted intact.
+//!    subsystem's `PowerFail` class) cuts the in-flight write at its
+//!    first crash boundary with a typed error, and one power cycle (dump,
+//!    then reboot from the Z-NAND snapshot) brings the device back with
+//!    everything previously persisted intact.
 //!
 //! ```text
 //! cargo run --release --example power_failure
@@ -37,15 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("persistence-ordering check: clean (libpmem contract held)");
 
     println!("power fails (no ADR: the weak persistence domain of Sec. V-C)...");
-    let report = sys.power_fail(false)?;
+    let report = sys.power_cycle(false)?;
     println!(
         "  FPGA dumped {} dirty slots ({} KB) to Z-NAND on battery power",
         report.slots_flushed,
         report.bytes_flushed >> 10
     );
-
-    println!("rebooting (volatile state gone, Z-NAND intact)...");
-    let mut sys = sys.into_recovered()?;
+    println!("rebooted (volatile state gone, Z-NAND intact)");
 
     let mut committed = [0u8; 25];
     sys.read_at(0, &mut committed)?;
@@ -72,9 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(&committed, b"committed transaction #42");
 
     // --- Act 3: power fails in the middle of a transfer -----------------
-    // Arm a mid-operation power failure via the fault injector: the next
-    // operation is cut off with a typed `PowerInterrupted` before its
-    // data lands anywhere — no torn page, no partial NVMC program.
+    // Arm a mid-operation power failure via the fault injector: the cut
+    // lands at the next crash boundary, the first page of the next
+    // operation, with a typed `PowerInterrupted` before its data lands
+    // anywhere — no torn page, no partial NVMC program.
     println!("\ninjecting a mid-operation power failure...");
     assert!(sys.inject_fault(FaultKind::PowerFail));
     match sys.write_at(4096, b"never lands") {
@@ -84,15 +84,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("expected PowerInterrupted, got {other:?}"),
     }
 
-    // This host has ADR: the CPU write-pending queues drain, then the
-    // FPGA dumps every dirty slot on battery power.
-    let report = sys.power_fail(true)?;
+    // This host has ADR: the CPU write-pending queues drain, the FPGA
+    // dumps every dirty slot on battery power, and the host reboots.
+    let report = sys.power_cycle(true)?;
     println!(
         "  ADR flush + FPGA dump: {} dirty slots ({} KB) to Z-NAND",
         report.slots_flushed,
         report.bytes_flushed >> 10
     );
-    let mut sys = sys.into_recovered()?;
 
     // The committed record still survives; the interrupted write shows
     // no trace — the page reads back as if the op never started.

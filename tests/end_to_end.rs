@@ -100,9 +100,8 @@ fn power_failure_recovery_preserves_persisted_state() {
     );
     let persist_diags = nvdimmc::check::check_persistence(&journal);
     assert!(persist_diags.is_empty(), "{persist_diags:?}");
-    let report = sys.power_fail(false).unwrap();
+    let report = sys.power_cycle(false).unwrap();
     assert!(report.slots_flushed >= 16);
-    let mut sys = sys.into_recovered().unwrap();
     for (i, expect) in committed.iter().enumerate() {
         let mut buf = page(0);
         sys.read_at(i as u64 * PAGE_BYTES, &mut buf).unwrap();
@@ -117,8 +116,7 @@ fn repeated_power_cycles_accumulate_no_corruption() {
         let data = page(0x10 + cycle);
         sys.write_at(0, &data).unwrap();
         sys.persist(0, PAGE_BYTES).unwrap();
-        sys.power_fail(cycle % 2 == 0).unwrap();
-        sys = sys.into_recovered().unwrap();
+        sys.power_cycle(cycle % 2 == 0).unwrap();
         let mut buf = page(0);
         sys.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, data, "cycle {cycle}");

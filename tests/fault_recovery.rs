@@ -9,8 +9,9 @@
 //!   burst split/resume, and the cache scrub;
 //! - the same seed reproduces the same campaign bit-exactly (full
 //!   report equality, digest and final clock included);
-//! - mid-operation power failures recover through the battery-backed
-//!   dump and rebuild path;
+//! - mid-operation power failures recover through one power cycle (the
+//!   battery-backed dump, then the reboot from the Z-NAND snapshot), and
+//!   FPGA faults armed at the cut still fire in the next boot;
 //! - persistent NAND poisoning surfaces a typed uncorrectable error
 //!   without degrading the shard;
 //! - a dead CP mailbox on one shard exhausts the retransmit budget,
@@ -120,6 +121,12 @@ fn power_failures_mid_campaign_recover_via_rebuild() {
     let s = &r.recovery;
     assert_eq!(s.power_fails_fired, 2, "{repro}");
     assert_eq!(s.power_fails_recovered, 2, "{repro}");
+    // The mailbox and window faults a reboot finds armed still fire in
+    // the next boot: the same FPGA recoveries as the mix without cuts.
+    assert_eq!(s.faults_fired, s.faults_scheduled, "{repro}");
+    assert_eq!(s.acks_dropped, 2, "{s:?}; {repro}");
+    assert_eq!(s.acks_corrupted, 2, "{s:?}; {repro}");
+    assert_eq!(s.overrun_stalls, 3, "{s:?}; {repro}");
     let errors: Vec<_> = check_recovery(s)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)

@@ -661,7 +661,7 @@ mod coalesce_props {
 
 mod merge_props {
     use super::*;
-    use nvdimmc::core::{DumpReport, RecoveryStats};
+    use nvdimmc::core::{PowerFailReport, RecoveryStats};
 
     /// Builds a fully-populated ledger from 31 raw counters (one per
     /// field, in declaration order), so the merge laws are exercised
@@ -711,7 +711,7 @@ mod merge_props {
         out
     }
 
-    fn dump_merged(a: &DumpReport, b: &DumpReport) -> DumpReport {
+    fn dump_merged(a: &PowerFailReport, b: &PowerFailReport) -> PowerFailReport {
         let mut out = *a;
         out.merge(b);
         out
@@ -722,9 +722,9 @@ mod merge_props {
         prop::collection::vec(any::<u32>().prop_map(u64::from), 32usize)
     }
 
-    fn arb_dump() -> impl Strategy<Value = DumpReport> {
+    fn arb_dump() -> impl Strategy<Value = PowerFailReport> {
         (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()).prop_map(|(s, b, d, adr)| {
-            DumpReport {
+            PowerFailReport {
                 slots_flushed: u64::from(s),
                 bytes_flushed: u64::from(b),
                 slots_dropped: u64::from(d),
@@ -760,7 +760,7 @@ mod merge_props {
             prop_assert_eq!(fwd, rev);
         }
 
-        /// `DumpReport::merge` (the §V-C power-fail dump) is associative
+        /// `PowerFailReport::merge` (the §V-C power-fail dump) is associative
         /// across shards, counters and `adr_worked` alike.
         #[test]
         fn dump_report_merge_is_associative(
@@ -781,10 +781,10 @@ mod merge_props {
         fn adr_worked_and_merge_is_order_independent(
             dumps in prop::collection::vec(arb_dump(), 1..8),
         ) {
-            let fold = |iter: &mut dyn Iterator<Item = &DumpReport>| {
-                let mut out = DumpReport {
+            let fold = |iter: &mut dyn Iterator<Item = &PowerFailReport>| {
+                let mut out = PowerFailReport {
                     adr_worked: true,
-                    ..DumpReport::default()
+                    ..PowerFailReport::default()
                 };
                 for d in iter {
                     out.merge(d);

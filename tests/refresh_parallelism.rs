@@ -441,8 +441,7 @@ fn cut_and_verify(mode: RefreshMode, resize_at: Option<usize>, k: u64) {
     sys.crash_arm(0, k);
     match drive_churn(&mut sys, resize_at) {
         Err(CoreError::PowerInterrupted) => {
-            sys.power_fail(true).unwrap();
-            sys = sys.into_crash_recovered().unwrap();
+            sys.power_cycle(true).unwrap();
         }
         Ok(_) => panic!("{mode:?}: armed boundary {k} never fired"),
         Err(e) => panic!("{mode:?}: unexpected error at boundary {k}: {e}"),
