@@ -86,7 +86,7 @@ const SOAK_SLO: (u64, u64, u64, u64) = (8, 0, 73_400_320, 7_918_845_952);
 const CAMPAIGN_COUNTERS: RunCounters =
     (1000, 1000, 0, 0, 0, 0, 37_668_390_000, CAMPAIGN_DIGEST, 13);
 const POWER_FAIL_COUNTERS: RunCounters =
-    (500, 498, 0, 0, 0, 0, 16_405_590_000, POWER_FAIL_DIGEST, 15);
+    (500, 498, 0, 0, 0, 0, 9_494_790_000, POWER_FAIL_DIGEST, 15);
 const POWER_FAIL_POINTS: &[u64] = &[20, 292];
 
 fn counters(r: &CampaignReport) -> RunCounters {
