@@ -486,7 +486,7 @@ mod media_props {
 
 mod cpu_cache_props {
     use super::*;
-    use nvdimmc::host::{CpuCache, Memory, VecMemory};
+    use nvdimmc::host::{CacheStats, CpuCache, Memory, PersistEvent, VecMemory};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -511,6 +511,248 @@ mod cpu_cache_props {
             ],
             1..150,
         )
+    }
+
+    /// A per-line reference model of `CpuCache`: one `Vec` of lines per
+    /// set, LRU by a global tick and a `min_by_key` victim scan, one
+    /// memory read per missed line. It is the differential oracle for
+    /// `CpuCache`'s set records, rank LRU and chunked loads. An empty
+    /// range acts on no line, as in `CpuCache`.
+    struct RefCache {
+        sets: Vec<Vec<RefLine>>,
+        ways: usize,
+        tick: u64,
+        stats: CacheStats,
+        journal: Vec<PersistEvent>,
+    }
+
+    struct RefLine {
+        tag: u64,
+        dirty: bool,
+        data: [u8; 64],
+        lru: u64,
+    }
+
+    impl RefCache {
+        fn new(size_bytes: usize, ways: usize) -> Self {
+            RefCache {
+                sets: (0..size_bytes / (ways * 64)).map(|_| Vec::new()).collect(),
+                ways,
+                tick: 0,
+                stats: CacheStats::default(),
+                journal: Vec::new(),
+            }
+        }
+
+        fn touch(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn find(&self, line_addr: u64) -> Option<(usize, usize)> {
+            let set = (line_addr as usize) & (self.sets.len() - 1);
+            self.sets[set]
+                .iter()
+                .position(|l| l.tag == line_addr)
+                .map(|w| (set, w))
+        }
+
+        fn fill(&mut self, mem: &mut VecMemory, line_addr: u64) -> (usize, usize) {
+            let set = (line_addr as usize) & (self.sets.len() - 1);
+            if self.sets[set].len() >= self.ways {
+                let victim_idx = self.sets[set]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.lru)
+                    .map(|(i, _)| i)
+                    .unwrap();
+                let victim = self.sets[set].swap_remove(victim_idx);
+                if victim.dirty {
+                    mem.write(victim.tag * 64, &victim.data);
+                    self.stats.writebacks += 1;
+                }
+            }
+            let mut data = [0u8; 64];
+            mem.read(line_addr * 64, &mut data);
+            let lru = self.touch();
+            self.sets[set].push(RefLine {
+                tag: line_addr,
+                dirty: false,
+                data,
+                lru,
+            });
+            (set, self.sets[set].len() - 1)
+        }
+
+        fn pieces(addr: u64, len: usize) -> Vec<(u64, usize, usize, usize)> {
+            let mut out = Vec::new();
+            let mut pos = 0;
+            while pos < len {
+                let a = addr + pos as u64;
+                let off = (a % 64) as usize;
+                let n = (64 - off).min(len - pos);
+                out.push((a / 64, off, pos, n));
+                pos += n;
+            }
+            out
+        }
+
+        fn load(&mut self, mem: &mut VecMemory, addr: u64, buf: &mut [u8]) {
+            for (line_addr, off, pos, n) in Self::pieces(addr, buf.len()) {
+                let (s, w) = match self.find(line_addr) {
+                    Some((s, w)) => {
+                        self.stats.load_hits += 1;
+                        self.sets[s][w].lru = self.touch();
+                        (s, w)
+                    }
+                    None => {
+                        self.stats.load_misses += 1;
+                        self.fill(mem, line_addr)
+                    }
+                };
+                buf[pos..pos + n].copy_from_slice(&self.sets[s][w].data[off..off + n]);
+            }
+        }
+
+        fn store(&mut self, mem: &mut VecMemory, addr: u64, data: &[u8]) {
+            self.journal.push(PersistEvent::Store {
+                addr,
+                len: data.len() as u64,
+            });
+            for (line_addr, off, pos, n) in Self::pieces(addr, data.len()) {
+                if self.find(line_addr).is_some() {
+                    self.stats.store_hits += 1;
+                } else {
+                    self.stats.store_misses += 1;
+                    self.fill(mem, line_addr);
+                }
+                let (s, w) = self.find(line_addr).unwrap();
+                let lru = self.touch();
+                let line = &mut self.sets[s][w];
+                line.lru = lru;
+                line.dirty = true;
+                line.data[off..off + n].copy_from_slice(&data[pos..pos + n]);
+            }
+        }
+
+        fn clflush(&mut self, mem: &mut VecMemory, addr: u64) {
+            self.stats.clflushes += 1;
+            self.journal.push(PersistEvent::Clflush {
+                addr: addr / 64 * 64,
+            });
+            if let Some((s, w)) = self.find(addr / 64) {
+                let line = self.sets[s].swap_remove(w);
+                if line.dirty {
+                    mem.write(line.tag * 64, &line.data);
+                    self.stats.writebacks += 1;
+                }
+            }
+        }
+
+        fn clwb(&mut self, mem: &mut VecMemory, addr: u64) {
+            self.journal.push(PersistEvent::Clwb {
+                addr: addr / 64 * 64,
+            });
+            if let Some((s, w)) = self.find(addr / 64) {
+                let line = &mut self.sets[s][w];
+                if line.dirty {
+                    mem.write(line.tag * 64, &line.data);
+                    line.dirty = false;
+                    self.stats.writebacks += 1;
+                }
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) {
+            if let Some((s, w)) = self.find(addr / 64) {
+                self.sets[s].swap_remove(w);
+                self.stats.invalidations += 1;
+            }
+        }
+
+        fn range(addr: u64, len: u64) -> std::ops::Range<u64> {
+            if len == 0 {
+                return 0..0;
+            }
+            addr / 64..(addr + len - 1) / 64 + 1
+        }
+
+        fn sfence(&mut self) {
+            self.stats.sfences += 1;
+            self.journal.push(PersistEvent::Sfence);
+        }
+
+        fn flush_all(&mut self, mem: &mut VecMemory) {
+            for set in &mut self.sets {
+                for line in set.iter_mut().filter(|l| l.dirty) {
+                    mem.write(line.tag * 64, &line.data);
+                    line.dirty = false;
+                    self.stats.writebacks += 1;
+                }
+            }
+        }
+
+        fn discard_all(&mut self) {
+            for set in &mut self.sets {
+                self.stats.invalidations += set.len() as u64;
+                set.clear();
+            }
+        }
+
+        fn is_dirty(&self, addr: u64) -> bool {
+            self.find(addr / 64)
+                .is_some_and(|(s, w)| self.sets[s][w].dirty)
+        }
+    }
+
+    /// Differential memory: 8 KB, so a span of up to 1.2 KB crosses
+    /// several chunks of a cache with 1, 4 or 8 sets.
+    const DIFF_MEM: u64 = 8192;
+    const DIFF_SPAN: u64 = 1200;
+
+    #[derive(Debug, Clone)]
+    enum DiffOp {
+        Load { addr: u64, len: usize },
+        Store { addr: u64, len: usize, seed: u8 },
+        DeviceWrite { addr: u64, len: usize, seed: u8 },
+        Clflush(u64),
+        Clwb(u64),
+        Invalidate(u64),
+        ClflushRange { addr: u64, len: u64 },
+        InvalidateRange { addr: u64, len: u64 },
+        Sfence,
+        FlushAll,
+        DiscardAll,
+    }
+
+    fn arb_diff_ops() -> impl Strategy<Value = Vec<DiffOp>> {
+        let span = (0..DIFF_MEM - DIFF_SPAN, 1..DIFF_SPAN as usize);
+        let range = (0..DIFF_MEM - DIFF_SPAN, 0..DIFF_SPAN);
+        prop::collection::vec(
+            prop_oneof![
+                8 => span.clone().prop_map(|(addr, len)| DiffOp::Load { addr, len }),
+                6 => (span.clone(), any::<u8>())
+                    .prop_map(|((addr, len), seed)| DiffOp::Store { addr, len, seed }),
+                2 => (span, any::<u8>())
+                    .prop_map(|((addr, len), seed)| DiffOp::DeviceWrite { addr, len, seed }),
+                2 => (0..DIFF_MEM).prop_map(DiffOp::Clflush),
+                2 => (0..DIFF_MEM).prop_map(DiffOp::Clwb),
+                2 => (0..DIFF_MEM).prop_map(DiffOp::Invalidate),
+                1 => range.clone().prop_map(|(addr, len)| DiffOp::ClflushRange { addr, len }),
+                1 => range.prop_map(|(addr, len)| DiffOp::InvalidateRange { addr, len }),
+                1 => Just(DiffOp::Sfence),
+                1 => Just(DiffOp::FlushAll),
+                1 => Just(DiffOp::DiscardAll),
+            ],
+            1..200,
+        )
+    }
+
+    /// Bytes that differ along the span, so a misplaced piece shows.
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| seed.wrapping_add((i as u8).wrapping_mul(31)))
+            .collect()
     }
 
     proptest! {
@@ -540,6 +782,103 @@ mod cpu_cache_props {
             let mut raw = vec![0u8; 4096];
             mem.read(0, &mut raw);
             prop_assert_eq!(raw, oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `CpuCache` against the old per-line model: same bytes, memory
+        /// image, counters, dirty bits and journal after every op, for
+        /// every associativity the shard and the tests use.
+        #[test]
+        fn set_packed_cache_matches_the_per_line_model(
+            way_log in 0u32..4,
+            nsets in prop_oneof![Just(1usize), Just(4), Just(8)],
+            ops in arb_diff_ops(),
+        ) {
+            let ways = 1usize << way_log;
+            let size = nsets * ways * 64;
+            let mut cache = CpuCache::new(size, ways);
+            let mut reference = RefCache::new(size, ways);
+            cache.set_journal(true);
+            let mut mem = VecMemory::new(DIFF_MEM as usize);
+            let mut ref_mem = VecMemory::new(DIFF_MEM as usize);
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    DiffOp::Load { addr, len } => {
+                        let mut got = vec![0u8; len];
+                        let mut want = vec![0u8; len];
+                        cache.load(&mut mem, addr, &mut got);
+                        reference.load(&mut ref_mem, addr, &mut want);
+                        prop_assert_eq!(got, want, "load bytes at step {}: {:?}", step, op);
+                    }
+                    DiffOp::Store { addr, len, seed } => {
+                        let data = pattern(len, seed);
+                        cache.store(&mut mem, addr, &data);
+                        reference.store(&mut ref_mem, addr, &data);
+                    }
+                    DiffOp::DeviceWrite { addr, len, seed } => {
+                        let data = pattern(len, seed);
+                        mem.write(addr, &data);
+                        ref_mem.write(addr, &data);
+                    }
+                    DiffOp::Clflush(addr) => {
+                        cache.clflush(&mut mem, addr);
+                        reference.clflush(&mut ref_mem, addr);
+                    }
+                    DiffOp::Clwb(addr) => {
+                        cache.clwb(&mut mem, addr);
+                        reference.clwb(&mut ref_mem, addr);
+                    }
+                    DiffOp::Invalidate(addr) => {
+                        cache.invalidate(addr);
+                        reference.invalidate(addr);
+                    }
+                    DiffOp::ClflushRange { addr, len } => {
+                        cache.clflush_range(&mut mem, addr, len);
+                        for line in RefCache::range(addr, len) {
+                            reference.clflush(&mut ref_mem, line * 64);
+                        }
+                    }
+                    DiffOp::InvalidateRange { addr, len } => {
+                        cache.invalidate_range(addr, len);
+                        for line in RefCache::range(addr, len) {
+                            reference.invalidate(line * 64);
+                        }
+                    }
+                    DiffOp::Sfence => {
+                        cache.sfence();
+                        reference.sfence();
+                    }
+                    DiffOp::FlushAll => {
+                        cache.flush_all(&mut mem);
+                        reference.flush_all(&mut ref_mem);
+                    }
+                    DiffOp::DiscardAll => {
+                        cache.discard_all();
+                        reference.discard_all();
+                    }
+                }
+                let mut image = vec![0u8; DIFF_MEM as usize];
+                let mut ref_image = vec![0u8; DIFF_MEM as usize];
+                mem.read(0, &mut image);
+                ref_mem.read(0, &mut ref_image);
+                prop_assert!(image == ref_image, "memory image at step {}: {:?}", step, op);
+                prop_assert_eq!(cache.stats(), reference.stats, "stats at step {}: {:?}", step, op);
+                for addr in (0..DIFF_MEM).step_by(64) {
+                    prop_assert_eq!(
+                        cache.is_dirty(addr),
+                        reference.is_dirty(addr),
+                        "dirty bit of {} at step {}: {:?}", addr, step, op
+                    );
+                }
+                prop_assert_eq!(
+                    cache.take_journal(),
+                    std::mem::take(&mut reference.journal),
+                    "journal at step {}: {:?}", step, op
+                );
+            }
         }
     }
 }
