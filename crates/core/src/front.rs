@@ -316,9 +316,10 @@ impl MultiChannelSystem {
 
     /// One power cycle of the whole machine (§V-C): every shard's
     /// battery-backed dump runs before any shard reboots, then each
-    /// reboots in place from its Z-NAND snapshot
-    /// ([`ChannelShard::power_cycle`]). The interleave map and the
-    /// failover policy survive. Reports the merged dump.
+    /// reboots in place around its kept Z-NAND controller, whose write
+    /// buffer and die clocks reset ([`ChannelShard::power_cycle`]). The
+    /// interleave map and the failover policy survive. Reports the merged
+    /// dump.
     ///
     /// # Errors
     ///

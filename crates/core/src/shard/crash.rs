@@ -1,7 +1,7 @@
 //! Power loss: the typed crash boundaries where a cut lands (armed by
 //! the crash sweep or by an injected `PowerFail`), and the one power
 //! cycle of §V-C — the battery-backed dirty-slot dump followed by a
-//! reboot from the Z-NAND snapshot.
+//! reboot that keeps the Z-NAND controller in place.
 
 use super::{build_nvmc, ChannelShard, DramBackdoor};
 use crate::config::PAGE_BYTES;
@@ -195,13 +195,13 @@ impl ChannelShard {
     /// With `adr_works == false`, CPU-cache contents that were never
     /// flushed are lost first — the weak persistence domain.
     ///
-    /// The reboot keeps only the Z-NAND media and FTL map (through the
-    /// NVMC snapshot/restore, so controller SRAM and die-busy clocks drop
-    /// with the power) plus the carried ledgers: FPGA recovery counters
-    /// and armed FPGA faults, the driver's recovery stats, the fault
-    /// injector, the CP sequence number and the rebuild log. Everything
-    /// else — DRAM cache, CPU cache, clock, health log, bus trace —
-    /// starts over as at boot.
+    /// The reboot keeps only the Z-NAND media and FTL map (the NVMC
+    /// stays in place; [`nvdimmc_nand::Nvmc::power_cycle`] drops its SRAM
+    /// buffer and die-busy clocks with the power) plus the carried
+    /// ledgers: FPGA recovery counters and armed FPGA faults, the
+    /// driver's recovery stats, the fault injector, the CP sequence
+    /// number and the rebuild log. Everything else — DRAM cache, CPU
+    /// cache, clock, health log, bus trace — starts over as at boot.
     ///
     /// # Errors
     ///
@@ -250,12 +250,14 @@ impl ChannelShard {
         Ok(report)
     }
 
-    /// The reboot half of [`ChannelShard::power_cycle`], in place.
+    /// The reboot half of [`ChannelShard::power_cycle`], in place. The
+    /// controller built for the fresh shard only holds the slot while the
+    /// old shard is taken apart; the old controller moves back in.
     pub(crate) fn reboot(&mut self) -> Result<(), CoreError> {
-        let mut nvmc = build_nvmc(&self.cfg)?;
-        nvmc.restore(&self.nvmc.snapshot());
-        let fresh = Self::assemble(self.cfg.clone(), nvmc);
+        let fresh = Self::assemble(self.cfg.clone(), build_nvmc(&self.cfg)?);
         let old = std::mem::replace(self, fresh);
+        self.nvmc = old.nvmc;
+        self.nvmc.power_cycle();
         self.fpga.carry_across_reboot(old.fpga);
         self.rec = RecoveryStats {
             power_fails_recovered: old.rec.power_fails_fired,

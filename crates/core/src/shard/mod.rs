@@ -21,7 +21,7 @@
 //!   fault path, CP transactions and refresh-window servicing;
 //! - `health` — fault injection, degraded mode and online repair;
 //! - `crash` — the crash-boundary hooks where a power cut lands and the
-//!   one power cycle (dump, then reboot from the NAND snapshot);
+//!   one power cycle (dump, then reboot around the kept NAND controller);
 //! - `maint` — the CRC scrub and FTL housekeeping.
 
 mod crash;

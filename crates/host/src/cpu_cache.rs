@@ -115,7 +115,7 @@ impl Set {
 /// A set-associative write-back cache of 64-byte lines with exact LRU
 /// replacement.
 ///
-/// The metadata of each set is one fixed [`Set`] record: tags, LRU ranks
+/// The metadata of each set is one fixed `Set` record: tags, LRU ranks
 /// and `valid`/`dirty` bit masks. Line data lives in one slab of 64-byte
 /// lines indexed `set * ways + way`. The victim of a full set is the way of
 /// rank `ways - 1`.

@@ -9,7 +9,7 @@
 use crate::ecc::PageCodec;
 use crate::error::NandError;
 use crate::geometry::{NandGeometry, PhysPage};
-use crate::media::{MediaSnapshot, NandTiming, ZNandArray};
+use crate::media::{NandTiming, ZNandArray};
 use nvdimmc_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -130,41 +130,6 @@ enum BlockState {
     Bad,
 }
 
-/// Opaque snapshot of an [`Ftl`]'s power-cut-persistent state: the full
-/// logical→physical map, per-block valid counts and states, the
-/// free-block heaps, open active blocks, the allocation round-robin
-/// cursor, the FTL counters, and a [`MediaSnapshot`] of the array
-/// underneath.
-///
-/// The NVMC firmware keeps its mapping tables in battery-backed SRAM
-/// and journals them to NAND on power loss (paper §III-A "bad-block
-/// management ... wear-leveling"), so the map is part of the persistent
-/// domain — a crash-and-reboot restores it exactly.
-#[derive(Debug, Clone)]
-pub struct FtlSnapshot {
-    media: MediaSnapshot,
-    l2p: HashMap<u64, PhysPage>,
-    p2l: HashMap<u64, u64>,
-    valid: Vec<u32>,
-    state: Vec<BlockState>,
-    free: Vec<BinaryHeap<Reverse<(u32, u64)>>>,
-    actives: Vec<Option<u64>>,
-    rr: usize,
-    stats: FtlStats,
-}
-
-impl FtlSnapshot {
-    /// Number of mapped logical pages at capture time.
-    pub fn mapped_pages(&self) -> u64 {
-        self.l2p.len() as u64
-    }
-
-    /// The media-level snapshot captured underneath the map.
-    pub fn media(&self) -> &MediaSnapshot {
-        &self.media
-    }
-}
-
 /// The flash translation layer over a [`ZNandArray`].
 ///
 /// # Example
@@ -256,38 +221,6 @@ impl Ftl {
     /// Mutable media access (test hooks: error injection).
     pub fn media_mut(&mut self) -> &mut ZNandArray {
         &mut self.media
-    }
-
-    /// Captures the power-cut-persistent state of the FTL and its media
-    /// (see [`FtlSnapshot`]).
-    pub fn snapshot(&self) -> FtlSnapshot {
-        FtlSnapshot {
-            media: self.media.snapshot(),
-            l2p: self.l2p.clone(),
-            p2l: self.p2l.clone(),
-            valid: self.valid.clone(),
-            state: self.state.clone(),
-            free: self.free.clone(),
-            actives: self.actives.clone(),
-            rr: self.rr,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores the FTL (and the media under it) to a previously
-    /// captured snapshot, modelling a power-cut-and-reboot: the mapping
-    /// tables and cell contents come back exactly; volatile device
-    /// timing resets (see [`ZNandArray::restore`]).
-    pub fn restore(&mut self, snap: &FtlSnapshot) {
-        self.media.restore(&snap.media);
-        self.l2p = snap.l2p.clone();
-        self.p2l = snap.p2l.clone();
-        self.valid = snap.valid.clone();
-        self.state = snap.state.clone();
-        self.free = snap.free.clone();
-        self.actives = snap.actives.clone();
-        self.rr = snap.rr;
-        self.stats = snap.stats;
     }
 
     /// Spread between the most- and least-erased usable blocks.
@@ -415,6 +348,9 @@ impl Ftl {
         Ok(())
     }
 
+    /// Marks `phys` stale after an overwrite, trim or relocation, and
+    /// drops its payload: nothing reads a stale page before its block's
+    /// erase, so the media keeps one stored page per mapped LPN.
     fn invalidate(&mut self, phys: PhysPage) {
         let geo = *self.media.geometry();
         let flat = phys.flat_index(&geo);
@@ -423,6 +359,7 @@ impl Ftl {
             debug_assert!(*v > 0, "valid-count underflow on block {}", phys.block);
             *v = v.saturating_sub(1);
         }
+        self.media.discard(phys);
     }
 
     fn write_stored(
@@ -853,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_map_and_data() {
+    fn power_cycle_keeps_map_and_data() {
         let mut f = ftl();
         let export = f.export_pages();
         let mut t = SimTime::ZERO;
@@ -863,26 +800,57 @@ mod tests {
             let lpn = rng.gen_range(0..export);
             t = f.write(lpn, &page((i % 256) as u8), t).unwrap();
         }
-        let snap = f.snapshot();
-        assert!(snap.mapped_pages() > 0);
+        assert!(f.stats().gc_runs > 0);
         let l2p_before = f.l2p.clone();
         let free_before = f.free_blocks();
-        // Diverge heavily, then reboot into the snapshot.
-        for i in 0..export {
-            t = f.write(i % export, &page(0xEE), t).unwrap();
-        }
-        f.restore(&snap);
-        assert_eq!(f.l2p, l2p_before, "mapping table restored");
-        assert_eq!(f.free_blocks(), free_before, "free pool restored");
-        // Every mapped page reads back as a decodable, CRC-clean page —
-        // the map and the cells agree again.
-        for (&lpn, _) in l2p_before.iter().take(32) {
+        let stats_before = f.stats();
+        f.media_mut().power_cycle();
+        assert_eq!(f.l2p, l2p_before, "mapping table kept");
+        assert_eq!(f.free_blocks(), free_before, "free pool kept");
+        assert_eq!(f.stats(), stats_before, "counters kept");
+        // The first media read of the new boot takes tR + xfer = 11 us.
+        let (&lpn, _) = l2p_before.iter().next().unwrap();
+        let (_, ready) = f.read(lpn, SimTime::ZERO).unwrap();
+        assert_eq!(ready, SimTime::from_us(11));
+        // Every mapped page reads back as a decodable, CRC-clean page.
+        for &lpn in l2p_before.keys() {
             f.read(lpn, t).unwrap();
         }
-        // The restored FTL is fully writable (heaps/actives consistent).
+        // The FTL stays fully writable (heaps/actives consistent).
         let t2 = f.write(0, &page(0xAB), t).unwrap();
         let (data, _) = f.read(0, t2).unwrap();
         assert_eq!(data, page(0xAB));
+    }
+
+    #[test]
+    fn media_holds_one_payload_per_mapped_page() {
+        let mut f = ftl();
+        let export = f.export_pages();
+        let mut t = SimTime::ZERO;
+        let mut rng = DeterministicRng::new(12);
+        // Churn 2x the export size through overwrite, trim, retry remap,
+        // synchronous GC and housekeeping.
+        for i in 0..(export * 2) {
+            let lpn = rng.gen_range(0..export);
+            match i % 256 {
+                0 => {
+                    f.housekeeping(t).unwrap();
+                }
+                n if n % 16 == 1 => f.trim(lpn).unwrap(),
+                n if n % 16 == 2 && f.is_mapped(lpn) => {
+                    f.media_mut().arm_uncorrectable(false);
+                    f.read(lpn, t).unwrap();
+                }
+                _ => t = f.write(lpn, &page((i % 256) as u8), t).unwrap(),
+            }
+            assert_eq!(f.media().stored_pages(), f.l2p.len(), "op {i}");
+        }
+        let s = f.stats();
+        assert!(
+            s.gc_runs > 0 && s.hk_runs > 0 && s.retry_remaps > 0,
+            "{s:?}"
+        );
+        assert!(s.gc_moved_pages > 0 && s.hk_moved_pages > 0, "{s:?}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod nvmc;
 
 pub use ecc::{Ecc, EccStats, PageCodec};
 pub use error::NandError;
-pub use ftl::{Ftl, FtlConfig, FtlSnapshot, FtlStats};
+pub use ftl::{Ftl, FtlConfig, FtlStats};
 pub use geometry::{NandGeometry, PhysPage};
-pub use media::{MediaSnapshot, NandTiming, ZNandArray};
-pub use nvmc::{Nvmc, NvmcConfig, NvmcSnapshot, NvmcStats};
+pub use media::{NandTiming, ZNandArray};
+pub use nvmc::{Nvmc, NvmcConfig, NvmcStats};

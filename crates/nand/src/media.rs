@@ -69,37 +69,15 @@ struct BlockMeta {
     bad: bool,
 }
 
-/// Opaque snapshot of everything in a [`ZNandArray`] that survives a
-/// power cut: block metadata (wear, write pointers, bad-block marks),
-/// the stored page contents, the error-model RNG stream, armed
-/// injection faults, and the media counters.
-///
-/// The per-die busy times are deliberately **not** captured: a reboot
-/// resets the device timing domain, so [`ZNandArray::restore`] clears
-/// them to zero. Counters and the RNG ride along so a restored array
-/// continues the exact same deterministic error sequence the original
-/// would have produced — replays stay bit-identical.
-#[derive(Debug, Clone)]
-pub struct MediaSnapshot {
-    blocks: Vec<BlockMeta>,
-    data: HashMap<u64, Vec<u8>>,
-    rng: DeterministicRng,
-    forced_transient: u32,
-    forced_persistent: u32,
-    stats: MediaStats,
-}
-
-impl MediaSnapshot {
-    /// Bytes of page payload captured (sizing aid for sweep harnesses).
-    pub fn stored_bytes(&self) -> u64 {
-        self.data.values().map(|v| v.len() as u64).sum()
-    }
-}
-
 /// The Z-NAND array: all channels/dies/planes/blocks.
 ///
 /// Stores real bytes (sparsely) so data survives end-to-end through the
-/// FTL and the NVDIMM-C cache above it.
+/// FTL and the NVDIMM-C cache above it. Only live pages keep their bytes:
+/// the FTL [`discard`](ZNandArray::discard)s a page's payload when it
+/// invalidates the page, so host memory follows the mapped data rather
+/// than the write history. Real NAND keeps a stale page's cells until
+/// its block's erase, but nothing reads them again, so dropping them
+/// early changes no result.
 #[derive(Debug)]
 pub struct ZNandArray {
     geo: NandGeometry,
@@ -149,33 +127,12 @@ impl ZNandArray {
         }
     }
 
-    /// Captures the power-cut-persistent state of the array (see
-    /// [`MediaSnapshot`]).
-    pub fn snapshot(&self) -> MediaSnapshot {
-        MediaSnapshot {
-            blocks: self.blocks.clone(),
-            data: self.data.clone(),
-            rng: self.rng.clone(),
-            forced_transient: self.forced_transient,
-            forced_persistent: self.forced_persistent,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores the array to a previously captured snapshot, modelling a
-    /// reboot: persistent state (cells, wear, bad blocks) comes back
-    /// exactly; the volatile per-die busy clocks reset to zero because
-    /// the new boot starts a fresh timing domain.
-    pub fn restore(&mut self, snap: &MediaSnapshot) {
-        self.blocks = snap.blocks.clone();
-        self.data = snap.data.clone();
-        self.rng = snap.rng.clone();
-        self.forced_transient = snap.forced_transient;
-        self.forced_persistent = snap.forced_persistent;
-        self.stats = snap.stats;
-        for t in &mut self.die_busy {
-            *t = SimTime::ZERO;
-        }
+    /// Models a reboot of the device: the per-die busy clocks reset to
+    /// zero because the new boot starts a fresh timing domain. Cells,
+    /// wear, bad-block marks, armed faults, counters and the error-model
+    /// RNG stream are persistent and stay as they are.
+    pub fn power_cycle(&mut self) {
+        self.die_busy.fill(SimTime::ZERO);
     }
 
     /// Arms one forced-uncorrectable fault: the next page read returns
@@ -289,7 +246,7 @@ impl ZNandArray {
         let flip = self.rng.gen_bool((self.ber_per_read * wear_scale).min(1.0));
         let idx = p.flat_index(&self.geo);
         // `next_page` said the page is programmed; a missing backing
-        // entry would mean the store lost it — surface, don't panic.
+        // entry means it was discarded as stale — surface, don't panic.
         let Some(mut bytes) = self.data.get(&idx).cloned() else {
             return Err(NandError::ReadUnwritten { page: p });
         };
@@ -398,6 +355,19 @@ impl ZNandArray {
         Ok(done)
     }
 
+    /// Drops the stored payload of `p`, which the FTL has just invalidated.
+    /// Block metadata (write pointer, erase count, bad mark), die clocks
+    /// and the RNG are untouched; the page stays programmed until its
+    /// block is erased, but no caller may read it again.
+    pub fn discard(&mut self, p: PhysPage) {
+        self.data.remove(&p.flat_index(&self.geo));
+    }
+
+    /// Pages whose payload the array currently holds.
+    pub fn stored_pages(&self) -> usize {
+        self.data.len()
+    }
+
     /// Marks a block bad (factory bad-block table or controller decision).
     pub fn mark_bad(&mut self, block: u64) {
         self.blocks[block as usize].bad = true;
@@ -407,7 +377,8 @@ impl ZNandArray {
     ///
     /// # Panics
     ///
-    /// Panics if the page is not programmed.
+    /// Panics if the page holds no payload (never programmed, erased or
+    /// discarded).
     #[allow(clippy::expect_used)] // fault-injection hook, documented to panic
     pub fn corrupt(&mut self, p: PhysPage, bit_offsets: &[u64]) {
         let idx = p.flat_index(&self.geo);
@@ -558,56 +529,74 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_persistent_state() {
+    fn power_cycle_resets_die_clocks_and_keeps_cells() {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
         let stored = vec![0x5Au8; 64];
         let t = a.program(p, &stored, SimTime::ZERO).unwrap();
-        a.mark_bad(5);
-        let snap = a.snapshot();
-        // Mutate past the snapshot: new program, an erase, more wear.
-        a.program(PhysPage { block: 0, page: 1 }, &[1u8; 64], t)
-            .unwrap();
         a.erase(3, t).unwrap();
-        a.restore(&snap);
-        // Persistent facts are back to the capture point.
-        assert_eq!(a.write_pointer(0), 1, "write pointer restored");
-        assert_eq!(a.erase_count(3), 0, "erase count restored");
-        assert!(a.is_bad(5), "bad-block mark restored");
-        let (bytes, _) = a.read(p, SimTime::ZERO).unwrap();
-        assert_eq!(bytes, stored, "page data restored");
-        // The timing domain reset: every die is free at zero (reads
-        // suspend rather than occupy, so the probe read left it alone).
+        a.mark_bad(5);
+        assert!(a.die_free_at(0) > SimTime::ZERO);
+        a.power_cycle();
+        // The timing domain reset: every die is free at zero.
         assert_eq!(a.die_free_at(0), SimTime::ZERO);
+        // Persistent facts are kept.
+        assert_eq!(a.write_pointer(0), 1, "write pointer kept");
+        assert_eq!(a.erase_count(3), 1, "erase count kept");
+        assert!(a.is_bad(5), "bad-block mark kept");
+        let (bytes, _) = a.read(p, SimTime::ZERO).unwrap();
+        assert_eq!(bytes, stored, "page data kept");
+        // A program on the idle die completes after xfer + tPROG.
+        let q = PhysPage { block: 0, page: 1 };
+        let done = a.program(q, &stored, SimTime::ZERO).unwrap();
+        assert_eq!(done, SimTime::ZERO + a.timing().xfer + a.timing().program);
     }
 
     #[test]
-    fn restore_replays_identical_rng_stream() {
-        // Two arrays at the same snapshot must produce identical
-        // downstream error-injection draws — the crash sweep's
-        // bit-identical replay property.
-        let mut a = ZNandArray::new(NandGeometry::small_for_tests(), NandTiming::znand_poc(), 9);
-        a.set_ber_per_read(0.05);
-        let p = PhysPage { block: 0, page: 0 };
-        let mut t = a.program(p, &[0u8; 64], SimTime::ZERO).unwrap();
-        for _ in 0..10 {
-            let (_, t2) = a.read(p, t).unwrap();
-            t = t2;
-        }
-        let snap = a.snapshot();
-        let run = |arr: &mut ZNandArray, mut t: SimTime| {
-            let mut flips = Vec::new();
-            for _ in 0..50 {
-                let (bytes, t2) = arr.read(p, t).unwrap();
-                flips.push(bytes);
+    fn power_cycle_leaves_the_rng_stream_alone() {
+        // A reboot mid-run must not perturb the error-injection draws —
+        // the crash sweep's bit-identical replay property.
+        let run = |reboot: bool| {
+            let mut a =
+                ZNandArray::new(NandGeometry::small_for_tests(), NandTiming::znand_poc(), 9);
+            a.set_ber_per_read(0.05);
+            let p = PhysPage { block: 0, page: 0 };
+            let mut t = a.program(p, &[0u8; 64], SimTime::ZERO).unwrap();
+            let mut reads = Vec::new();
+            for i in 0..60 {
+                if reboot && i == 10 {
+                    a.power_cycle();
+                }
+                let (bytes, t2) = a.read(p, t).unwrap();
+                reads.push(bytes);
                 t = t2;
             }
-            flips
+            (reads, a.stats())
         };
-        let first = run(&mut a, t);
-        a.restore(&snap);
-        let second = run(&mut a, t);
-        assert_eq!(first, second, "restored RNG stream must replay exactly");
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn discard_drops_the_payload_but_not_the_block_state() {
+        let mut a = array();
+        let p = PhysPage { block: 0, page: 0 };
+        let t = a.program(p, &[1u8; 64], SimTime::ZERO).unwrap();
+        a.program(PhysPage { block: 0, page: 1 }, &[2u8; 64], t)
+            .unwrap();
+        assert_eq!(a.stored_pages(), 2);
+        let busy = a.die_free_at(0);
+        a.discard(p);
+        assert_eq!(a.stored_pages(), 1);
+        assert_eq!(a.write_pointer(0), 2, "page stays programmed");
+        assert_eq!(a.die_free_at(0), busy, "no die time spent");
+        assert!(matches!(
+            a.read(p, busy),
+            Err(NandError::ReadUnwritten { .. })
+        ));
+        // The erase still resets the block for reprogramming.
+        let done = a.erase(0, busy).unwrap();
+        assert_eq!(a.stored_pages(), 0);
+        a.program(p, &[3u8; 64], done).unwrap();
     }
 
     #[test]

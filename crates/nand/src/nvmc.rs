@@ -11,7 +11,7 @@
 //! - per-channel/die parallelism inherited from the media model.
 
 use crate::error::NandError;
-use crate::ftl::{Ftl, FtlConfig, FtlSnapshot, FtlStats};
+use crate::ftl::{Ftl, FtlConfig, FtlStats};
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
@@ -67,28 +67,6 @@ pub struct NvmcStats {
     pub writes: u64,
     /// Writes whose acknowledgement stalled on a full buffer.
     pub buffer_stalls: u64,
-}
-
-/// Opaque snapshot of an [`Nvmc`]'s power-cut-persistent state.
-///
-/// The controller's SRAM write buffer is *timing-only* in this model:
-/// [`Nvmc::write_page`] lands the data in the FTL synchronously and the
-/// buffer entries only shape acknowledgement/read-after-write timing.
-/// A snapshot therefore carries just the [`FtlSnapshot`] plus the
-/// controller counters; [`Nvmc::restore`] drops the buffered/in-flight
-/// bookkeeping, exactly as a reboot empties controller SRAM — with no
-/// data loss, because every acknowledged write already reached the FTL.
-#[derive(Debug, Clone)]
-pub struct NvmcSnapshot {
-    ftl: FtlSnapshot,
-    stats: NvmcStats,
-}
-
-impl NvmcSnapshot {
-    /// The FTL-level snapshot inside.
-    pub fn ftl(&self) -> &FtlSnapshot {
-        &self.ftl
-    }
 }
 
 /// The NVM controller: FTL + write buffer + service-time accounting.
@@ -167,24 +145,20 @@ impl Nvmc {
         self.ftl.export_pages()
     }
 
-    /// Captures the power-cut-persistent state of the controller (see
-    /// [`NvmcSnapshot`]).
-    pub fn snapshot(&self) -> NvmcSnapshot {
-        NvmcSnapshot {
-            ftl: self.ftl.snapshot(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores the controller to a previously captured snapshot,
-    /// modelling a power-cut-and-reboot: the FTL and media come back
-    /// exactly; the SRAM write buffer empties (timing-only state — no
-    /// acknowledged data lives solely there).
-    pub fn restore(&mut self, snap: &NvmcSnapshot) {
-        self.ftl.restore(&snap.ftl);
-        self.stats = snap.stats;
+    /// Models a power-cut-and-reboot in place. The SRAM write buffer is
+    /// timing-only in this model: [`Nvmc::write_page`] lands the data in
+    /// the FTL synchronously and the buffer entries only shape
+    /// acknowledgement and read-after-write timing. So the reboot empties
+    /// the buffer and the in-flight programs with no data loss, and the
+    /// media's die clocks reset with the new boot's timing domain (see
+    /// [`crate::ZNandArray::power_cycle`]). The firmware keeps its mapping
+    /// tables in battery-backed SRAM and journals them to NAND on power
+    /// loss (paper §III-A), so the FTL map, block states and free pool
+    /// persist, as do the cells and every counter.
+    pub fn power_cycle(&mut self) {
         self.inflight.clear();
         self.buffered.clear();
+        self.ftl.media_mut().power_cycle();
     }
 
     fn prune(&mut self, now: SimTime) {
@@ -242,17 +216,6 @@ impl Nvmc {
             self.stats.buffer_stalls += 1;
         }
         Ok(ack)
-    }
-
-    /// Service time of a 4 KB read issued at `at`, without moving data
-    /// (used by capacity planning in the figure harness).
-    ///
-    /// # Errors
-    ///
-    /// Propagates FTL/media errors.
-    pub fn probe_read_latency(&mut self, lpn: u64, at: SimTime) -> Result<SimDuration, NandError> {
-        let (_, ready) = self.read_page(lpn, at)?;
-        Ok(ready.since(at))
     }
 }
 
@@ -312,9 +275,11 @@ mod tests {
         let ack = n.write_page(7, &page(9), SimTime::ZERO).unwrap();
         // Move past buffering so the read hits media.
         let late = ack + SimDuration::from_ms(10.0);
-        let lat = n.probe_read_latency(7, late).unwrap();
+        let (data, ready) = n.read_page(7, late).unwrap();
+        assert_eq!(data, page(9));
         // tR 3us + PoC transfer 8us = 11us.
-        assert_eq!(lat, SimDuration::from_us(11.0));
+        assert_eq!(ready.since(late), SimDuration::from_us(11.0));
+        assert_eq!(n.stats().buffer_hits, 0, "served from media");
     }
 
     #[test]
@@ -334,18 +299,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_drops_buffer_but_keeps_data() {
+    fn power_cycle_drops_buffer_but_keeps_data() {
         let mut n = nvmc();
         let ack = n.write_page(3, &page(0x77), SimTime::ZERO).unwrap();
-        let snap = n.snapshot();
-        // Diverge: overwrite the page after the snapshot.
-        n.write_page(3, &page(0x88), ack).unwrap();
-        n.restore(&snap);
-        // The acknowledged pre-snapshot write survives the "reboot" —
-        // from media, not the (now empty) buffer.
-        let (data, _) = n.read_page(3, ack).unwrap();
+        // Fill the buffer with programs still in flight at `ack`.
+        for lpn in 10..26u64 {
+            n.write_page(lpn, &page(lpn as u8), ack).unwrap();
+        }
+        assert!(n.stats().buffer_stalls > 0);
+        let stats = n.stats();
+        n.power_cycle();
+        assert_eq!(n.stats(), stats, "counters kept");
+        // The acknowledged write survives the reboot — from media, not
+        // the (now empty) buffer — and the first read of the new boot,
+        // at t = 0, takes tR + xfer = 11 us.
+        let (data, ready) = n.read_page(3, SimTime::ZERO).unwrap();
         assert_eq!(data, page(0x77));
-        assert_eq!(n.stats().buffer_hits, 0, "buffer emptied by restore");
+        assert_eq!(ready, SimTime::from_us(11));
+        assert_eq!(n.stats().buffer_hits, 0, "buffer emptied by the reboot");
+        // No program of the old boot is in flight: a write at t = 0 is
+        // acked after the buffer latency alone.
+        let ack = n.write_page(4, &page(0x66), SimTime::ZERO).unwrap();
+        assert_eq!(ack, SimTime::from_us(1));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! 2. **Sweep** — for each selected boundary `k`, replay the identical
 //!    schedule with shard `s` armed to cut power exactly at `k`
 //!    (determinism makes the boundary sequence bit-identical), dump the
-//!    battery-backed state per the ADR policy and reboot from the Z-NAND
-//!    snapshot (one [`power_cycle`]), and run
+//!    battery-backed state per the ADR policy and reboot from what the
+//!    Z-NAND holds (one [`power_cycle`]), and run
 //!    the [`check_crash`] persistence oracle over the read-back:
 //!    acked-persisted generations survive, no invented generations, no
 //!    torn multi-sector record (in-flight writes leave a clean prefix),

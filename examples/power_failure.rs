@@ -8,7 +8,7 @@
 //! 3. a power failure injected *mid-operation* (the fault-injection
 //!    subsystem's `PowerFail` class) cuts the in-flight write at its
 //!    first crash boundary with a typed error, and one power cycle (dump,
-//!    then reboot from the Z-NAND snapshot) brings the device back with
+//!    then reboot from what the Z-NAND holds) brings the device back with
 //!    everything previously persisted intact.
 //!
 //! ```text

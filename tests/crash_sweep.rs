@@ -4,7 +4,7 @@
 //! workload — bus ops, CP mailbox windows, NVMC burst edges (rank-level
 //! *and* per-bank refresh), maintenance slots — is armed in turn; the
 //! run is cut there, recovered through the battery-backed dump +
-//! snapshot/restore reboot path, and audited by the `check_crash`
+//! in-place reboot path, and audited by the `check_crash`
 //! persistence oracle. With ADR intact every boundary must come back
 //! clean, bit-identically across reruns. With the weak persistence
 //! domain (`adr_works = false`, paper §V-C) specific boundaries tear —

@@ -10,7 +10,7 @@
 //! - the same seed reproduces the same campaign bit-exactly (full
 //!   report equality, digest and final clock included);
 //! - mid-operation power failures recover through one power cycle (the
-//!   battery-backed dump, then the reboot from the Z-NAND snapshot), and
+//!   battery-backed dump, then the reboot from what the Z-NAND holds), and
 //!   FPGA faults armed at the cut still fire in the next boot;
 //! - persistent NAND poisoning surfaces a typed uncorrectable error
 //!   without degrading the shard;

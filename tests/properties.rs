@@ -226,6 +226,9 @@ mod ftl_props {
                         model.remove(&lpn);
                     }
                 }
+                // Stale copies are dropped at invalidation: the media
+                // holds exactly one payload per live logical page.
+                prop_assert_eq!(ftl.media().stored_pages(), model.len());
             }
         }
     }

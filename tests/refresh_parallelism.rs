@@ -434,7 +434,7 @@ fn drive_churn(
 }
 
 /// Arms a power cut at boundary `k`, reruns the identical schedule,
-/// recovers through the battery-backed dump + snapshot reboot, and
+/// recovers through the battery-backed dump + in-place reboot, and
 /// asserts the persisted sentinel survived byte-exactly.
 fn cut_and_verify(mode: RefreshMode, resize_at: Option<usize>, k: u64) {
     let mut sys = crashable_sys(mode);
