@@ -1,77 +1,15 @@
-//! The state-space explorer: exhaustive DFS with three successor
-//! policies.
+//! The state-space explorer: an exhaustive iterative DFS over every
+//! enabled action of the shard, with 64-bit state-fingerprint
+//! deduplication.
 //!
-//! - [`Mode::Naive`] — every enabled action of every shard, with
-//!   64-bit state-fingerprint deduplication. The ground truth (and the
-//!   baseline the reduction factor is measured against).
-//! - [`Mode::SleepSet`] — classic sleep-set DPOR over *schedules*: after
-//!   a branch explores action `a`, sibling branches carry `a` in their
-//!   sleep set and skip it until a dependent action (same shard) wakes
-//!   it. No state cache — this mode measures pure schedule-level
-//!   reduction and is only practical at small bounds.
-//! - [`Mode::Persistent`] — the CI workhorse: at every state, expand
-//!   only the enabled actions of the lowest-indexed shard that has any
-//!   (a persistent set, since actions of distinct shards are fully
-//!   independent), combined with fingerprint deduplication.
-//!
-//! Soundness note: the properties are all *per-shard* (persistence
-//! invariants are checked inside the shard transition; the health
-//! oracle is per shard; the recovery-ledger oracle reads per-shard
-//! counters summed at terminal states, and every interleaving of
-//! independent actions retires with identical per-shard counters). For
-//! such properties a persistent set loses nothing: every reachable
-//! shard-local state and every reachable combination of terminal shard
-//! states is still visited. A future *cross*-shard invariant checked at
-//! non-terminal states would need the dependency relation coarsened.
-//!
-//! Determinism: successor order is fixed (shard-major, declared action
-//! order), the visited set is only ever queried by fingerprint, and
+//! Determinism: successor order is fixed (the declared action order),
+//! the visited set is only ever queried by fingerprint, and
 //! fingerprints are stable across runs — so explorations, including the
 //! counterexample schedules they emit, replay bit-identically.
 
 use crate::params::ModelParams;
-use crate::shard::Violation;
-use crate::system::{Action, ModelState};
+use crate::shard::{ShardAction, ShardState, Violation};
 use std::collections::HashSet;
-
-/// Successor-expansion policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// All enabled actions + state-fingerprint dedup (baseline for the
-    /// state-level reduction factor).
-    Naive,
-    /// Full schedule enumeration: all enabled actions, no state cache,
-    /// no sleep sets (baseline for the schedule-level reduction factor;
-    /// only tractable at micro bounds).
-    Tree,
-    /// Sleep-set DPOR over schedules, no state cache.
-    SleepSet,
-    /// Persistent-set reduction + state-fingerprint dedup (CI default).
-    Persistent,
-}
-
-impl Mode {
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Naive => "naive",
-            Mode::Tree => "tree",
-            Mode::SleepSet => "sleep",
-            Mode::Persistent => "persistent",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "naive" => Some(Mode::Naive),
-            "tree" => Some(Mode::Tree),
-            "sleep" => Some(Mode::SleepSet),
-            "persistent" => Some(Mode::Persistent),
-            _ => None,
-        }
-    }
-}
 
 /// A violation together with the schedule that reaches it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,21 +19,18 @@ pub struct FoundViolation {
     /// The action sequence from the initial state to the violation
     /// (inclusive of the violating action for transition invariants;
     /// the full path for terminal-oracle violations).
-    pub schedule: Vec<Action>,
+    pub schedule: Vec<ShardAction>,
 }
 
 /// Exploration metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreReport {
-    /// Distinct states visited (fingerprint-deduplicated modes) or
-    /// nodes expanded (sleep-set mode).
+    /// Distinct states visited.
     pub distinct_states: u64,
     /// Transitions applied.
     pub transitions: u64,
     /// Terminal states reached (post-dedup).
     pub terminals: u64,
-    /// Complete or pruned schedules (meaningful in sleep-set mode).
-    pub schedules: u64,
     /// Deepest schedule seen.
     pub max_depth_seen: usize,
     /// Paths cut by the `max_depth` guard (0 at shipped bounds).
@@ -104,58 +39,30 @@ pub struct ExploreReport {
     pub violation: Option<FoundViolation>,
 }
 
-/// Exhaustively explores the instance `p` under `mode`, stopping at the
-/// first invariant violation (transition invariants are checked on
-/// every applied action, the `nvdimmc-check` oracles on every terminal
-/// state).
-pub fn explore(p: &ModelParams, mode: Mode) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    match mode {
-        Mode::Naive | Mode::Persistent => dfs_hashed(p, mode, &mut report),
-        Mode::SleepSet | Mode::Tree => {
-            let root = ModelState::new(p);
-            let mut path = Vec::new();
-            sleep_dfs(
-                p,
-                &root,
-                &[],
-                mode == Mode::SleepSet,
-                &mut path,
-                &mut report,
-            );
-        }
-    }
-    report
-}
-
-/// One DFS stack entry of the hashed modes.
+/// One DFS stack entry.
 struct Frame {
-    state: ModelState,
-    actions: Vec<Action>,
+    state: ShardState,
+    actions: Vec<ShardAction>,
     next: usize,
 }
 
-/// Iterative DFS with fingerprint deduplication (naive / persistent).
-fn dfs_hashed(p: &ModelParams, mode: Mode, report: &mut ExploreReport) {
-    let successors = |s: &ModelState| match mode {
-        Mode::Naive => s.enabled(p),
-        _ => s.enabled_persistent(p),
-    };
-
+/// Exhaustively explores the instance `p`, stopping at the first
+/// invariant violation (transition invariants are checked on every
+/// applied action, the `nvdimmc-check` oracles on every terminal
+/// state).
+pub fn explore(p: &ModelParams) -> ExploreReport {
+    let mut report = ExploreReport::default();
     let mut visited: HashSet<u64> = HashSet::new();
-    let root = ModelState::new(p);
+    let root = ShardState::new(p);
     visited.insert(root.fingerprint());
     report.distinct_states = 1;
-    let root_actions = successors(&root);
+    let root_actions = root.enabled(p);
     if root_actions.is_empty() {
         report.terminals += 1;
-        report.schedules += 1;
-        if let Some(v) = terminal_violation(&root, p, &[]) {
-            report.violation = Some(v);
-        }
-        return;
+        report.violation = terminal_violation(&root, &[]);
+        return report;
     }
-    let mut path: Vec<Action> = Vec::new();
+    let mut path: Vec<ShardAction> = Vec::new();
     let mut stack = vec![Frame {
         state: root,
         actions: root_actions,
@@ -180,23 +87,22 @@ fn dfs_hashed(p: &ModelParams, mode: Mode, report: &mut ExploreReport) {
                 violation,
                 schedule,
             });
-            return;
+            return report;
         }
         if !visited.insert(child.fingerprint()) {
             continue;
         }
         report.distinct_states += 1;
         report.max_depth_seen = report.max_depth_seen.max(path.len() + 1);
-        let actions = successors(&child);
+        let actions = child.enabled(p);
         if actions.is_empty() {
             report.terminals += 1;
-            report.schedules += 1;
             path.push(action);
-            let found = terminal_violation(&child, p, &path);
+            let found = terminal_violation(&child, &path);
             path.pop();
-            if let Some(v) = found {
-                report.violation = Some(v);
-                return;
+            if found.is_some() {
+                report.violation = found;
+                return report;
             }
             continue;
         }
@@ -211,91 +117,14 @@ fn dfs_hashed(p: &ModelParams, mode: Mode, report: &mut ExploreReport) {
             next: 0,
         });
     }
-}
-
-/// Recursive DFS over schedules (no state cache); with `use_sleep` it
-/// is classic sleep-set DPOR, without it the full schedule tree.
-/// Returns `true` when exploration must stop (violation recorded).
-fn sleep_dfs(
-    p: &ModelParams,
-    state: &ModelState,
-    sleep: &[Action],
-    use_sleep: bool,
-    path: &mut Vec<Action>,
-    report: &mut ExploreReport,
-) -> bool {
-    report.distinct_states += 1;
-    report.max_depth_seen = report.max_depth_seen.max(path.len());
-    let enabled = state.enabled(p);
-    if enabled.is_empty() {
-        report.terminals += 1;
-        report.schedules += 1;
-        if let Some(v) = terminal_violation(state, p, path) {
-            report.violation = Some(v);
-            return true;
-        }
-        return false;
-    }
-    let explore_set: Vec<Action> = enabled
-        .iter()
-        .copied()
-        .filter(|a| !sleep.contains(a))
-        .collect();
-    if explore_set.is_empty() {
-        // Every enabled action sleeps: this schedule is a redundant
-        // reordering of one already explored.
-        report.schedules += 1;
-        return false;
-    }
-    if path.len() >= p.max_depth {
-        report.truncated += 1;
-        return false;
-    }
-    let mut grown: Vec<Action> = sleep.to_vec();
-    for action in explore_set {
-        let mut child = state.clone();
-        report.transitions += 1;
-        if let Some(violation) = child.apply(action, p) {
-            let mut schedule = path.clone();
-            schedule.push(action);
-            report.violation = Some(FoundViolation {
-                violation,
-                schedule,
-            });
-            return true;
-        }
-        // The child keeps only sleepers independent of the action just
-        // taken; dependent sleepers wake up.
-        let child_sleep: Vec<Action> = grown
-            .iter()
-            .copied()
-            .filter(|b| b.independent(&action))
-            .collect();
-        path.push(action);
-        let stop = sleep_dfs(p, &child, &child_sleep, use_sleep, path, report);
-        path.pop();
-        if stop {
-            return true;
-        }
-        // Later siblings may skip re-exploring this action's
-        // commutations (sleep-set mode only; tree mode re-explores
-        // everything — that *is* the baseline).
-        if use_sleep {
-            grown.push(action);
-        }
-    }
-    false
+    report
 }
 
 /// Runs the terminal oracle and packages its first error, if any, with
 /// the schedule that reached the terminal state.
-fn terminal_violation(
-    state: &ModelState,
-    p: &ModelParams,
-    path: &[Action],
-) -> Option<FoundViolation> {
+fn terminal_violation(state: &ShardState, path: &[ShardAction]) -> Option<FoundViolation> {
     state
-        .oracle(p)
+        .oracle()
         .into_iter()
         .next()
         .map(|violation| FoundViolation {

@@ -1,11 +1,9 @@
-//! `nvdimmc-model` CLI: run an exploration, compare reduction modes, or
-//! replay/minimize a schedule artifact.
+//! `nvdimmc-model` CLI: run an exploration, or replay/minimize a
+//! schedule artifact.
 //!
 //! ```text
-//! nvdimmc-model explore  [--preset smoke|ci|calibrate|micro|bughunt]
-//!                        [--mode naive|tree|sleep|persistent] [--set key=value]
+//! nvdimmc-model explore  [--preset smoke|ci|bughunt] [--set key=value]
 //!                        [--expect-violation RULE] [--write-schedule PATH] [--min-states N]
-//! nvdimmc-model compare  [--preset calibrate]
 //! nvdimmc-model replay   PATH [--expect-violation RULE]
 //! nvdimmc-model minimize PATH OUT
 //! ```
@@ -16,9 +14,7 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use nvdimmc_model::{
-    explore, from_text, minimize, replay, to_text, ExploreReport, Mode, ModelParams,
-};
+use nvdimmc_model::{explore, from_text, minimize, replay, to_text, ExploreReport, ModelParams};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -26,24 +22,20 @@ fn preset(name: &str) -> Option<ModelParams> {
     match name {
         "smoke" => Some(ModelParams::smoke()),
         "ci" => Some(ModelParams::ci()),
-        "calibrate" => Some(ModelParams::calibrate()),
-        "micro" => Some(ModelParams::micro()),
         "bughunt" => Some(ModelParams::bug_hunt()),
         _ => None,
     }
 }
 
-fn print_report(label: &str, r: &ExploreReport, secs: f64) {
+fn print_report(r: &ExploreReport, secs: f64) {
     println!(
-        "{label}: states={} transitions={} terminals={} schedules={} \
-         depth={} truncated={} wall={secs:.2}s",
-        r.distinct_states, r.transitions, r.terminals, r.schedules, r.max_depth_seen, r.truncated,
+        "explore: states={} transitions={} terminals={} depth={} truncated={} wall={secs:.2}s",
+        r.distinct_states, r.transitions, r.terminals, r.max_depth_seen, r.truncated,
     );
     if let Some(v) = &r.violation {
         println!(
-            "{label}: VIOLATION [{}] shard {}: {} ({} actions)",
+            "explore: VIOLATION [{}]: {} ({} actions)",
             v.violation.rule,
-            v.violation.shard,
             v.violation.message,
             v.schedule.len()
         );
@@ -52,7 +44,6 @@ fn print_report(label: &str, r: &ExploreReport, secs: f64) {
 
 struct ExploreArgs {
     params: ModelParams,
-    mode: Mode,
     expect: Option<String>,
     write_schedule: Option<String>,
     min_states: u64,
@@ -61,7 +52,6 @@ struct ExploreArgs {
 fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, String> {
     let mut out = ExploreArgs {
         params: ModelParams::ci(),
-        mode: Mode::Persistent,
         expect: None,
         write_schedule: None,
         min_states: 0,
@@ -77,10 +67,6 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, String> {
             "--preset" => {
                 let v = value("--preset")?;
                 out.params = preset(&v).ok_or_else(|| format!("unknown preset {v:?}"))?;
-            }
-            "--mode" => {
-                let v = value("--mode")?;
-                out.mode = Mode::from_name(&v).ok_or_else(|| format!("unknown mode {v:?}"))?;
             }
             "--set" => {
                 // Reuses the schedule-header grammar: `--set txns=2`.
@@ -103,8 +89,8 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, String> {
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     let a = parse_explore_args(args)?;
     let start = Instant::now();
-    let r = explore(&a.params, a.mode);
-    print_report(a.mode.name(), &r, start.elapsed().as_secs_f64());
+    let r = explore(&a.params);
+    print_report(&r, start.elapsed().as_secs_f64());
     if let (Some(path), Some(found)) = (&a.write_schedule, &r.violation) {
         let minimal = minimize(&a.params, &found.schedule, &found.violation.rule);
         let text = to_text(&a.params, &minimal, Some(&found.violation));
@@ -140,75 +126,6 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
     }
-}
-
-fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
-    let mut params = ModelParams::calibrate();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--preset" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--preset needs a value".to_string())?;
-                params = preset(v).ok_or_else(|| format!("unknown preset {v:?}"))?;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    // State-level reduction at the requested (default: CI) bound:
-    // naive vs persistent-set, both with fingerprint dedup.
-    let mut runs = Vec::new();
-    for mode in [Mode::Naive, Mode::Persistent] {
-        let start = Instant::now();
-        let r = explore(&params, mode);
-        print_report(mode.name(), &r, start.elapsed().as_secs_f64());
-        if r.violation.is_some() {
-            return Ok(ExitCode::FAILURE);
-        }
-        runs.push(r);
-    }
-    if let [naive, reduced] = &runs[..] {
-        if naive.terminals != reduced.terminals {
-            eprintln!(
-                "terminal counts diverge: naive {} vs persistent {}",
-                naive.terminals, reduced.terminals
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "state reduction: {:.1}x ({} -> {}), {:.1}x transitions ({} -> {})",
-            naive.distinct_states as f64 / reduced.distinct_states.max(1) as f64,
-            naive.distinct_states,
-            reduced.distinct_states,
-            naive.transitions as f64 / reduced.transitions.max(1) as f64,
-            naive.transitions,
-            reduced.transitions,
-        );
-    }
-    // Schedule-level reduction at the micro bound: the full schedule
-    // tree is the honest sleep-set baseline (no state cache on either
-    // side), but it is only tractable with adversarial budgets zeroed.
-    let micro = ModelParams::micro();
-    let mut runs = Vec::new();
-    for mode in [Mode::Tree, Mode::SleepSet] {
-        let start = Instant::now();
-        let r = explore(&micro, mode);
-        print_report(mode.name(), &r, start.elapsed().as_secs_f64());
-        if r.violation.is_some() {
-            return Ok(ExitCode::FAILURE);
-        }
-        runs.push(r);
-    }
-    if let [tree, sleep] = &runs[..] {
-        println!(
-            "schedule reduction (micro bound): {:.1}x ({} -> {})",
-            tree.schedules as f64 / sleep.schedules.max(1) as f64,
-            tree.schedules,
-            sleep.schedules,
-        );
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
@@ -272,11 +189,10 @@ fn main() -> ExitCode {
     };
     let result = match cmd {
         "explore" => cmd_explore(rest),
-        "compare" => cmd_compare(rest),
         "replay" => cmd_replay(rest),
         "minimize" => cmd_minimize(rest),
         other => Err(format!(
-            "unknown command {other:?} (expected explore|compare|replay|minimize)"
+            "unknown command {other:?} (expected explore|replay|minimize)"
         )),
     };
     match result {

@@ -11,17 +11,10 @@
 
 use nvdimmc_core::RecoveryParams;
 
-/// Bounds of one model-checking run.
-///
-/// Fault, crash and rebuild budgets are **per shard**: shards share no
-/// state, so a per-shard budget keeps every action of shard *i*
-/// independent of every action of shard *j* — the property the
-/// persistent-set reduction in [`crate::explore()`] relies on.
+/// Bounds of one model-checking run of one shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelParams {
-    /// Number of independent channel shards.
-    pub shards: usize,
-    /// Writeback transactions each shard's driver issues.
+    /// Writeback transactions the shard's driver issues.
     pub txns_per_shard: u32,
     /// Ack-wait window budget of a ladder attempt (`cp_timeout_windows`).
     pub timeout_windows: u32,
@@ -29,13 +22,13 @@ pub struct ModelParams {
     pub max_retransmits: u32,
     /// Backoff multiplier applied to the window budget per retransmit.
     pub backoff: u32,
-    /// Per-shard injected-fault budget (ack drop, command-capture
-    /// corruption, NAND nack).
+    /// Injected-fault budget (ack drop, command-capture corruption,
+    /// NAND nack).
     pub fault_budget: u32,
-    /// Per-shard power-fail budget: how many crash points the scheduler
-    /// may inject on that shard.
+    /// Power-fail budget: how many crash points the scheduler may
+    /// inject.
     pub crash_budget: u32,
-    /// Per-shard online-repair budget (degraded → rebuilding edges).
+    /// Online-repair budget (degraded → rebuilding edges).
     pub rebuild_budget: u32,
     /// Match acks by phase alone, the pre-seq-echo protocol. The shipped
     /// protocol matches phase *and* seq; this knob keeps the bug that
@@ -47,12 +40,12 @@ pub struct ModelParams {
 }
 
 impl ModelParams {
-    /// Tiny instance for unit tests: one shard, strict matching, one
-    /// fault + one crash point + one rebuild. 2,014 distinct states —
-    /// explores in well under a second even unoptimised.
+    /// Tiny instance for unit tests: strict matching, one transaction,
+    /// one fault + one crash point + one rebuild. 2,731 distinct states,
+    /// 6,375 transitions and 209 terminal states — explores in well
+    /// under a second even unoptimised.
     pub fn smoke() -> Self {
         ModelParams {
-            shards: 1,
             txns_per_shard: 1,
             timeout_windows: 1,
             max_retransmits: 1,
@@ -65,65 +58,32 @@ impl ModelParams {
         }
     }
 
-    /// The CI gate instance: two shards, each with one transaction, one
-    /// fault, one crash point and one rebuild, strict matching. Under
-    /// the persistent-set reduction this is 573,301 distinct states
-    /// (~2 s in release); the naive sweep of the same instance is
-    /// 7,458,361 states (~51 s) — a measured 13× reduction.
+    /// The CI gate instance: strict matching, three transactions, a
+    /// two-retransmit ladder, two faults, two crash points and one
+    /// rebuild. 7,921,458 distinct states, 22,362,073 transitions and
+    /// 113,275 terminal states (~30 s and ~220 MB in release on two
+    /// vCPUs).
     pub fn ci() -> Self {
         ModelParams {
-            shards: 2,
-            txns_per_shard: 1,
+            txns_per_shard: 3,
             timeout_windows: 1,
-            max_retransmits: 1,
+            max_retransmits: 2,
             backoff: 2,
-            fault_budget: 1,
-            crash_budget: 1,
+            fault_budget: 2,
+            crash_budget: 2,
             rebuild_budget: 1,
             legacy_phase_match: false,
             max_depth: 4096,
-        }
-    }
-
-    /// Reduction-calibration instance: identical bounds to
-    /// [`ModelParams::ci`], kept as a separate named preset so the
-    /// calibration run (`nvdimmc-model compare`) is pinned to the
-    /// shipped CI bound even if the gate instance grows later. Small
-    /// enough that the *naive* interleaving sweep also finishes, so the
-    /// partial-order reduction factor is measured rather than asserted.
-    pub fn calibrate() -> Self {
-        ModelParams::ci()
-    }
-
-    /// Micro instance for the *schedule-level* baseline: the full
-    /// schedule tree ([`crate::Mode::Tree`], no state cache, no sleep
-    /// sets) is only tractable with adversarial budgets zeroed and no
-    /// retransmit ladder — 6,300 schedules, against which the sleep-set
-    /// sweep's 80 is a measured 79× reduction. (One retransmit already
-    /// pushes the tree to 3.8 × 10⁸ schedules.)
-    pub fn micro() -> Self {
-        ModelParams {
-            shards: 2,
-            txns_per_shard: 1,
-            timeout_windows: 1,
-            max_retransmits: 0,
-            backoff: 1,
-            fault_budget: 0,
-            crash_budget: 0,
-            rebuild_budget: 0,
-            legacy_phase_match: false,
-            max_depth: 256,
         }
     }
 
     /// The configuration that finds the stale-ack phase-aliasing bug:
-    /// one shard, a 15-attempt ladder (so the 4-bit phase wraps onto the
+    /// a 15-attempt ladder (so the 4-bit phase wraps onto the
     /// previous transaction's persistent ack word) and **zero** fault
     /// budget — the only adversarial power needed is scheduling (an FPGA
     /// that stops polling).
     pub fn bug_hunt() -> Self {
         ModelParams {
-            shards: 1,
             txns_per_shard: 2,
             timeout_windows: 1,
             max_retransmits: 14,
@@ -148,12 +108,12 @@ impl ModelParams {
     }
 
     /// Serialises the bounds as the `# params` header line of a schedule
-    /// artifact (see [`crate::schedule`]).
+    /// artifact (see [`crate::schedule`]). The fixed `shards=1` keeps
+    /// the v1 artifact format, which named a shard count.
     pub fn to_header(&self) -> String {
         format!(
-            "shards={} txns={} windows={} retransmits={} backoff={} \
+            "shards=1 txns={} windows={} retransmits={} backoff={} \
              faults={} crashes={} rebuilds={} legacy={} depth={}",
-            self.shards,
             self.txns_per_shard,
             self.timeout_windows,
             self.max_retransmits,
@@ -171,7 +131,9 @@ impl ModelParams {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed `key=value` field.
+    /// Returns a description of the first malformed `key=value` field:
+    /// an unknown key, a non-number, a value that does not fit the
+    /// field, or a shard count other than 1.
     pub fn from_header(line: &str) -> Result<Self, String> {
         let mut p = ModelParams::smoke();
         for field in line.split_whitespace() {
@@ -181,17 +143,26 @@ impl ModelParams {
             let v: u64 = value
                 .parse()
                 .map_err(|e| format!("params field {key}: {e}"))?;
+            let narrow = || {
+                u32::try_from(v)
+                    .map_err(|_| format!("params field {key}: {v} exceeds {}", u32::MAX))
+            };
             match key {
-                "shards" => p.shards = v as usize,
-                "txns" => p.txns_per_shard = v as u32,
-                "windows" => p.timeout_windows = v as u32,
-                "retransmits" => p.max_retransmits = v as u32,
-                "backoff" => p.backoff = v as u32,
-                "faults" => p.fault_budget = v as u32,
-                "crashes" => p.crash_budget = v as u32,
-                "rebuilds" => p.rebuild_budget = v as u32,
+                "shards" if v == 1 => {}
+                "shards" => {
+                    return Err(format!(
+                        "params field shards: the model checks one shard, not {v}"
+                    ))
+                }
+                "txns" => p.txns_per_shard = narrow()?,
+                "windows" => p.timeout_windows = narrow()?,
+                "retransmits" => p.max_retransmits = narrow()?,
+                "backoff" => p.backoff = narrow()?,
+                "faults" => p.fault_budget = narrow()?,
+                "crashes" => p.crash_budget = narrow()?,
+                "rebuilds" => p.rebuild_budget = narrow()?,
                 "legacy" => p.legacy_phase_match = v != 0,
-                "depth" => p.max_depth = v as usize,
+                "depth" => p.max_depth = narrow()? as usize,
                 other => return Err(format!("unknown params field {other:?}")),
             }
         }
@@ -208,8 +179,6 @@ mod tests {
         for p in [
             ModelParams::smoke(),
             ModelParams::ci(),
-            ModelParams::calibrate(),
-            ModelParams::micro(),
             ModelParams::bug_hunt(),
         ] {
             let line = p.to_header();
@@ -222,5 +191,10 @@ mod tests {
         assert!(ModelParams::from_header("shards").is_err());
         assert!(ModelParams::from_header("shards=x").is_err());
         assert!(ModelParams::from_header("quux=3").is_err());
+        let wide = ModelParams::from_header("txns=4294967296").unwrap_err();
+        assert!(wide.contains("txns"), "{wide}");
+        assert!(ModelParams::from_header("faults=4294967295").is_ok());
+        let two = ModelParams::from_header("shards=2").unwrap_err();
+        assert!(two.contains("shards"), "{two}");
     }
 }

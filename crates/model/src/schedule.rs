@@ -14,6 +14,9 @@
 //! s0 window
 //! ```
 //!
+//! Every action line names shard `s0`: the format predates the
+//! one-shard model, and any other shard token is rejected.
+//!
 //! Replay applies the actions in order with **skip-if-disabled**
 //! semantics: an action that is not enabled in the current state is a
 //! recorded no-op rather than an error. That makes every *subsequence*
@@ -23,8 +26,7 @@
 //! the same invariant still fires.
 
 use crate::params::ModelParams;
-use crate::shard::{ShardAction, Violation};
-use crate::system::{Action, ModelState};
+use crate::shard::{ShardAction, ShardState, Violation};
 use std::fmt::Write as _;
 
 /// Outcome of replaying a schedule.
@@ -42,8 +44,8 @@ pub struct ReplayResult {
 }
 
 /// Replays `schedule` from the initial state of `p`.
-pub fn replay(p: &ModelParams, schedule: &[Action]) -> ReplayResult {
-    let mut state = ModelState::new(p);
+pub fn replay(p: &ModelParams, schedule: &[ShardAction]) -> ReplayResult {
+    let mut state = ShardState::new(p);
     let mut result = ReplayResult {
         applied: 0,
         skipped: 0,
@@ -63,7 +65,7 @@ pub fn replay(p: &ModelParams, schedule: &[Action]) -> ReplayResult {
     }
     result.terminal = state.is_terminal(p);
     if result.terminal {
-        result.violation = state.oracle(p).into_iter().next();
+        result.violation = state.oracle().into_iter().next();
     }
     result
 }
@@ -72,7 +74,7 @@ pub fn replay(p: &ModelParams, schedule: &[Action]) -> ReplayResult {
 /// each action and keeps any deletion after which replay still reports
 /// a violation of the same rule, iterating to a fixpoint. The result
 /// replays to the same verdict bit-identically.
-pub fn minimize(p: &ModelParams, schedule: &[Action], rule: &str) -> Vec<Action> {
+pub fn minimize(p: &ModelParams, schedule: &[ShardAction], rule: &str) -> Vec<ShardAction> {
     let mut current = schedule.to_vec();
     loop {
         let mut shrunk = false;
@@ -98,7 +100,7 @@ pub fn minimize(p: &ModelParams, schedule: &[Action], rule: &str) -> Vec<Action>
 }
 
 /// Serialises a schedule artifact.
-pub fn to_text(p: &ModelParams, schedule: &[Action], violation: Option<&Violation>) -> String {
+pub fn to_text(p: &ModelParams, schedule: &[ShardAction], violation: Option<&Violation>) -> String {
     let mut out = String::new();
     out.push_str("# nvdimmc-model schedule v1\n");
     let _ = writeln!(out, "# params {}", p.to_header());
@@ -111,7 +113,7 @@ pub fn to_text(p: &ModelParams, schedule: &[Action], violation: Option<&Violatio
         );
     }
     for a in schedule {
-        let _ = writeln!(out, "s{} {}", a.shard, a.act.name());
+        let _ = writeln!(out, "s0 {}", a.name());
     }
     out
 }
@@ -120,8 +122,10 @@ pub fn to_text(p: &ModelParams, schedule: &[Action], violation: Option<&Violatio
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
-pub fn from_text(text: &str) -> Result<(ModelParams, Vec<Action>), String> {
+/// Returns a message naming the first malformed line, including a
+/// header whose params do not parse and an action on a shard other
+/// than `s0`.
+pub fn from_text(text: &str) -> Result<(ModelParams, Vec<ShardAction>), String> {
     let mut params = None;
     let mut actions = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -132,20 +136,24 @@ pub fn from_text(text: &str) -> Result<(ModelParams, Vec<Action>), String> {
         if let Some(rest) = line.strip_prefix('#') {
             let rest = rest.trim();
             if let Some(header) = rest.strip_prefix("params ") {
-                params = Some(ModelParams::from_header(header)?);
+                let p = ModelParams::from_header(header)
+                    .map_err(|e| format!("line {}: {e}", idx + 1))?;
+                params = Some(p);
             }
             continue;
         }
         let (shard_tok, act_tok) = line
             .split_once(' ')
-            .ok_or_else(|| format!("line {}: expected `s<shard> <action>`", idx + 1))?;
-        let shard: usize = shard_tok
-            .strip_prefix('s')
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("line {}: bad shard token {shard_tok:?}", idx + 1))?;
+            .ok_or_else(|| format!("line {}: expected `s0 <action>`", idx + 1))?;
+        if shard_tok != "s0" {
+            return Err(format!(
+                "line {}: bad shard token {shard_tok:?} (the model has one shard, s0)",
+                idx + 1
+            ));
+        }
         let act = ShardAction::from_name(act_tok.trim())
             .ok_or_else(|| format!("line {}: unknown action {act_tok:?}", idx + 1))?;
-        actions.push(Action { shard, act });
+        actions.push(act);
     }
     let params = params.ok_or("missing `# params` header")?;
     Ok((params, actions))
@@ -155,10 +163,10 @@ pub fn from_text(text: &str) -> Result<(ModelParams, Vec<Action>), String> {
 mod tests {
     use super::*;
 
-    fn happy_path(p: &ModelParams) -> Vec<Action> {
-        let mut state = ModelState::new(p);
+    fn happy_path(p: &ModelParams) -> Vec<ShardAction> {
+        let mut state = ShardState::new(p);
         let mut schedule = Vec::new();
-        while let Some(&a) = state.enabled_persistent(p).first() {
+        while let Some(&a) = state.enabled(p).first() {
             assert!(state.apply(a, p).is_none());
             schedule.push(a);
             assert!(schedule.len() < 1000);
@@ -197,20 +205,9 @@ mod tests {
     fn disabled_actions_are_skipped_not_fatal() {
         let p = ModelParams::smoke();
         use crate::shard::ShardAction::*;
-        let schedule = vec![
-            Action {
-                shard: 0,
-                act: FpgaPoll,
-            }, // nothing published yet
-            Action {
-                shard: 0,
-                act: Publish,
-            },
-            Action {
-                shard: 0,
-                act: Repair,
-            }, // not degraded
-        ];
+        // Nothing is published before the poll; the shard is not
+        // degraded before the repair.
+        let schedule = vec![FpgaPoll, Publish, Repair];
         let r = replay(&p, &schedule);
         assert_eq!(r.applied, 1);
         assert_eq!(r.skipped, 2);
@@ -222,5 +219,16 @@ mod tests {
         let bad = "# params shards=1 txns=1 windows=1 retransmits=0 backoff=1 \
                    faults=0 crashes=0 rebuilds=0 legacy=0 depth=64\nz0 publish";
         assert!(from_text(bad).is_err(), "bad shard token");
+        let other_shard = "# params shards=1 txns=1 windows=1 retransmits=0 backoff=1 \
+                           faults=0 crashes=0 rebuilds=0 legacy=0 depth=64\ns7 publish";
+        let err = from_text(other_shard).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        let two_shards = "# nvdimmc-model schedule v1\n\
+                          # params shards=2 txns=1\ns0 publish";
+        let err = from_text(two_shards).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("shards"),
+            "{err}"
+        );
     }
 }

@@ -25,8 +25,20 @@
 //! only to timestamp health-transition evidence for the
 //! [`nvdimmc_check::check_health`] oracle; the protocol itself never
 //! reads it.
+//!
+//! Every terminal state is audited by [`ShardState::oracle`], which
+//! replays the shard's evidence through the `nvdimmc-check` passes.
+//!
+//! The model is one shard because the paper's modules share nothing:
+//! each has its own CP-area mailbox, FPGA and Z-NAND. A multi-shard run
+//! would be the product of one-shard runs, and every property checked
+//! here is per shard — the persistence invariants and `check_health`
+//! directly, and `check_recovery` because each of its error rules is a
+//! `≤`, `=` or `>0 ⇒ >0` test on counters, which holds for a sum of
+//! shards whenever it holds for each one.
 
 use crate::params::ModelParams;
+use nvdimmc_check::{check_health, check_recovery, Severity};
 use nvdimmc_core::cp::{ACK_ERR_NAND, ACK_OK};
 use nvdimmc_core::{
     AckOutcome, CpAck, CpCommand, CpOpcode, DegradeReason, DriverTxn, FpgaProto, HealthState,
@@ -111,8 +123,7 @@ impl ShardAction {
     }
 }
 
-/// A violated invariant, with the shard it fired on (filled in by
-/// [`crate::system::ModelState`]).
+/// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Stable rule id (`persist/...`, or an oracle rule from
@@ -120,8 +131,6 @@ pub struct Violation {
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
-    /// Which shard the violation fired on.
-    pub shard: usize,
 }
 
 impl Violation {
@@ -129,7 +138,6 @@ impl Violation {
         Violation {
             rule: rule.to_string(),
             message,
-            shard: 0,
         }
     }
 }
@@ -253,29 +261,29 @@ impl MReport {
 /// [`nvdimmc_check::check_recovery`] oracle (the subset of
 /// [`RecoveryStats`] the CP/health portion of the protocol can move).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct ShardStats {
-    pub(crate) acks_dropped: u64,
-    pub(crate) cmd_decode_failures: u64,
-    pub(crate) nand_errors_nacked: u64,
-    pub(crate) replayed_acks: u64,
-    pub(crate) cp_attempt_timeouts: u64,
-    pub(crate) cp_retransmits: u64,
-    pub(crate) cp_recovered: u64,
-    pub(crate) cp_transactions_failed: u64,
-    pub(crate) degraded_entries: u64,
-    pub(crate) rebuilds_started: u64,
-    pub(crate) rebuilds_completed: u64,
-    pub(crate) rebuilds_failed: u64,
-    pub(crate) power_fails_fired: u64,
-    pub(crate) power_fails_recovered: u64,
-    pub(crate) faults_fired: u64,
+struct ShardStats {
+    acks_dropped: u64,
+    cmd_decode_failures: u64,
+    nand_errors_nacked: u64,
+    replayed_acks: u64,
+    cp_attempt_timeouts: u64,
+    cp_retransmits: u64,
+    cp_recovered: u64,
+    cp_transactions_failed: u64,
+    degraded_entries: u64,
+    rebuilds_started: u64,
+    rebuilds_completed: u64,
+    rebuilds_failed: u64,
+    power_fails_fired: u64,
+    power_fails_recovered: u64,
+    faults_fired: u64,
 }
 
 impl ShardStats {
     /// Expands into the full [`RecoveryStats`] ledger; every counter the
     /// model cannot move stays zero, and the injector-accounting pair is
     /// exact by construction (each fault action consumed budget).
-    pub fn materialize(&self) -> RecoveryStats {
+    fn materialize(&self) -> RecoveryStats {
         RecoveryStats {
             acks_dropped: self.acks_dropped,
             cmd_decode_failures: self.cmd_decode_failures,
@@ -470,9 +478,28 @@ impl ShardState {
         }
     }
 
+    /// Every enabled action, in the fixed [`ALL_ACTIONS`] order.
+    pub fn enabled(&self, p: &ModelParams) -> Vec<ShardAction> {
+        ALL_ACTIONS
+            .into_iter()
+            .filter(|&a| self.is_enabled(a, p))
+            .collect()
+    }
+
     /// True when no action of this shard is enabled.
     pub fn is_terminal(&self, p: &ModelParams) -> bool {
         ALL_ACTIONS.iter().all(|&a| !self.is_enabled(a, p))
+    }
+
+    /// Deterministic 64-bit fingerprint for the visited set.
+    ///
+    /// `DefaultHasher` is keyed with fixed constants, so fingerprints
+    /// are stable across runs and platforms — a prerequisite for
+    /// bit-identical replay of recorded explorations.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
     }
 
     fn log_edge(&mut self, to: MHealth) {
@@ -832,9 +859,21 @@ impl ShardState {
         (log, reports)
     }
 
-    /// The shard's recovery-ledger counters.
-    pub fn stats(&self) -> &ShardStats {
-        &self.stats
+    /// The terminal-state property oracle: replays the health evidence
+    /// through [`check_health`] and the recovery ledger through
+    /// [`check_recovery`], returning every error-severity diagnostic as
+    /// a [`Violation`].
+    pub fn oracle(&self) -> Vec<Violation> {
+        let (log, reports) = self.health_evidence();
+        check_health(0, &log, &reports)
+            .into_iter()
+            .chain(check_recovery(&self.stats.materialize()))
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| Violation {
+                rule: d.rule.to_string(),
+                message: d.message,
+            })
+            .collect()
     }
 
     /// Number of data transactions the driver has retired (acked,
@@ -846,5 +885,66 @@ impl ShardState {
     /// Highest generation the driver believes durable.
     pub fn acked_generation(&self) -> u64 {
         self.acked_gen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drives the shard through its happy path by always taking the
+    /// first enabled action.
+    #[test]
+    fn run_to_terminal_is_clean_without_adversary() {
+        let p = ModelParams {
+            fault_budget: 0,
+            crash_budget: 0,
+            rebuild_budget: 0,
+            ..ModelParams::smoke()
+        };
+        let mut s = ShardState::new(&p);
+        let mut steps = 0;
+        while let Some(&a) = s.enabled(&p).first() {
+            assert!(s.apply(a, &p).is_none(), "violation on {a:?}");
+            steps += 1;
+            assert!(steps < 1000, "no terminal state reached");
+        }
+        assert!(s.is_terminal(&p));
+        assert_eq!(s.oracle(), vec![], "oracle flagged the happy path");
+        assert_eq!(s.txns_retired(), p.txns_per_shard);
+        assert_eq!(
+            s.acked_generation(),
+            u64::from(p.txns_per_shard),
+            "every transaction acked"
+        );
+    }
+
+    #[test]
+    fn fingerprint_ignores_logical_time_but_not_protocol_state() {
+        let p = ModelParams::smoke();
+        let a = ShardState::new(&p);
+        let mut b = ShardState::new(&p);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(b.apply(ShardAction::Publish, &p).is_none());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn disabled_actions_are_noops() {
+        let p = ModelParams::smoke();
+        let mut s = ShardState::new(&p);
+        let before = s.clone();
+        // Nothing is in flight: every FPGA/driver action is disabled.
+        for act in [
+            ShardAction::FpgaPoll,
+            ShardAction::FpgaRun,
+            ShardAction::FpgaAck,
+            ShardAction::DriverPoll,
+            ShardAction::DriverWindow,
+            ShardAction::Repair,
+        ] {
+            assert!(s.apply(act, &p).is_none());
+        }
+        assert_eq!(s, before, "disabled actions mutated state");
     }
 }

@@ -8,11 +8,11 @@
 //!    reproducing its recorded verdict means the transition system (or
 //!    a fix it documents) regressed.
 //! 2. **Explorer properties** — randomized schedules replay
-//!    deterministically, and the DPOR-reduced exploration reaches the
-//!    same invariant verdicts and terminal coverage as the naive
-//!    full-interleaving sweep.
+//!    deterministically, and every small strict-matching instance
+//!    explores clean and untruncated.
 
-use nvdimmc_model::{explore, from_text, replay, Action, Mode, ModelParams, ShardAction};
+use nvdimmc_model::shard::ALL_ACTIONS;
+use nvdimmc_model::{explore, from_text, replay, ModelParams, ShardAction};
 use proptest::prelude::*;
 
 const STALE_ACK: &str = include_str!("model_corpus/stale_ack_phase_alias.schedule");
@@ -87,7 +87,7 @@ fn ack_loss_power_cut_replays_clean() {
 /// phase-alias bug — the corpus is reproducible, not a fossil.
 #[test]
 fn bug_hunt_exploration_rediscovers_the_stale_ack_bug() {
-    let r = explore(&ModelParams::bug_hunt(), Mode::Persistent);
+    let r = explore(&ModelParams::bug_hunt());
     let found = r.violation.expect("the bug must be rediscovered");
     assert_eq!(found.violation.rule, "persist/acked-unpersisted");
     // And the freshly found schedule replays to the same verdict.
@@ -98,6 +98,39 @@ fn bug_hunt_exploration_rediscovers_the_stale_ack_bug() {
     );
 }
 
+/// Every corner of a small one-shard grid — one or two transactions,
+/// zero or one retransmit, backoff 1 or 2, zero or one fault, with or
+/// without a crash point and a rebuild — explores with no violation and
+/// no path cut by the depth guard under the shipped (strict) matching.
+#[test]
+fn small_strict_instances_explore_clean() {
+    for txns in 1..=2 {
+        for retransmits in 0..2 {
+            for backoff in 1..3 {
+                for faults in 0..2 {
+                    for adversary in 0..2 {
+                        let p = ModelParams {
+                            txns_per_shard: txns,
+                            timeout_windows: 1,
+                            max_retransmits: retransmits,
+                            backoff,
+                            fault_budget: faults,
+                            crash_budget: adversary,
+                            rebuild_budget: adversary,
+                            legacy_phase_match: false,
+                            max_depth: 4096,
+                        };
+                        let r = explore(&p);
+                        assert!(r.violation.is_none(), "{p:?}: {:?}", r.violation);
+                        assert_eq!(r.truncated, 0, "{p:?}");
+                        assert!(r.terminals > 0, "{p:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -105,78 +138,12 @@ proptest! {
     /// counts, same verdict, twice in a row.
     #[test]
     fn random_schedules_replay_bit_identically(
-        picks in prop::collection::vec((0usize..2, 0usize..11), 1..120)
+        picks in prop::collection::vec(0usize..11, 1..120)
     ) {
-        let p = ModelParams {
-            shards: 2,
-            ..ModelParams::smoke()
-        };
-        let schedule: Vec<Action> = picks
-            .into_iter()
-            .map(|(shard, act)| Action { shard, act: nth_action(act) })
-            .collect();
+        let p = ModelParams::smoke();
+        let schedule: Vec<ShardAction> = picks.into_iter().map(|i| ALL_ACTIONS[i]).collect();
         let a = replay(&p, &schedule);
         let b = replay(&p, &schedule);
         prop_assert_eq!(a, b);
     }
-
-    /// The DPOR (persistent-set) exploration reaches the same invariant
-    /// verdict and the same terminal coverage as the naive sweep on
-    /// randomized small instances — including legacy-protocol ones.
-    #[test]
-    fn dpor_and_naive_sweeps_agree(
-        shards in 1usize..3,
-        retransmits in 0u32..2,
-        backoff in 1u32..3,
-        faults in 0u32..2,
-        single_shard_adversary in any::<bool>(),
-        legacy in any::<bool>(),
-    ) {
-        // Crash/rebuild budgets multiply the two-shard naive sweep past
-        // what a unit test should cost, so they are exercised on
-        // single-shard instances only (the CI-bound two-shard sweep runs
-        // via `nvdimmc-model compare`).
-        let adversary = u32::from(shards == 1 && single_shard_adversary);
-        let p = ModelParams {
-            shards,
-            txns_per_shard: 1,
-            timeout_windows: 1,
-            max_retransmits: retransmits,
-            backoff,
-            fault_budget: faults,
-            crash_budget: adversary,
-            rebuild_budget: adversary,
-            legacy_phase_match: legacy,
-            max_depth: 4096,
-        };
-        let naive = explore(&p, Mode::Naive);
-        let reduced = explore(&p, Mode::Persistent);
-        let naive_rule = naive.violation.as_ref().map(|v| v.violation.rule.clone());
-        let reduced_rule = reduced.violation.as_ref().map(|v| v.violation.rule.clone());
-        prop_assert_eq!(naive_rule, reduced_rule);
-        if naive.violation.is_none() {
-            prop_assert_eq!(naive.terminals, reduced.terminals);
-            prop_assert!(reduced.distinct_states <= naive.distinct_states);
-            prop_assert_eq!(naive.truncated, 0);
-            prop_assert_eq!(reduced.truncated, 0);
-        }
-    }
-}
-
-/// Maps an index to a `ShardAction` (the model's full action alphabet).
-fn nth_action(i: usize) -> ShardAction {
-    use ShardAction::*;
-    [
-        Publish,
-        FpgaPoll,
-        FpgaPollCorrupt,
-        FpgaRun,
-        FpgaRunFail,
-        FpgaAck,
-        FpgaAckDrop,
-        DriverPoll,
-        DriverWindow,
-        Repair,
-        Crash,
-    ][i % 11]
 }
