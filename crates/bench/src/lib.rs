@@ -3,8 +3,7 @@
 //! One function per table/figure of the paper's evaluation (§VI–§VII),
 //! each returning a [`report::Figure`] whose rows pair the paper's
 //! published value with the value measured on the simulated system. The
-//! `figures` binary prints them; the Criterion benches under `benches/`
-//! wrap the same functions for regression tracking.
+//! `figures` binary prints them.
 //!
 //! Figure runs use [`NvdimmCConfig::figure_scale`]: capacities scaled
 //! 1:256 from Table I (64 MB DRAM cache over 512 MB Z-NAND) with every

@@ -29,7 +29,7 @@ use crate::proto::{FpgaProto, PollVerdict};
 use nvdimmc_ddr::{
     AccessKind, BankAddr, BusMaster, BusViolation, ColumnRun, Command, DecodedAddr, SharedBus,
 };
-use nvdimmc_nand::{NandError, Nvmc};
+use nvdimmc_nand::{NandError, Nvmc, PageBuf, PageCodec};
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -84,6 +84,11 @@ pub enum AckFault {
     Corrupt,
 }
 
+/// Capacity of a writeback's read-out buffer: one slot, plus room for the
+/// page codec's parity and CRC, so the NVMC encodes the buffer in place
+/// and stores it without a copy.
+const WB_CAPACITY: usize = PageCodec::new(SLOT_BYTES as usize).stored_bytes();
+
 #[derive(Debug)]
 enum FpgaState {
     /// No command in flight; poll the CP area.
@@ -96,13 +101,13 @@ enum FpgaState {
     /// `written` counts lines already landed by earlier (split) chunks.
     CfDmaWrite {
         cmd: CpCommand,
-        data: Vec<u8>,
+        data: PageBuf,
         written: u64,
     },
     /// Merged op: victim read done and programmed; fill data ready to DMA.
     MergedDmaWrite {
         cmd: CpCommand,
-        data: Vec<u8>,
+        data: PageBuf,
         written: u64,
     },
     /// Write the acknowledgement word (needs a window). `done` is the
@@ -130,7 +135,7 @@ pub struct Fpga {
     /// detection by txn key, garbage dedup) — shared with `nvdimmc-model`.
     proto: FpgaProto,
     /// Fill data read ahead for a merged writeback+cachefill command.
-    pending_fill: Option<Vec<u8>>,
+    pending_fill: Option<PageBuf>,
     /// Injected ack faults, consumed FIFO as acks go out.
     ack_faults: std::collections::VecDeque<AckFault>,
     /// Injected command-word corruptions: each one mangles the capture of
@@ -382,10 +387,10 @@ impl Fpga {
                     self.stats.windows_skipped_busy += 1;
                     return Ok(0);
                 }
-                let (bytes, end) = self.dma_read(bus, layout.cp_command(), 128, start)?;
-                let mut word: [u8; 16] = bytes[..16]
-                    .try_into()
-                    .map_err(|_| CoreError::Protocol("CP poll returned short data".into()))?;
+                let mut bytes = [0u8; 128];
+                let end = self.dma_read(bus, layout.cp_command(), &mut bytes, start)?;
+                let mut word = [0u8; 16];
+                word.copy_from_slice(&bytes[..16]);
                 // An armed command fault mangles the capture of a *new*
                 // publish, and the mangled capture persists across repeat
                 // polls of the same word — the command never executes and
@@ -437,7 +442,7 @@ impl Fpga {
                             }
                             CpOpcode::Writeback => FpgaState::WbRead {
                                 cmd,
-                                got: Vec::with_capacity(SLOT_BYTES as usize),
+                                got: Vec::with_capacity(WB_CAPACITY),
                             },
                             CpOpcode::WritebackCachefill => {
                                 // The fill read overlaps the victim
@@ -447,7 +452,7 @@ impl Fpga {
                                         self.pending_fill = Some(data);
                                         FpgaState::WbRead {
                                             cmd,
-                                            got: Vec::with_capacity(SLOT_BYTES as usize),
+                                            got: Vec::with_capacity(WB_CAPACITY),
                                         }
                                     }
                                     Err(e) => self.nand_nack(cmd, &e),
@@ -496,8 +501,9 @@ impl Fpga {
                     return Ok(0);
                 };
                 let slot_addr = layout.slot_addr(cmd.dram_slot) + done * 64;
-                let (chunk, end) = self.dma_read(bus, slot_addr, lines * 64, xfer_at)?;
-                got.extend_from_slice(&chunk);
+                let at = got.len();
+                got.resize(at + lines as usize * 64, 0);
+                let end = self.dma_read(bus, slot_addr, &mut got[at..], xfer_at)?;
                 if done > 0 && done + lines == total {
                     self.stats.bursts_resumed += 1;
                 }
@@ -526,7 +532,7 @@ impl Fpga {
                     },
                     _ => cmd.nand_page,
                 };
-                match nvmc.write_page(wb_page, &got, end + self.step_delay) {
+                match nvmc.write_page(wb_page, got, end + self.step_delay) {
                     Ok(ack_at) => {
                         self.ready_at = ack_at + self.step_delay;
                         self.state = match (cmd.opcode, self.pending_fill.take()) {
@@ -835,20 +841,20 @@ impl Fpga {
         ))
     }
 
-    /// DMA-reads `len` bytes at `addr` with real DDR4 commands: ACT,
-    /// pipelined RDs, PRE. Returns the data and the completion instant.
+    /// DMA-reads `out.len()` bytes at `addr` into `out` with real DDR4
+    /// commands: ACT, pipelined RDs, PRE. Returns the completion instant.
     fn dma_read(
         &mut self,
         bus: &mut SharedBus,
         addr: u64,
-        len: u64,
+        out: &mut [u8],
         start: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), CoreError> {
+    ) -> Result<SimTime, CoreError> {
+        let len = out.len() as u64;
         let (dec, act_at, last_issue, last_end) =
             Self::dma_run(bus, AccessKind::Read, addr, len, start)?;
-        let mut out = vec![0u8; len as usize];
         bus.device()
-            .row_read(dec.bank, u64::from(dec.col) * 64, &mut out);
+            .row_read(dec.bank, u64::from(dec.col) * 64, out);
         // Leave the bank precharged before the window closes (the bus
         // enforces this invariant when the host resumes); tRAS and tRTP
         // both gate the precharge.
@@ -856,7 +862,7 @@ impl Fpga {
         let pre_at = (act_at + t.tras).max(last_issue + t.trtp.max(t.tccd_l));
         let (pre_at, _) = Self::nvmc_issue(bus, pre_at, Command::Precharge { bank: dec.bank })?;
         self.stats.dma_bytes += len;
-        Ok((out, last_end.max(pre_at + t.trp)))
+        Ok(last_end.max(pre_at + t.trp))
     }
 
     /// DMA-writes `data` at `addr` with real DDR4 commands.
@@ -976,7 +982,7 @@ mod tests {
         // Put a page on NAND.
         let data = vec![0xB7u8; 4096];
         r.nvmc
-            .write_page(9, &data, SimTime::ZERO)
+            .write_page(9, data.clone(), SimTime::ZERO)
             .expect("nand write");
         r.publish(&CpCommand {
             phase: 1,
@@ -1032,7 +1038,7 @@ mod tests {
     fn repeated_phase_is_ignored() {
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(1, &vec![1u8; 4096], SimTime::ZERO)
+            .write_page(1, vec![1u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.publish(&CpCommand {
             phase: 5,
@@ -1060,7 +1066,7 @@ mod tests {
         // Split: WB then CF as two transactions.
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(2, &vec![2u8; 4096], SimTime::ZERO)
+            .write_page(2, vec![2u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.bus
             .device_mut()
@@ -1089,7 +1095,7 @@ mod tests {
         // Merged: one transaction does both.
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(2, &vec![2u8; 4096], SimTime::ZERO)
+            .write_page(2, vec![2u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.bus
             .device_mut()
@@ -1125,7 +1131,7 @@ mod tests {
         let run = |step_us: f64| {
             let mut r = rig(step_us, 4096);
             r.nvmc
-                .write_page(4, &vec![4u8; 4096], SimTime::ZERO)
+                .write_page(4, vec![4u8; 4096], SimTime::ZERO)
                 .expect("nand write");
             r.publish(&CpCommand {
                 phase: 1,
@@ -1147,7 +1153,7 @@ mod tests {
     fn all_fpga_commands_stayed_inside_windows() {
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(11, &vec![5u8; 4096], SimTime::ZERO)
+            .write_page(11, vec![5u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.publish(&CpCommand {
             phase: 3,
@@ -1168,7 +1174,7 @@ mod tests {
         let mut r = rig(6.0, 4096);
         let data = vec![0x3Cu8; 4096];
         r.nvmc
-            .write_page(5, &data, SimTime::ZERO)
+            .write_page(5, data.clone(), SimTime::ZERO)
             .expect("nand write");
         r.fpga.inject_ack_fault(AckFault::Drop);
         let cmd = CpCommand {
@@ -1205,7 +1211,7 @@ mod tests {
     fn corrupted_ack_reads_as_empty_and_is_replayed() {
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(8, &vec![0x61u8; 4096], SimTime::ZERO)
+            .write_page(8, vec![0x61u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.fpga.inject_ack_fault(AckFault::Corrupt);
         let cmd = CpCommand {
@@ -1233,7 +1239,7 @@ mod tests {
         let mut r = rig(6.0, 4096);
         let data = vec![0xA5u8; 4096];
         r.nvmc
-            .write_page(3, &data, SimTime::ZERO)
+            .write_page(3, data.clone(), SimTime::ZERO)
             .expect("nand write");
         r.fpga.inject_window_stall();
         r.publish(&CpCommand {
@@ -1268,7 +1274,7 @@ mod tests {
         r.bus.attach_recorder();
         let data = vec![0xC3u8; 4096];
         r.nvmc
-            .write_page(9, &data, SimTime::ZERO)
+            .write_page(9, data.clone(), SimTime::ZERO)
             .expect("nand write");
         r.publish(&CpCommand {
             phase: 1,
@@ -1321,7 +1327,7 @@ mod tests {
         r.bus.set_refresh_mode(RefreshMode::PerBank);
         r.imc.set_refresh_mode(RefreshMode::PerBank);
         r.nvmc
-            .write_page(2, &vec![7u8; 4096], SimTime::ZERO)
+            .write_page(2, vec![7u8; 4096], SimTime::ZERO)
             .expect("nand write");
         r.publish(&CpCommand {
             phase: 1,
@@ -1352,7 +1358,7 @@ mod tests {
         use crate::cp::ACK_ERR_UNCORRECTABLE;
         let mut r = rig(6.0, 4096);
         r.nvmc
-            .write_page(6, &vec![7u8; 4096], SimTime::ZERO)
+            .write_page(6, vec![7u8; 4096], SimTime::ZERO)
             .expect("nand write");
         // Let the write buffer drain so the fill read hits media.
         for _ in 0..40 {

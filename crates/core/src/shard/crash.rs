@@ -243,7 +243,7 @@ impl ChannelShard {
             let mut data = vec![0u8; PAGE_BYTES as usize];
             let addr = self.layout.slot_addr(slot);
             DramBackdoor(&mut self.bus).read(addr, &mut data);
-            self.nvmc.write_page(page, &data, self.clock)?;
+            self.nvmc.write_page(page, data, self.clock)?;
             report.slots_flushed += 1;
             report.bytes_flushed += PAGE_BYTES;
         }

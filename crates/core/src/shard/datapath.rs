@@ -237,7 +237,7 @@ impl ChannelShard {
                 if dirty {
                     let mut data = vec![0u8; PAGE_BYTES as usize];
                     DramBackdoor(&mut self.bus).read(addr, &mut data);
-                    self.nvmc.write_page(vpage, &data, self.clock)?;
+                    self.nvmc.write_page(vpage, data, self.clock)?;
                 }
                 self.cache.evict(victim);
                 victim

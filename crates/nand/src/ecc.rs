@@ -13,6 +13,7 @@
 //! (slicing-by-8) in four interleaved stripes whose registers fold back
 //! into the serial value.
 
+use crate::page::PageBuf;
 use serde::{Deserialize, Serialize};
 
 /// Outcome statistics for a codec.
@@ -330,13 +331,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// # Example
 ///
 /// ```
-/// use nvdimmc_nand::PageCodec;
+/// use nvdimmc_nand::{PageBuf, PageCodec};
 ///
 /// let codec = PageCodec::new(4096);
 /// let page = vec![0x5Au8; 4096];
-/// let mut stored = codec.encode(&page).unwrap();
+/// let mut stored = codec.encode(page.clone()).unwrap().to_vec();
 /// stored[100] ^= 0x04; // flip one bit in flight
-/// let (decoded, corrected) = codec.decode(&stored).unwrap();
+/// let (decoded, corrected) = codec.decode(&PageBuf::from(stored)).unwrap();
 /// assert_eq!(decoded, page);
 /// assert_eq!(corrected, 1);
 /// ```
@@ -351,7 +352,7 @@ impl PageCodec {
     /// # Panics
     ///
     /// Panics unless `page_bytes` is a positive multiple of 8.
-    pub fn new(page_bytes: usize) -> Self {
+    pub const fn new(page_bytes: usize) -> Self {
         assert!(
             page_bytes > 0 && page_bytes.is_multiple_of(8),
             "page size must be a positive multiple of 8"
@@ -360,7 +361,7 @@ impl PageCodec {
     }
 
     /// Stored (data + ECC + CRC) size for one page.
-    pub fn stored_bytes(&self) -> usize {
+    pub const fn stored_bytes(&self) -> usize {
         self.page_bytes + self.page_bytes / 8 + 4
     }
 
@@ -369,30 +370,38 @@ impl PageCodec {
         self.page_bytes
     }
 
-    /// Encodes `data` into its stored representation.
+    /// Encodes `data` into its stored representation, extending the
+    /// buffer in place to [`PageCodec::stored_bytes`] (no copy when its
+    /// capacity already allows).
     ///
     /// # Errors
     ///
     /// Returns [`crate::NandError::BadPageSize`] if `data` is not exactly
     /// one page.
-    pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, crate::NandError> {
+    pub fn encode(&self, mut data: Vec<u8>) -> Result<PageBuf, crate::NandError> {
         if data.len() != self.page_bytes {
             return Err(crate::NandError::BadPageSize {
                 got: data.len(),
                 want: self.page_bytes,
             });
         }
-        let mut out = Vec::with_capacity(self.stored_bytes());
-        out.extend_from_slice(data);
-        for word in data.as_chunks::<8>().0 {
-            out.push(Ecc::encode(u64::from_le_bytes(*word)));
+        data.resize(self.stored_bytes(), 0);
+        let (words, rest) = data.split_at_mut(self.page_bytes);
+        let (parities, crc) = rest.split_at_mut(self.page_bytes / 8);
+        for (parity, word) in parities.iter_mut().zip(words.as_chunks::<8>().0) {
+            *parity = Ecc::encode(u64::from_le_bytes(*word));
         }
-        out.extend_from_slice(&crc32(data).to_le_bytes());
-        Ok(out)
+        crc.copy_from_slice(&crc32(words).to_le_bytes());
+        Ok(PageBuf::from(data))
     }
 
     /// Decodes a stored page, correcting single-bit errors per word.
-    /// Returns the data and the number of corrected words.
+    /// Returns the data and the number of corrected words. With no word
+    /// corrected the data is the stored buffer's own prefix, shared, and
+    /// the stored bytes are exactly `encode(data)`: every parity byte
+    /// with a zero syndrome and intact overall parity equals
+    /// [`Ecc::encode`] of its word, and the CRC matched. Only a
+    /// correction copies the data.
     ///
     /// # Errors
     ///
@@ -402,7 +411,7 @@ impl PageCodec {
     /// corrected data fails the page CRC. The FTL retries a failed decode
     /// and reports one that persists as [`crate::NandError::Uncorrectable`]
     /// at the physical page.
-    pub fn decode(&self, stored: &[u8]) -> Result<(Vec<u8>, u64), PageDecodeError> {
+    pub fn decode(&self, stored: &PageBuf) -> Result<(PageBuf, u64), PageDecodeError> {
         if stored.len() != self.stored_bytes() {
             return Err(PageDecodeError::BadSize {
                 got: stored.len(),
@@ -411,24 +420,28 @@ impl PageCodec {
         }
         let (data_in, rest) = stored.split_at(self.page_bytes);
         let (parities, crc_bytes) = rest.split_at(self.page_bytes / 8);
-        let mut data = data_in.to_vec();
+        let mut fixed: Option<Vec<u8>> = None;
         let mut corrected = 0u64;
-        for (word, &parity) in data.as_chunks_mut::<8>().0.iter_mut().zip(parities) {
+        for (i, (word, &parity)) in data_in.as_chunks::<8>().0.iter().zip(parities).enumerate() {
             match Ecc::decode(u64::from_le_bytes(*word), parity) {
                 Decode::Clean(_) => {}
-                Decode::Corrected(fixed) => {
-                    *word = fixed.to_le_bytes();
+                Decode::Corrected(w) => {
+                    let data = fixed.get_or_insert_with(|| data_in.to_vec());
+                    data[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
                     corrected += 1;
                 }
                 Decode::Uncorrectable => return Err(PageDecodeError::Uncorrectable),
             }
         }
+        let data = match fixed {
+            Some(data) => PageBuf::from(data),
+            None => stored.prefix(self.page_bytes),
+        };
         let mut crc_word = [0u8; 4];
         for (dst, src) in crc_word.iter_mut().zip(crc_bytes) {
             *dst = *src;
         }
-        let stored_crc = u32::from_le_bytes(crc_word);
-        if crc32(&data) != stored_crc {
+        if crc32(&data) != u32::from_le_bytes(crc_word) {
             return Err(PageDecodeError::CrcMismatch);
         }
         Ok((data, corrected))
@@ -627,23 +640,25 @@ mod tests {
     fn page_roundtrip_clean() {
         let codec = PageCodec::new(4096);
         let page: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 256) as u8).collect();
-        let stored = codec.encode(&page).unwrap();
+        let stored = codec.encode(page.clone()).unwrap();
         assert_eq!(stored.len(), 4096 + 512 + 4);
         let (out, corrected) = codec.decode(&stored).unwrap();
         assert_eq!(out, page);
         assert_eq!(corrected, 0);
+        // A clean decode hands out the stored buffer's own prefix.
+        assert!(out.same_bytes(&stored.prefix(4096)));
     }
 
     #[test]
     fn page_corrects_scattered_single_bit_errors() {
         let codec = PageCodec::new(4096);
         let page = vec![0x3Cu8; 4096];
-        let mut stored = codec.encode(&page).unwrap();
+        let mut stored = codec.encode(page.clone()).unwrap().to_vec();
         // One bit flip in each of several distinct words.
         for w in [0usize, 17, 99, 511] {
             stored[w * 8 + 3] ^= 0x10;
         }
-        let (out, corrected) = codec.decode(&stored).unwrap();
+        let (out, corrected) = codec.decode(&stored.into()).unwrap();
         assert_eq!(out, page);
         assert_eq!(corrected, 4);
     }
@@ -652,17 +667,50 @@ mod tests {
     fn page_detects_double_error_in_word() {
         let codec = PageCodec::new(4096);
         let page = vec![0u8; 4096];
-        let mut stored = codec.encode(&page).unwrap();
+        let mut stored = codec.encode(page).unwrap().to_vec();
         stored[8] ^= 0x03; // two bits in the same word
-        assert_eq!(codec.decode(&stored), Err(PageDecodeError::Uncorrectable));
+        assert_eq!(
+            codec.decode(&stored.into()),
+            Err(PageDecodeError::Uncorrectable)
+        );
+    }
+
+    #[test]
+    fn zero_corrections_means_the_stored_bytes_are_the_encoding() {
+        // The FTL's decode memo and its relocation rest on this: a stored
+        // page that decodes with no word corrected is byte for byte the
+        // encoding of what it decoded to. Checked for every single and
+        // double bit error of a small page, data, parity and CRC alike.
+        let codec = PageCodec::new(64);
+        let mut data = vec![0u8; 64];
+        DeterministicRng::new(0x0DEC).fill_bytes(&mut data);
+        let clean = codec.encode(data).unwrap().to_vec();
+        let bits = clean.len() * 8;
+        let check = |damaged: Vec<u8>| {
+            let damaged = PageBuf::from(damaged);
+            if let Ok((out, 0)) = codec.decode(&damaged) {
+                assert_eq!(codec.encode(out.to_vec()).unwrap(), damaged);
+            }
+        };
+        check(clean.clone());
+        for a in 0..bits {
+            let mut one = clean.clone();
+            one[a / 8] ^= 1 << (a % 8);
+            check(one.clone());
+            for b in a + 1..bits {
+                let mut two = one.clone();
+                two[b / 8] ^= 1 << (b % 8);
+                check(two);
+            }
+        }
     }
 
     #[test]
     fn page_size_validated() {
         let codec = PageCodec::new(4096);
-        assert!(codec.encode(&[0u8; 100]).is_err());
+        assert!(codec.encode(vec![0u8; 100]).is_err());
         assert!(matches!(
-            codec.decode(&[0u8; 100]),
+            codec.decode(&vec![0u8; 100].into()),
             Err(PageDecodeError::BadSize { .. })
         ));
     }

@@ -6,10 +6,11 @@
 //! and bad-block management. ECC is applied on the way in/out via
 //! [`crate::PageCodec`].
 
-use crate::ecc::PageCodec;
+use crate::ecc::{PageCodec, PageDecodeError};
 use crate::error::NandError;
 use crate::geometry::{NandGeometry, PhysPage};
-use crate::media::{NandTiming, ZNandArray};
+use crate::media::{MediaRead, NandTiming, ZNandArray};
+use crate::page::PageBuf;
 use nvdimmc_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -110,6 +111,10 @@ pub struct FtlStats {
     pub hk_runs: u64,
     /// Pages relocated by proactive housekeeping.
     pub hk_moved_pages: u64,
+    /// Page reads run through [`PageCodec::decode`]. A read that injected
+    /// no error into a marked copy skips the decode (see [`ZNandArray`]),
+    /// so this counts host work, not simulated work.
+    pub pages_decoded: u64,
 }
 
 impl FtlStats {
@@ -120,6 +125,18 @@ impl FtlStats {
         }
         (self.host_writes + self.gc_moved_pages) as f64 / self.host_writes as f64
     }
+}
+
+/// A page read through the codec (see [`Ftl::read_decoded`]).
+struct Decoded {
+    data: PageBuf,
+    done: SimTime,
+    /// The page decoded only on a re-read.
+    retried: bool,
+    /// The bytes read, when they decoded with no word corrected: then
+    /// they are exactly `encode(data)`, and a relocation programs them as
+    /// they are.
+    codeword: Option<PageBuf>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +158,7 @@ enum BlockState {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ftl = Ftl::new(FtlConfig::small_for_tests());
 /// let page = vec![0x42u8; 4096];
-/// let done = ftl.write(10, &page, SimTime::ZERO)?;
+/// let (_, done) = ftl.write(10, page.clone(), SimTime::ZERO)?;
 /// let (data, _) = ftl.read(10, done)?;
 /// assert_eq!(data, page);
 /// # Ok(())
@@ -165,6 +182,8 @@ pub struct Ftl {
     /// Per-channel active (partially programmed) blocks.
     actives: Vec<Option<u64>>,
     rr: usize,
+    /// The page a never-written LPN reads as.
+    zeros: PageBuf,
     stats: FtlStats,
 }
 
@@ -194,6 +213,7 @@ impl Ftl {
             free,
             actives: vec![None; geo.channels as usize],
             rr: 0,
+            zeros: PageBuf::from(vec![0u8; geo.page_bytes as usize]),
             stats: FtlStats::default(),
         }
     }
@@ -266,73 +286,108 @@ impl Ftl {
     /// # Errors
     ///
     /// Fails for out-of-range LPNs and uncorrectable media errors.
-    pub fn read(&mut self, lpn: u64, at: SimTime) -> Result<(Vec<u8>, SimTime), NandError> {
+    pub fn read(&mut self, lpn: u64, at: SimTime) -> Result<(PageBuf, SimTime), NandError> {
         self.check_lpn(lpn)?;
         let Some(&phys) = self.l2p.get(&lpn) else {
             self.stats.unmapped_reads += 1;
-            return Ok((vec![0u8; self.codec.page_bytes()], at));
+            return Ok((self.zeros.clone(), at));
         };
-        let (data, done, retried) = self.read_decoded(phys, at)?;
+        let page = self.read_decoded(phys, at)?;
         self.stats.host_reads += 1;
-        if retried {
+        let (data, done) = (page.data.clone(), page.done);
+        if page.retried {
             // The page decoded only on a re-read: its cells are marginal.
             // Scrub-remap it onto a fresh physical page so the next read
             // does not start from the same cliff edge. The remap is a
             // background relocation (GC-class write): it must not turn a
             // successful read into an error, so a full device is tolerated.
-            if let Ok(fresh) = self.codec.encode(&data) {
-                if self.write_stored(lpn, &fresh, done, true).is_ok() {
-                    self.stats.retry_remaps += 1;
-                }
+            if self.relocate(lpn, page, done).is_ok() {
+                self.stats.retry_remaps += 1;
             }
         }
         Ok((data, done))
     }
 
     /// Reads and decodes a physical page, climbing the read-retry ladder
-    /// on decode failure. Returns the data, the completion instant, and
-    /// whether a retry was needed.
-    fn read_decoded(
-        &mut self,
-        phys: PhysPage,
-        at: SimTime,
-    ) -> Result<(Vec<u8>, SimTime, bool), NandError> {
-        let (stored, mut done) = self.media.read(phys, at)?;
-        match self.codec.decode(&stored) {
-            Ok((data, corrected)) => {
-                self.stats.words_corrected += corrected;
-                Ok((data, done, false))
-            }
-            Err(_) => {
-                for _ in 0..self.read_retries {
-                    self.stats.read_retries += 1;
-                    let (stored, next) = self.media.read(phys, done)?;
-                    done = next;
-                    if let Ok((data, corrected)) = self.codec.decode(&stored) {
-                        self.stats.words_corrected += corrected;
-                        self.stats.read_retry_recovered += 1;
-                        return Ok((data, done, true));
-                    }
-                }
-                self.stats.uncorrectable_surfaced += 1;
-                Err(NandError::Uncorrectable { page: phys })
+    /// on decode failure.
+    fn read_decoded(&mut self, phys: PhysPage, at: SimTime) -> Result<Decoded, NandError> {
+        let read = self.media.read(phys, at)?;
+        let mut done = read.done;
+        if let Ok(page) = self.decode(phys, read, false) {
+            return Ok(page);
+        }
+        for _ in 0..self.read_retries {
+            self.stats.read_retries += 1;
+            let read = self.media.read(phys, done)?;
+            done = read.done;
+            if let Ok(page) = self.decode(phys, read, true) {
+                self.stats.read_retry_recovered += 1;
+                return Ok(page);
             }
         }
+        self.stats.uncorrectable_surfaced += 1;
+        Err(NandError::Uncorrectable { page: phys })
+    }
+
+    /// Decodes one media read of `phys`. An intact read of a marked copy
+    /// skips the codec: decoding it would give its data prefix with no
+    /// word corrected. A clean decode of an intact read marks the copy.
+    fn decode(
+        &mut self,
+        phys: PhysPage,
+        read: MediaRead,
+        retried: bool,
+    ) -> Result<Decoded, PageDecodeError> {
+        let (data, corrected) = if read.intact && read.verified {
+            (read.bytes.prefix(self.codec.page_bytes()), 0)
+        } else {
+            self.stats.pages_decoded += 1;
+            let (data, corrected) = self.codec.decode(&read.bytes)?;
+            if corrected == 0 && read.intact {
+                self.media.mark_verified(phys, &read.bytes);
+            }
+            (data, corrected)
+        };
+        self.stats.words_corrected += corrected;
+        Ok(Decoded {
+            data,
+            done: read.done,
+            retried,
+            codeword: (corrected == 0).then_some(read.bytes),
+        })
+    }
+
+    /// Programs `lpn`'s page, as read into `page`, onto a fresh physical
+    /// page: a codeword as it is, corrected data encoded afresh. Either way
+    /// the new copy is `encode(data)`.
+    fn relocate(&mut self, lpn: u64, page: Decoded, at: SimTime) -> Result<SimTime, NandError> {
+        let stored = match page.codeword {
+            Some(stored) => stored,
+            None => self.codec.encode(page.data.to_vec())?,
+        };
+        self.write_stored(lpn, &stored, at, true)
     }
 
     /// Writes logical page `lpn`, remapping it to a fresh physical page.
-    /// Returns the program completion instant.
+    /// Returns the written page, sharing the stored copy's buffer, and the
+    /// program completion instant.
     ///
     /// # Errors
     ///
     /// Fails for out-of-range LPNs, wrong-sized buffers, or when the
     /// device is truly out of writable space.
-    pub fn write(&mut self, lpn: u64, data: &[u8], at: SimTime) -> Result<SimTime, NandError> {
+    pub fn write(
+        &mut self,
+        lpn: u64,
+        data: Vec<u8>,
+        at: SimTime,
+    ) -> Result<(PageBuf, SimTime), NandError> {
         self.check_lpn(lpn)?;
         let stored = self.codec.encode(data)?;
+        let page = stored.prefix(self.codec.page_bytes());
         let done = self.write_stored(lpn, &stored, at, false)?;
         self.stats.host_writes += 1;
-        Ok(done)
+        Ok((page, done))
     }
 
     /// Drops the mapping for `lpn` (TRIM/discard).
@@ -362,10 +417,14 @@ impl Ftl {
         self.media.discard(phys);
     }
 
+    /// Programs `stored`, which is `encode(data)` for `lpn`'s data, on the
+    /// next free page, and marks the new copy: decoding it would return
+    /// `data` with no word corrected, since every parity byte is
+    /// [`crate::Ecc::encode`] of its word and the CRC is the data's.
     fn write_stored(
         &mut self,
         lpn: u64,
-        stored: &[u8],
+        stored: &PageBuf,
         at: SimTime,
         is_gc: bool,
     ) -> Result<SimTime, NandError> {
@@ -379,8 +438,9 @@ impl Ftl {
             };
             let page = self.media.write_pointer(block);
             let phys = PhysPage { block, page };
-            match self.media.program(phys, stored, at) {
+            match self.media.program(phys, stored.clone(), at) {
                 Ok(done) => {
+                    self.media.mark_verified(phys, stored);
                     if let Some(old) = self.l2p.insert(lpn, phys) {
                         self.invalidate(old);
                     }
@@ -464,9 +524,8 @@ impl Ftl {
                 // Scrub through the codec (with the same read-retry ladder
                 // as host reads) so latent single-bit errors do not
                 // accumulate across relocations.
-                let (data, _, _) = self.read_decoded(phys, at)?;
-                let fresh = self.codec.encode(&data)?;
-                self.write_stored(lpn, &fresh, at, true)?;
+                let page = self.read_decoded(phys, at)?;
+                self.relocate(lpn, page, at)?;
                 self.stats.gc_moved_pages += 1;
             }
             match self.media.erase(victim, at) {
@@ -515,9 +574,8 @@ impl Ftl {
             let Some(&lpn) = self.p2l.get(&flat) else {
                 continue;
             };
-            let (data, _, _) = self.read_decoded(phys, at)?;
-            let fresh = self.codec.encode(&data)?;
-            self.write_stored(lpn, &fresh, at, true)?;
+            let page = self.read_decoded(phys, at)?;
+            self.relocate(lpn, page, at)?;
             moved += 1;
         }
         match self.media.erase(victim, at) {
@@ -586,7 +644,7 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut f = ftl();
-        let done = f.write(5, &page(0xAB), SimTime::ZERO).unwrap();
+        let done = f.write(5, page(0xAB), SimTime::ZERO).unwrap().1;
         let (data, _) = f.read(5, done).unwrap();
         assert_eq!(data, page(0xAB));
     }
@@ -603,9 +661,9 @@ mod tests {
     #[test]
     fn overwrite_remaps_and_invalidates() {
         let mut f = ftl();
-        let t1 = f.write(7, &page(1), SimTime::ZERO).unwrap();
+        let t1 = f.write(7, page(1), SimTime::ZERO).unwrap().1;
         let p1 = f.l2p[&7];
-        let t2 = f.write(7, &page(2), t1).unwrap();
+        let t2 = f.write(7, page(2), t1).unwrap().1;
         let p2 = f.l2p[&7];
         assert_ne!(p1, p2, "out-of-place update");
         let (data, _) = f.read(7, t2).unwrap();
@@ -617,7 +675,7 @@ mod tests {
         let mut f = ftl();
         let too_big = f.export_pages();
         assert!(matches!(
-            f.write(too_big, &page(0), SimTime::ZERO),
+            f.write(too_big, page(0), SimTime::ZERO),
             Err(NandError::LogicalOutOfRange { .. })
         ));
         assert!(f.read(too_big, SimTime::ZERO).is_err());
@@ -626,7 +684,7 @@ mod tests {
     #[test]
     fn trim_drops_mapping() {
         let mut f = ftl();
-        let done = f.write(9, &page(9), SimTime::ZERO).unwrap();
+        let done = f.write(9, page(9), SimTime::ZERO).unwrap().1;
         f.trim(9).unwrap();
         let (data, _) = f.read(9, done).unwrap();
         assert_eq!(data, page(0));
@@ -641,7 +699,7 @@ mod tests {
         // Write ~3x the exported capacity at random: forces GC.
         for i in 0..(export * 3) {
             let lpn = rng.gen_range(0..export);
-            t = f.write(lpn, &page((i % 256) as u8), t).unwrap();
+            t = f.write(lpn, page((i % 256) as u8), t).unwrap().1;
         }
         assert!(f.stats().gc_runs > 0, "GC never ran");
         assert!(
@@ -650,7 +708,7 @@ mod tests {
             f.stats().write_amplification()
         );
         // Device still readable and consistent for a fresh write.
-        let t2 = f.write(0, &page(0xEE), t).unwrap();
+        let t2 = f.write(0, page(0xEE), t).unwrap().1;
         let (data, _) = f.read(0, t2).unwrap();
         assert_eq!(data, page(0xEE));
     }
@@ -663,13 +721,13 @@ mod tests {
         let mut t = SimTime::ZERO;
         // Pin distinctive data in the first `keep` pages.
         for lpn in 0..keep {
-            t = f.write(lpn, &page(0x80 | lpn as u8), t).unwrap();
+            t = f.write(lpn, page(0x80 | lpn as u8), t).unwrap().1;
         }
         // Churn the rest hard.
         let mut rng = DeterministicRng::new(2);
         for i in 0..(export * 2) {
             let lpn = keep + rng.gen_range(0..(export - keep));
-            t = f.write(lpn, &page((i % 251) as u8), t).unwrap();
+            t = f.write(lpn, page((i % 251) as u8), t).unwrap().1;
         }
         for lpn in 0..keep {
             let (data, _) = f.read(lpn, t).unwrap();
@@ -685,7 +743,7 @@ mod tests {
         let mut rng = DeterministicRng::new(3);
         for i in 0..(export * 4) {
             let lpn = rng.gen_range(0..export);
-            t = f.write(lpn, &page((i % 256) as u8), t).unwrap();
+            t = f.write(lpn, page((i % 256) as u8), t).unwrap().1;
         }
         let spread = f.wear_spread();
         let max_seen = (0..f.media().geometry().total_blocks())
@@ -702,7 +760,7 @@ mod tests {
     fn ecc_corrects_media_bitflips_end_to_end() {
         let mut f = Ftl::new(FtlConfig::small_for_tests());
         f.media_mut().set_ber_per_read(0.9); // flip a bit on ~every read
-        let done = f.write(1, &page(0x77), SimTime::ZERO).unwrap();
+        let done = f.write(1, page(0x77), SimTime::ZERO).unwrap().1;
         for _ in 0..50 {
             let (data, _) = f.read(1, done).unwrap();
             assert_eq!(data, page(0x77));
@@ -713,7 +771,7 @@ mod tests {
     #[test]
     fn uncorrectable_error_surfaces() {
         let mut f = ftl();
-        let done = f.write(1, &page(0x11), SimTime::ZERO).unwrap();
+        let done = f.write(1, page(0x11), SimTime::ZERO).unwrap().1;
         let phys = f.l2p[&1];
         // Two bit flips inside the same 64-bit word: beyond SEC-DED.
         f.media_mut().corrupt(phys, &[0, 1]);
@@ -730,7 +788,7 @@ mod tests {
     #[test]
     fn transient_uncorrectable_recovered_by_retry_and_remapped() {
         let mut f = ftl();
-        let done = f.write(1, &page(0x33), SimTime::ZERO).unwrap();
+        let done = f.write(1, page(0x33), SimTime::ZERO).unwrap().1;
         let before = f.l2p[&1];
         f.media_mut().arm_uncorrectable(false);
         let (data, _) = f.read(1, done).expect("retry ladder must recover");
@@ -749,7 +807,7 @@ mod tests {
     #[test]
     fn persistent_uncorrectable_exhausts_ladder() {
         let mut f = ftl();
-        let done = f.write(2, &page(0x44), SimTime::ZERO).unwrap();
+        let done = f.write(2, page(0x44), SimTime::ZERO).unwrap().1;
         f.media_mut().arm_uncorrectable(true);
         assert!(matches!(
             f.read(2, done),
@@ -759,6 +817,65 @@ mod tests {
         assert_eq!(s.read_retries, 3);
         assert_eq!(s.uncorrectable_surfaced, 1);
         assert_eq!(f.media().stats().uncorrectable_injected, 1);
+    }
+
+    #[test]
+    fn only_disturbed_reads_decode() {
+        let mut f = ftl();
+        let t = f.write(3, page(0x3C), SimTime::ZERO).unwrap().1;
+        for _ in 0..5 {
+            let (data, _) = f.read(3, t).unwrap();
+            assert_eq!(data, page(0x3C));
+        }
+        assert_eq!(f.stats().pages_decoded, 0, "codec output is marked");
+        assert_eq!(f.media().stats().reads, 5);
+        // A transient fault forces a decode of the damaged read only: the
+        // retry that recovers it is intact, and the remap moves the marked
+        // copy as it is.
+        f.media_mut().arm_uncorrectable(false);
+        let (data, _) = f.read(3, t).unwrap();
+        assert_eq!(data, page(0x3C));
+        assert_eq!(f.stats().pages_decoded, 1);
+        assert_eq!(f.stats().retry_remaps, 1);
+        f.read(3, t).unwrap();
+        assert_eq!(f.stats().pages_decoded, 1, "the remapped copy is marked");
+        // Bit flips on every read: each read decodes and corrects.
+        f.media_mut().set_ber_per_read(1.0);
+        for _ in 0..4 {
+            let (data, _) = f.read(3, t).unwrap();
+            assert_eq!(data, page(0x3C));
+        }
+        assert_eq!(f.stats().pages_decoded, 5);
+    }
+
+    #[test]
+    fn a_damaged_copy_decodes_on_every_read() {
+        let mut f = ftl();
+        let done = f.write(2, page(0x44), SimTime::ZERO).unwrap().1;
+        f.read(2, done).unwrap();
+        assert_eq!(f.stats().pages_decoded, 0);
+        // A persistent fault replaces the marked copy: the faulting read
+        // and all three retries decode, and the ladder fails as before.
+        f.media_mut().arm_uncorrectable(true);
+        assert!(matches!(
+            f.read(2, done),
+            Err(NandError::Uncorrectable { .. })
+        ));
+        let s = f.stats();
+        assert_eq!(s.read_retries, 3);
+        assert_eq!(s.uncorrectable_surfaced, 1);
+        assert_eq!(s.pages_decoded, 4);
+        // One flipped bit, fixed by the codec: corrected on every read,
+        // never marked.
+        let done = f.write(5, page(0x55), done).unwrap().1;
+        let phys = f.l2p[&5];
+        f.media_mut().corrupt(phys, &[7]);
+        for _ in 0..3 {
+            let (data, _) = f.read(5, done).unwrap();
+            assert_eq!(data, page(0x55));
+        }
+        assert_eq!(f.stats().pages_decoded, 7);
+        assert_eq!(f.stats().words_corrected, 3);
     }
 
     #[test]
@@ -773,7 +890,7 @@ mod tests {
         let mut i = 0u64;
         while f.free_blocks() > f.gc_low * 2 && i < export * 4 {
             let lpn = rng.gen_range(0..export);
-            t = f.write(lpn, &page((i % 256) as u8), t).unwrap();
+            t = f.write(lpn, page((i % 256) as u8), t).unwrap().1;
             i += 1;
         }
         let before = f.free_blocks();
@@ -784,7 +901,7 @@ mod tests {
             "housekeeping must not shrink the free pool"
         );
         // Data still intact after background relocation.
-        let t2 = f.write(0, &page(0xCD), t).unwrap();
+        let t2 = f.write(0, page(0xCD), t).unwrap().1;
         let (data, _) = f.read(0, t2).unwrap();
         assert_eq!(data, page(0xCD));
     }
@@ -798,7 +915,7 @@ mod tests {
         let mut rng = DeterministicRng::new(11);
         for i in 0..(export * 2) {
             let lpn = rng.gen_range(0..export);
-            t = f.write(lpn, &page((i % 256) as u8), t).unwrap();
+            t = f.write(lpn, page((i % 256) as u8), t).unwrap().1;
         }
         assert!(f.stats().gc_runs > 0);
         let l2p_before = f.l2p.clone();
@@ -817,7 +934,7 @@ mod tests {
             f.read(lpn, t).unwrap();
         }
         // The FTL stays fully writable (heaps/actives consistent).
-        let t2 = f.write(0, &page(0xAB), t).unwrap();
+        let t2 = f.write(0, page(0xAB), t).unwrap().1;
         let (data, _) = f.read(0, t2).unwrap();
         assert_eq!(data, page(0xAB));
     }
@@ -841,7 +958,7 @@ mod tests {
                     f.media_mut().arm_uncorrectable(false);
                     f.read(lpn, t).unwrap();
                 }
-                _ => t = f.write(lpn, &page((i % 256) as u8), t).unwrap(),
+                _ => t = f.write(lpn, page((i % 256) as u8), t).unwrap().1,
             }
             assert_eq!(f.media().stored_pages(), f.l2p.len(), "op {i}");
         }
@@ -858,7 +975,7 @@ mod tests {
         let mut f = ftl();
         let mut t = SimTime::ZERO;
         for lpn in 0..8 {
-            t = f.write(lpn, &page(lpn as u8), t).unwrap();
+            t = f.write(lpn, page(lpn as u8), t).unwrap().1;
         }
         let geo = *f.media().geometry();
         let channels: std::collections::HashSet<u32> =
@@ -870,7 +987,7 @@ mod tests {
     fn bad_page_size_rejected() {
         let mut f = ftl();
         assert!(matches!(
-            f.write(0, &[0u8; 100], SimTime::ZERO),
+            f.write(0, vec![0u8; 100], SimTime::ZERO),
             Err(NandError::BadPageSize { .. })
         ));
     }

@@ -20,7 +20,10 @@
 //! - [`nvmc`] — the NAND side of the NVM controller: per-channel
 //!   parallelism, a bounded controller write buffer that acknowledges
 //!   programs early (how the PoC hides Z-NAND's ~100 µs tPROG), and
-//!   service-time accounting in simulated time.
+//!   service-time accounting in simulated time;
+//! - [`page`] — [`PageBuf`], page bytes held by reference, so one stored
+//!   buffer travels from the media through the NVMC to the FPGA's DMA
+//!   without a copy.
 //!
 //! # Example
 //!
@@ -31,7 +34,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut nvmc = Nvmc::new(NvmcConfig::small_for_tests())?;
 //! let page = vec![7u8; 4096];
-//! let done = nvmc.write_page(3, &page, SimTime::ZERO)?;
+//! let done = nvmc.write_page(3, page.clone(), SimTime::ZERO)?;
 //! let (data, _ready) = nvmc.read_page(3, done)?;
 //! assert_eq!(data, page);
 //! # Ok(())
@@ -51,10 +54,12 @@ pub mod ftl;
 pub mod geometry;
 pub mod media;
 pub mod nvmc;
+pub mod page;
 
 pub use ecc::{Ecc, EccStats, PageCodec};
 pub use error::NandError;
 pub use ftl::{Ftl, FtlConfig, FtlStats};
 pub use geometry::{NandGeometry, PhysPage};
-pub use media::{NandTiming, ZNandArray};
+pub use media::{MediaRead, NandTiming, ZNandArray};
 pub use nvmc::{Nvmc, NvmcConfig, NvmcStats};
+pub use page::PageBuf;

@@ -8,6 +8,7 @@
 
 use crate::error::NandError;
 use crate::geometry::{NandGeometry, PhysPage};
+use crate::page::PageBuf;
 use nvdimmc_sim::{DeterministicRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -60,6 +61,34 @@ pub struct MediaStats {
     pub uncorrectable_injected: u64,
 }
 
+/// One stored page and its decode mark.
+#[derive(Debug, Clone)]
+struct Stored {
+    bytes: PageBuf,
+    /// This exact copy decodes clean with no word corrected (set by
+    /// [`ZNandArray::mark_verified`]). Every path that changes or drops
+    /// the bytes replaces the whole entry, so the mark cannot outlive
+    /// the bytes it vouches for.
+    verified: bool,
+}
+
+/// One page read, as [`ZNandArray::read`] returns it.
+#[derive(Debug, Clone)]
+pub struct MediaRead {
+    /// The bytes read: the stored copy itself, shared, unless this read
+    /// injected an error.
+    pub bytes: PageBuf,
+    /// Completion instant (tR + transfer).
+    pub done: SimTime,
+    /// No bit flip or forced fault hit this read, so `bytes` is the
+    /// stored copy as it is.
+    pub intact: bool,
+    /// The stored copy carries the decode mark (see
+    /// [`ZNandArray::mark_verified`]). With `intact`, decoding `bytes`
+    /// would return its data prefix with zero corrections.
+    pub verified: bool,
+}
+
 #[derive(Debug, Clone)]
 struct BlockMeta {
     erase_count: u32,
@@ -78,12 +107,22 @@ struct BlockMeta {
 /// than the write history. Real NAND keeps a stale page's cells until
 /// its block's erase, but nothing reads them again, so dropping them
 /// early changes no result.
+///
+/// Each stored page carries a decode mark ([`ZNandArray::mark_verified`]):
+/// decoding this exact copy gives its data prefix with no word
+/// corrected. The FTL decodes a page read only when the copy is unmarked
+/// or the read injected a bit flip or a forced fault ([`MediaRead`]). It
+/// marks every copy it programs, since it programs only codec output,
+/// and a copy that decodes clean on an intact read. `program`, `erase`,
+/// `discard`, a persistent forced fault and the `corrupt` hook each
+/// replace or drop the whole entry, mark included, so the codec runs on
+/// every read whose bytes differ from a marked copy.
 #[derive(Debug)]
 pub struct ZNandArray {
     geo: NandGeometry,
     timing: NandTiming,
     blocks: Vec<BlockMeta>,
-    data: HashMap<u64, Vec<u8>>,
+    data: HashMap<u64, Stored>,
     die_busy: Vec<SimTime>,
     rng: DeterministicRng,
     /// Probability of one injected bit flip per page read at zero wear;
@@ -175,6 +214,11 @@ impl ZNandArray {
         self.stats
     }
 
+    /// The error-model RNG as it stands, for tests that compare streams.
+    pub fn rng(&self) -> &DeterministicRng {
+        &self.rng
+    }
+
     /// Erase count of `block`.
     pub fn erase_count(&self, block: u64) -> u32 {
         self.blocks[block as usize].erase_count
@@ -230,13 +274,14 @@ impl ZNandArray {
         self.die_busy[self.die_index(block)]
     }
 
-    /// Reads a stored page. Returns the stored bytes and the completion
-    /// instant (queueing behind the die + tR + transfer).
+    /// Reads a stored page: the bytes as read, whether this read injected
+    /// an error, whether the stored copy is marked, and the completion
+    /// instant (tR + transfer; see below).
     ///
     /// # Errors
     ///
     /// Fails for out-of-range/bad-block addresses or unprogrammed pages.
-    pub fn read(&mut self, p: PhysPage, at: SimTime) -> Result<(Vec<u8>, SimTime), NandError> {
+    pub fn read(&mut self, p: PhysPage, at: SimTime) -> Result<MediaRead, NandError> {
         self.check(p)?;
         let meta = &self.blocks[p.block as usize];
         if p.page >= meta.next_page {
@@ -247,12 +292,16 @@ impl ZNandArray {
         let idx = p.flat_index(&self.geo);
         // `next_page` said the page is programmed; a missing backing
         // entry means it was discarded as stale — surface, don't panic.
-        let Some(mut bytes) = self.data.get(&idx).cloned() else {
+        let Some(stored) = self.data.get(&idx) else {
             return Err(NandError::ReadUnwritten { page: p });
         };
+        let mut bytes = stored.bytes.clone();
+        let verified = stored.verified;
+        let mut intact = true;
         if flip {
             let bit = self.rng.gen_range(0..(bytes.len() as u64 * 8));
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            bytes = flip_bits(&bytes, &[bit]);
+            intact = false;
             self.stats.bitflips_injected += 1;
         }
         if (self.forced_transient > 0 || self.forced_persistent > 0) && bytes.len() >= 8 {
@@ -268,12 +317,16 @@ impl ZNandArray {
             let wi = self.rng.gen_range(0..data_words);
             let b1 = self.rng.gen_range(0..64);
             let b2 = (b1 + 1 + self.rng.gen_range(0..63)) % 64;
-            for b in [b1, b2] {
-                let bit = wi * 64 + b;
-                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
+            bytes = flip_bits(&bytes, &[wi * 64 + b1, wi * 64 + b2]);
+            intact = false;
             if persistent {
-                self.data.insert(idx, bytes.clone());
+                self.data.insert(
+                    idx,
+                    Stored {
+                        bytes: bytes.clone(),
+                        verified: false,
+                    },
+                );
             }
             self.stats.uncorrectable_injected += 1;
         }
@@ -287,7 +340,25 @@ impl ZNandArray {
         }
         let done = at + self.timing.read + self.timing.xfer;
         self.stats.reads += 1;
-        Ok((bytes, done))
+        Ok(MediaRead {
+            bytes,
+            done,
+            intact,
+            verified,
+        })
+    }
+
+    /// Marks the stored copy of `p` as one that decodes clean with no word
+    /// corrected, if `bytes` is that copy itself (the same buffer, as
+    /// `program` took it or an intact [`MediaRead`] returned it);
+    /// otherwise does nothing. The FTL calls this after programming codec
+    /// output and after a clean decode of an intact read.
+    pub fn mark_verified(&mut self, p: PhysPage, bytes: &PageBuf) {
+        if let Some(stored) = self.data.get_mut(&p.flat_index(&self.geo)) {
+            if stored.bytes.same_bytes(bytes) {
+                stored.verified = true;
+            }
+        }
     }
 
     /// Programs a page. NAND constraints: the block's pages must be
@@ -299,7 +370,7 @@ impl ZNandArray {
     pub fn program(
         &mut self,
         p: PhysPage,
-        stored: &[u8],
+        stored: PageBuf,
         at: SimTime,
     ) -> Result<SimTime, NandError> {
         self.check(p)?;
@@ -315,7 +386,13 @@ impl ZNandArray {
         }
         meta.next_page += 1;
         let idx = p.flat_index(&self.geo);
-        self.data.insert(idx, stored.to_vec());
+        self.data.insert(
+            idx,
+            Stored {
+                bytes: stored,
+                verified: false,
+            },
+        );
         let done = self.occupy_die(p.block, at, self.timing.xfer + self.timing.program);
         self.stats.programs += 1;
         Ok(done)
@@ -382,11 +459,21 @@ impl ZNandArray {
     #[allow(clippy::expect_used)] // fault-injection hook, documented to panic
     pub fn corrupt(&mut self, p: PhysPage, bit_offsets: &[u64]) {
         let idx = p.flat_index(&self.geo);
-        let bytes = self.data.get_mut(&idx).expect("page not programmed");
-        for &bit in bit_offsets {
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        }
+        let stored = self.data.get_mut(&idx).expect("page not programmed");
+        *stored = Stored {
+            bytes: flip_bits(&stored.bytes, bit_offsets),
+            verified: false,
+        };
     }
+}
+
+/// A copy of `bytes` with the given bits flipped.
+fn flip_bits(bytes: &[u8], bits: &[u64]) -> PageBuf {
+    let mut out = bytes.to_vec();
+    for &bit in bits {
+        out[(bit / 8) as usize] ^= 1 << (bit % 8);
+    }
+    PageBuf::from(out)
 }
 
 #[cfg(test)]
@@ -404,16 +491,20 @@ mod tests {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
         let stored = vec![9u8; 100];
-        let done = a.program(p, &stored, SimTime::ZERO).unwrap();
+        let done = a.program(p, stored.clone().into(), SimTime::ZERO).unwrap();
         assert!(done >= SimTime::ZERO + a.timing().program);
-        let (bytes, _) = a.read(p, done).unwrap();
+        let bytes = a.read(p, done).unwrap().bytes;
         assert_eq!(bytes, stored);
     }
 
     #[test]
     fn sequential_programming_enforced() {
         let mut a = array();
-        let err = a.program(PhysPage { block: 0, page: 1 }, &[0], SimTime::ZERO);
+        let err = a.program(
+            PhysPage { block: 0, page: 1 },
+            vec![0].into(),
+            SimTime::ZERO,
+        );
         assert!(matches!(err, Err(NandError::NonSequentialProgram { .. })));
     }
 
@@ -421,8 +512,8 @@ mod tests {
     fn reprogram_without_erase_rejected() {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
-        a.program(p, &[1], SimTime::ZERO).unwrap();
-        let err = a.program(p, &[2], SimTime::from_us(200));
+        a.program(p, vec![1].into(), SimTime::ZERO).unwrap();
+        let err = a.program(p, vec![2].into(), SimTime::from_us(200));
         assert!(matches!(err, Err(NandError::ProgramWithoutErase { .. })));
     }
 
@@ -430,7 +521,7 @@ mod tests {
     fn erase_resets_block() {
         let mut a = array();
         let p = PhysPage { block: 3, page: 0 };
-        a.program(p, &[1], SimTime::ZERO).unwrap();
+        a.program(p, vec![1].into(), SimTime::ZERO).unwrap();
         let done = a.erase(3, SimTime::from_us(1_000)).unwrap();
         assert_eq!(a.erase_count(3), 1);
         assert_eq!(a.write_pointer(3), 0);
@@ -439,7 +530,7 @@ mod tests {
             Err(NandError::ReadUnwritten { .. })
         ));
         // Reprogramming page 0 is legal again.
-        a.program(p, &[2], done).unwrap();
+        a.program(p, vec![2].into(), done).unwrap();
     }
 
     #[test]
@@ -454,13 +545,25 @@ mod tests {
         let mut a = array();
         // Blocks 0 and 2 share channel 0 (stride 2); block 1 is channel 1.
         let d0 = a
-            .program(PhysPage { block: 0, page: 0 }, &[1], SimTime::ZERO)
+            .program(
+                PhysPage { block: 0, page: 0 },
+                vec![1].into(),
+                SimTime::ZERO,
+            )
             .unwrap();
         let d2 = a
-            .program(PhysPage { block: 2, page: 0 }, &[1], SimTime::ZERO)
+            .program(
+                PhysPage { block: 2, page: 0 },
+                vec![1].into(),
+                SimTime::ZERO,
+            )
             .unwrap();
         let d1 = a
-            .program(PhysPage { block: 1, page: 0 }, &[1], SimTime::ZERO)
+            .program(
+                PhysPage { block: 1, page: 0 },
+                vec![1].into(),
+                SimTime::ZERO,
+            )
             .unwrap();
         assert!(d2 > d0, "same die serializes");
         assert_eq!(d1, d0, "other channel runs in parallel");
@@ -471,7 +574,11 @@ mod tests {
         let mut a = array();
         a.mark_bad(5);
         assert!(matches!(
-            a.program(PhysPage { block: 5, page: 0 }, &[1], SimTime::ZERO),
+            a.program(
+                PhysPage { block: 5, page: 0 },
+                vec![1].into(),
+                SimTime::ZERO
+            ),
             Err(NandError::BadBlock { .. })
         ));
         assert!(a.is_bad(5));
@@ -484,17 +591,15 @@ mod tests {
         let mut t = SimTime::ZERO;
         let p = PhysPage { block: 0, page: 0 };
         // Phase 1: young block, 300 reads.
-        t = a.program(p, &[0u8; 64], t).unwrap();
+        t = a.program(p, vec![0u8; 64].into(), t).unwrap();
         for _ in 0..300 {
-            let (_, t2) = a.read(p, t).unwrap();
-            t = t2;
+            t = a.read(p, t).unwrap().done;
         }
         let flips_young = a.stats().bitflips_injected;
         // Phase 2: artificially worn to end of life, 300 reads.
         a.blocks[0].erase_count = a.endurance;
         for _ in 0..300 {
-            let (_, t2) = a.read(p, t).unwrap();
-            t = t2;
+            t = a.read(p, t).unwrap().done;
         }
         let flips_old = a.stats().bitflips_injected - flips_young;
         assert!(
@@ -508,22 +613,25 @@ mod tests {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
         let stored = vec![0u8; 64];
-        let t = a.program(p, &stored, SimTime::ZERO).unwrap();
+        let t = a.program(p, stored.clone().into(), SimTime::ZERO).unwrap();
 
         // Transient: the read copy is damaged, the stored copy is not.
         a.arm_uncorrectable(false);
         assert_eq!(a.armed_uncorrectable(), 1);
-        let (bad, t2) = a.read(p, t).unwrap();
-        assert_ne!(bad, stored, "fault must corrupt the returned copy");
+        let bad = a.read(p, t).unwrap();
+        assert_ne!(bad.bytes, stored, "fault must corrupt the returned copy");
         assert_eq!(a.armed_uncorrectable(), 0);
-        let (clean, t3) = a.read(p, t2).unwrap();
-        assert_eq!(clean, stored, "transient fault must not persist");
+        let clean = a.read(p, bad.done).unwrap();
+        assert_eq!(clean.bytes, stored, "transient fault must not persist");
 
         // Persistent: the stored copy is damaged too.
         a.arm_uncorrectable(true);
-        let (bad, t4) = a.read(p, t3).unwrap();
-        let (still_bad, _) = a.read(p, t4).unwrap();
-        assert_eq!(bad, still_bad, "persistent fault must survive re-reads");
+        let bad = a.read(p, clean.done).unwrap();
+        let still_bad = a.read(p, bad.done).unwrap().bytes;
+        assert_eq!(
+            bad.bytes, still_bad,
+            "persistent fault must survive re-reads"
+        );
         assert_ne!(still_bad, stored);
         assert_eq!(a.stats().uncorrectable_injected, 2);
     }
@@ -533,7 +641,7 @@ mod tests {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
         let stored = vec![0x5Au8; 64];
-        let t = a.program(p, &stored, SimTime::ZERO).unwrap();
+        let t = a.program(p, stored.clone().into(), SimTime::ZERO).unwrap();
         a.erase(3, t).unwrap();
         a.mark_bad(5);
         assert!(a.die_free_at(0) > SimTime::ZERO);
@@ -544,11 +652,11 @@ mod tests {
         assert_eq!(a.write_pointer(0), 1, "write pointer kept");
         assert_eq!(a.erase_count(3), 1, "erase count kept");
         assert!(a.is_bad(5), "bad-block mark kept");
-        let (bytes, _) = a.read(p, SimTime::ZERO).unwrap();
+        let bytes = a.read(p, SimTime::ZERO).unwrap().bytes;
         assert_eq!(bytes, stored, "page data kept");
         // A program on the idle die completes after xfer + tPROG.
         let q = PhysPage { block: 0, page: 1 };
-        let done = a.program(q, &stored, SimTime::ZERO).unwrap();
+        let done = a.program(q, stored.clone().into(), SimTime::ZERO).unwrap();
         assert_eq!(done, SimTime::ZERO + a.timing().xfer + a.timing().program);
     }
 
@@ -561,15 +669,15 @@ mod tests {
                 ZNandArray::new(NandGeometry::small_for_tests(), NandTiming::znand_poc(), 9);
             a.set_ber_per_read(0.05);
             let p = PhysPage { block: 0, page: 0 };
-            let mut t = a.program(p, &[0u8; 64], SimTime::ZERO).unwrap();
+            let mut t = a.program(p, vec![0u8; 64].into(), SimTime::ZERO).unwrap();
             let mut reads = Vec::new();
             for i in 0..60 {
                 if reboot && i == 10 {
                     a.power_cycle();
                 }
-                let (bytes, t2) = a.read(p, t).unwrap();
-                reads.push(bytes);
-                t = t2;
+                let r = a.read(p, t).unwrap();
+                reads.push(r.bytes);
+                t = r.done;
             }
             (reads, a.stats())
         };
@@ -580,8 +688,8 @@ mod tests {
     fn discard_drops_the_payload_but_not_the_block_state() {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
-        let t = a.program(p, &[1u8; 64], SimTime::ZERO).unwrap();
-        a.program(PhysPage { block: 0, page: 1 }, &[2u8; 64], t)
+        let t = a.program(p, vec![1u8; 64].into(), SimTime::ZERO).unwrap();
+        a.program(PhysPage { block: 0, page: 1 }, vec![2u8; 64].into(), t)
             .unwrap();
         assert_eq!(a.stored_pages(), 2);
         let busy = a.die_free_at(0);
@@ -596,17 +704,68 @@ mod tests {
         // The erase still resets the block for reprogramming.
         let done = a.erase(0, busy).unwrap();
         assert_eq!(a.stored_pages(), 0);
-        a.program(p, &[3u8; 64], done).unwrap();
+        a.program(p, vec![3u8; 64].into(), done).unwrap();
     }
 
     #[test]
     fn corrupt_hook_flips_bits() {
         let mut a = array();
         let p = PhysPage { block: 0, page: 0 };
-        a.program(p, &[0u8; 8], SimTime::ZERO).unwrap();
+        a.program(p, vec![0u8; 8].into(), SimTime::ZERO).unwrap();
         a.corrupt(p, &[0, 9]);
-        let (bytes, _) = a.read(p, SimTime::from_us(1_000)).unwrap();
+        let bytes = a.read(p, SimTime::from_us(1_000)).unwrap().bytes;
         assert_eq!(bytes[0], 0x01);
         assert_eq!(bytes[1], 0x02);
+    }
+
+    #[test]
+    fn the_decode_mark_lives_exactly_as_long_as_its_bytes() {
+        let mut a = array();
+        let p = PhysPage { block: 0, page: 0 };
+        let t = a.program(p, vec![0u8; 64].into(), SimTime::ZERO).unwrap();
+        let first = a.read(p, t).unwrap();
+        assert!(first.intact && !first.verified, "a fresh copy is unmarked");
+        // Equal bytes in another buffer are not the stored copy.
+        a.mark_verified(p, &vec![0u8; 64].into());
+        assert!(!a.read(p, t).unwrap().verified);
+        a.mark_verified(p, &first.bytes);
+        let again = a.read(p, t).unwrap();
+        assert!(again.intact && again.verified);
+        assert!(again.bytes.same_bytes(&first.bytes), "reads share the copy");
+
+        // A transient fault damages only the returned copy: the mark stays
+        // and the next read is intact again.
+        a.arm_uncorrectable(false);
+        let hit = a.read(p, t).unwrap();
+        assert!(!hit.intact && hit.verified);
+        assert!(a.read(p, t).unwrap().verified);
+
+        // A persistent fault replaces the stored copy and drops the mark.
+        a.arm_uncorrectable(true);
+        let hit = a.read(p, t).unwrap();
+        assert!(!hit.intact);
+        let after = a.read(p, t).unwrap();
+        assert!(after.intact && !after.verified);
+        assert_eq!(after.bytes, hit.bytes);
+
+        // The corrupt hook and a bit flip: likewise.
+        a.mark_verified(p, &after.bytes);
+        a.corrupt(p, &[3]);
+        assert!(!a.read(p, t).unwrap().verified);
+        a.set_ber_per_read(1.0);
+        let flipped = a.read(p, t).unwrap();
+        assert!(!flipped.intact);
+        a.set_ber_per_read(0.0);
+
+        // Discard and erase drop the entry, mark included; a new program
+        // starts unmarked.
+        let stored = a.read(p, t).unwrap().bytes;
+        a.mark_verified(p, &stored);
+        a.discard(p);
+        a.mark_verified(p, &stored);
+        assert_eq!(a.stored_pages(), 0, "marking never recreates an entry");
+        let done = a.erase(0, t).unwrap();
+        a.program(p, stored.clone(), done).unwrap();
+        assert!(!a.read(p, done).unwrap().verified);
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::error::NandError;
 use crate::ftl::{Ftl, FtlConfig, FtlStats};
+use crate::page::PageBuf;
 use nvdimmc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
@@ -79,7 +80,7 @@ pub struct NvmcStats {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut nvmc = Nvmc::new(NvmcConfig::small_for_tests())?;
-/// let ack = nvmc.write_page(0, &vec![1u8; 4096], SimTime::ZERO)?;
+/// let ack = nvmc.write_page(0, vec![1u8; 4096], SimTime::ZERO)?;
 /// // The ack arrives long before the ~100us program completes:
 /// assert!(ack < SimTime::from_us(50));
 /// # Ok(())
@@ -92,8 +93,9 @@ pub struct Nvmc {
     buffer_latency: SimDuration,
     /// Program completion times of in-flight buffered writes (min-heap).
     inflight: BinaryHeap<std::cmp::Reverse<SimTime>>,
-    /// Buffered page contents for read-after-write service.
-    buffered: HashMap<u64, (Vec<u8>, SimTime)>,
+    /// Buffered page contents for read-after-write service, sharing the
+    /// stored copies' buffers.
+    buffered: HashMap<u64, (PageBuf, SimTime)>,
     stats: NvmcStats,
 }
 
@@ -177,12 +179,13 @@ impl Nvmc {
         self.buffered.contains_key(&lpn) || self.ftl.is_mapped(lpn)
     }
 
-    /// Reads logical page `lpn`; returns the data and its ready time.
+    /// Reads logical page `lpn`; returns the data, by reference, and its
+    /// ready time.
     ///
     /// # Errors
     ///
     /// Propagates FTL/media errors.
-    pub fn read_page(&mut self, lpn: u64, at: SimTime) -> Result<(Vec<u8>, SimTime), NandError> {
+    pub fn read_page(&mut self, lpn: u64, at: SimTime) -> Result<(PageBuf, SimTime), NandError> {
         self.prune(at);
         self.stats.reads += 1;
         if let Some((data, _)) = self.buffered.get(&lpn) {
@@ -194,16 +197,23 @@ impl Nvmc {
 
     /// Writes logical page `lpn`; returns the **acknowledgement** time —
     /// when the page is safely in the controller buffer — which precedes
-    /// the physical program completion unless the buffer is full.
+    /// the physical program completion unless the buffer is full. The
+    /// page buffer becomes the stored copy: the codec appends its parity
+    /// and CRC in place.
     ///
     /// # Errors
     ///
     /// Propagates FTL/media errors.
-    pub fn write_page(&mut self, lpn: u64, data: &[u8], at: SimTime) -> Result<SimTime, NandError> {
+    pub fn write_page(
+        &mut self,
+        lpn: u64,
+        data: Vec<u8>,
+        at: SimTime,
+    ) -> Result<SimTime, NandError> {
         self.prune(at);
-        let program_done = self.ftl.write(lpn, data, at)?;
+        let (page, program_done) = self.ftl.write(lpn, data, at)?;
         self.inflight.push(std::cmp::Reverse(program_done));
-        self.buffered.insert(lpn, (data.to_vec(), program_done));
+        self.buffered.insert(lpn, (page, program_done));
         self.stats.writes += 1;
         let mut ack = at + self.buffer_latency;
         // Backpressure: with more in-flight programs than buffer slots, the
@@ -236,7 +246,7 @@ mod tests {
     #[test]
     fn ack_precedes_program_completion() {
         let mut n = nvmc();
-        let ack = n.write_page(0, &page(1), SimTime::ZERO).unwrap();
+        let ack = n.write_page(0, page(1), SimTime::ZERO).unwrap();
         // Buffer latency 1us; program is 100us + transfer.
         assert!(ack <= SimTime::from_us(2));
     }
@@ -244,11 +254,16 @@ mod tests {
     #[test]
     fn read_after_write_served_from_buffer() {
         let mut n = nvmc();
-        let ack = n.write_page(4, &page(0x55), SimTime::ZERO).unwrap();
+        let ack = n.write_page(4, page(0x55), SimTime::ZERO).unwrap();
         let (data, ready) = n.read_page(4, ack).unwrap();
         assert_eq!(data, page(0x55));
         assert!(ready <= ack + SimDuration::from_us(1.5));
         assert_eq!(n.stats().buffer_hits, 1);
+        // Buffer and media hand out the one stored buffer, uncopied.
+        let late = ack + SimDuration::from_ms(10.0);
+        let (media, _) = n.read_page(4, late).unwrap();
+        assert_eq!(n.stats().buffer_hits, 1, "served from media");
+        assert!(media.same_bytes(&data));
     }
 
     #[test]
@@ -259,7 +274,7 @@ mod tests {
         // Slam writes at time zero; with 16 slots and ~100us programs on 2
         // dies, acks must eventually wait.
         for i in 0..64u64 {
-            let ack = n.write_page(i, &page(i as u8), t).unwrap();
+            let ack = n.write_page(i, page(i as u8), t).unwrap();
             if ack.since(t) > SimDuration::from_us(10.0) {
                 stalled = true;
             }
@@ -272,7 +287,7 @@ mod tests {
     #[test]
     fn read_latency_is_znand_class() {
         let mut n = nvmc();
-        let ack = n.write_page(7, &page(9), SimTime::ZERO).unwrap();
+        let ack = n.write_page(7, page(9), SimTime::ZERO).unwrap();
         // Move past buffering so the read hits media.
         let late = ack + SimDuration::from_ms(10.0);
         let (data, ready) = n.read_page(7, late).unwrap();
@@ -287,7 +302,7 @@ mod tests {
         let mut n = nvmc();
         let mut t = SimTime::ZERO;
         for i in 0..100u64 {
-            t = n.write_page(i % 10, &page((i % 256) as u8), t).unwrap();
+            t = n.write_page(i % 10, page((i % 256) as u8), t).unwrap();
         }
         // Drain everything, then verify the final values.
         let late = t + SimDuration::from_ms(50.0);
@@ -301,10 +316,10 @@ mod tests {
     #[test]
     fn power_cycle_drops_buffer_but_keeps_data() {
         let mut n = nvmc();
-        let ack = n.write_page(3, &page(0x77), SimTime::ZERO).unwrap();
+        let ack = n.write_page(3, page(0x77), SimTime::ZERO).unwrap();
         // Fill the buffer with programs still in flight at `ack`.
         for lpn in 10..26u64 {
-            n.write_page(lpn, &page(lpn as u8), ack).unwrap();
+            n.write_page(lpn, page(lpn as u8), ack).unwrap();
         }
         assert!(n.stats().buffer_stalls > 0);
         let stats = n.stats();
@@ -319,7 +334,7 @@ mod tests {
         assert_eq!(n.stats().buffer_hits, 0, "buffer emptied by the reboot");
         // No program of the old boot is in flight: a write at t = 0 is
         // acked after the buffer latency alone.
-        let ack = n.write_page(4, &page(0x66), SimTime::ZERO).unwrap();
+        let ack = n.write_page(4, page(0x66), SimTime::ZERO).unwrap();
         assert_eq!(ack, SimTime::from_us(1));
     }
 

@@ -6,7 +6,9 @@
 //! - the DDR4 CA encode/decode truth table round-trips every command;
 //! - the DRAM cache never aliases pages or leaks slots under arbitrary
 //!   operation sequences, for all three policies;
-//! - the FTL matches a flat HashMap model under arbitrary I/O;
+//! - the FTL matches a flat HashMap model under arbitrary I/O, and its
+//!   decode memo matches an FTL that decodes every read, under bit flips
+//!   and forced faults;
 //! - the full System matches an in-memory oracle under arbitrary
 //!   byte-granular traffic, with zero bus violations.
 
@@ -211,7 +213,7 @@ mod ftl_props {
             for op in ops {
                 match op {
                     Op::Write(lpn, fill) => {
-                        t = ftl.write(lpn, &vec![fill; 4096], t).unwrap();
+                        t = ftl.write(lpn, vec![fill; 4096], t).unwrap().1;
                         model.insert(lpn, fill);
                     }
                     Op::Read(lpn) => {
@@ -462,7 +464,7 @@ mod media_props {
                     Op::Program(b) => {
                         let page = PhysPage { block: b, page: wp[b as usize] };
                         if wp[b as usize] < 64 {
-                            t = media.program(page, &[b as u8; 16], t).unwrap();
+                            t = media.program(page, vec![b as u8; 16].into(), t).unwrap();
                             wp[b as usize] += 1;
                         }
                         prop_assert_eq!(media.write_pointer(b), wp[b as usize]);
@@ -474,9 +476,9 @@ mod media_props {
                     Op::Read(b, p) => {
                         let res = media.read(PhysPage { block: b, page: p }, t);
                         if p < wp[b as usize] {
-                            let (data, t2) = res.unwrap();
-                            prop_assert_eq!(data[0], b as u8);
-                            t = t2;
+                            let read = res.unwrap();
+                            prop_assert_eq!(read.bytes[0], b as u8);
+                            t = read.done;
                         } else {
                             prop_assert!(res.is_err(), "read of unwritten page succeeded");
                         }
@@ -883,6 +885,504 @@ mod cpu_cache_props {
                 );
             }
         }
+    }
+}
+
+mod ftl_memo_props {
+    use super::*;
+    use nvdimmc::nand::{
+        Ftl, FtlConfig, FtlStats, NandError, NandGeometry, NandTiming, PageBuf, PageCodec,
+        PhysPage, ZNandArray,
+    };
+    use nvdimmc::sim::{DeterministicRng, SimTime};
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap};
+
+    /// 16 blocks of 8 pages of 256 bytes, 96 exported pages: GC, static
+    /// wear levelling and housekeeping run every few dozen writes.
+    fn config() -> FtlConfig {
+        FtlConfig {
+            geometry: NandGeometry {
+                channels: 2,
+                dies_per_channel: 1,
+                planes_per_die: 1,
+                blocks_per_plane: 8,
+                pages_per_block: 8,
+                page_bytes: 256,
+            },
+            timing: NandTiming::znand_poc(),
+            export_fraction: 0.75,
+            gc_low_watermark: 3,
+            static_wl_threshold: 4,
+            read_retries: 3,
+            seed: 7,
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum State {
+        Free,
+        Active,
+        Closed,
+        Bad,
+    }
+
+    /// The FTL without the decode memo, as it was before it: every page
+    /// read goes through `PageCodec::decode`, and every relocation decodes
+    /// and re-encodes. It is the differential oracle for `Ftl`'s mark and
+    /// its by-reference relocation; it uses only the media's public API
+    /// and ignores the mark the media reports.
+    struct RefFtl {
+        media: ZNandArray,
+        codec: PageCodec,
+        export_pages: u64,
+        gc_low: usize,
+        static_wl_threshold: u32,
+        read_retries: u32,
+        l2p: HashMap<u64, PhysPage>,
+        p2l: HashMap<u64, u64>,
+        valid: Vec<u32>,
+        state: Vec<State>,
+        free: Vec<BinaryHeap<Reverse<(u32, u64)>>>,
+        actives: Vec<Option<u64>>,
+        rr: usize,
+        stats: FtlStats,
+    }
+
+    impl RefFtl {
+        fn new(cfg: FtlConfig) -> Self {
+            let geo = cfg.geometry;
+            let nblocks = geo.total_blocks();
+            let mut free: Vec<_> = (0..geo.channels).map(|_| BinaryHeap::new()).collect();
+            for b in 0..nblocks {
+                free[geo.split_block(b).0 as usize].push(Reverse((0, b)));
+            }
+            RefFtl {
+                media: ZNandArray::new(geo, cfg.timing, cfg.seed),
+                codec: PageCodec::new(geo.page_bytes as usize),
+                export_pages: cfg.export_pages(),
+                gc_low: cfg.gc_low_watermark,
+                static_wl_threshold: cfg.static_wl_threshold,
+                read_retries: cfg.read_retries,
+                l2p: HashMap::new(),
+                p2l: HashMap::new(),
+                valid: vec![0; nblocks as usize],
+                state: vec![State::Free; nblocks as usize],
+                free,
+                actives: vec![None; geo.channels as usize],
+                rr: 0,
+                stats: FtlStats::default(),
+            }
+        }
+
+        fn check_lpn(&self, lpn: u64) -> Result<(), NandError> {
+            if lpn >= self.export_pages {
+                return Err(NandError::LogicalOutOfRange {
+                    lpn,
+                    capacity_pages: self.export_pages,
+                });
+            }
+            Ok(())
+        }
+
+        fn read(&mut self, lpn: u64, at: SimTime) -> Result<(Vec<u8>, SimTime), NandError> {
+            self.check_lpn(lpn)?;
+            let Some(&phys) = self.l2p.get(&lpn) else {
+                self.stats.unmapped_reads += 1;
+                return Ok((vec![0u8; self.codec.page_bytes()], at));
+            };
+            let (data, done, retried) = self.read_decoded(phys, at)?;
+            self.stats.host_reads += 1;
+            if retried {
+                if let Ok(fresh) = self.codec.encode(data.clone()) {
+                    if self.write_stored(lpn, &fresh, done, true).is_ok() {
+                        self.stats.retry_remaps += 1;
+                    }
+                }
+            }
+            Ok((data, done))
+        }
+
+        fn decode(&mut self, stored: &PageBuf) -> Option<Vec<u8>> {
+            self.stats.pages_decoded += 1;
+            let (data, corrected) = self.codec.decode(stored).ok()?;
+            self.stats.words_corrected += corrected;
+            Some(data.to_vec())
+        }
+
+        fn read_decoded(
+            &mut self,
+            phys: PhysPage,
+            at: SimTime,
+        ) -> Result<(Vec<u8>, SimTime, bool), NandError> {
+            let read = self.media.read(phys, at)?;
+            let mut done = read.done;
+            if let Some(data) = self.decode(&read.bytes) {
+                return Ok((data, done, false));
+            }
+            for _ in 0..self.read_retries {
+                self.stats.read_retries += 1;
+                let read = self.media.read(phys, done)?;
+                done = read.done;
+                if let Some(data) = self.decode(&read.bytes) {
+                    self.stats.read_retry_recovered += 1;
+                    return Ok((data, done, true));
+                }
+            }
+            self.stats.uncorrectable_surfaced += 1;
+            Err(NandError::Uncorrectable { page: phys })
+        }
+
+        fn write(&mut self, lpn: u64, data: &[u8], at: SimTime) -> Result<SimTime, NandError> {
+            self.check_lpn(lpn)?;
+            let stored = self.codec.encode(data.to_vec())?;
+            let done = self.write_stored(lpn, &stored, at, false)?;
+            self.stats.host_writes += 1;
+            Ok(done)
+        }
+
+        fn trim(&mut self, lpn: u64) -> Result<(), NandError> {
+            self.check_lpn(lpn)?;
+            if let Some(phys) = self.l2p.remove(&lpn) {
+                self.invalidate(phys);
+            }
+            Ok(())
+        }
+
+        fn invalidate(&mut self, phys: PhysPage) {
+            let flat = phys.flat_index(self.media.geometry());
+            if self.p2l.remove(&flat).is_some() {
+                self.valid[phys.block as usize] -= 1;
+            }
+            self.media.discard(phys);
+        }
+
+        fn write_stored(
+            &mut self,
+            lpn: u64,
+            stored: &PageBuf,
+            at: SimTime,
+            is_gc: bool,
+        ) -> Result<SimTime, NandError> {
+            let geo = *self.media.geometry();
+            for _ in 0..64 {
+                let ch = self.rr % geo.channels as usize;
+                self.rr += 1;
+                let Some(block) = self.ensure_active(ch, at, is_gc)? else {
+                    continue;
+                };
+                let phys = PhysPage {
+                    block,
+                    page: self.media.write_pointer(block),
+                };
+                match self.media.program(phys, stored.clone(), at) {
+                    Ok(done) => {
+                        if let Some(old) = self.l2p.insert(lpn, phys) {
+                            self.invalidate(old);
+                        }
+                        self.p2l.insert(phys.flat_index(&geo), lpn);
+                        self.valid[block as usize] += 1;
+                        if self.media.write_pointer(block) == geo.pages_per_block {
+                            self.state[block as usize] = State::Closed;
+                            self.actives[ch] = None;
+                        }
+                        return Ok(done);
+                    }
+                    Err(NandError::BadBlock { .. }) => {
+                        self.retire(block);
+                        self.actives[ch] = None;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(NandError::OutOfSpace)
+        }
+
+        fn retire(&mut self, block: u64) {
+            self.state[block as usize] = State::Bad;
+            self.media.mark_bad(block);
+            self.stats.blocks_retired += 1;
+        }
+
+        fn free_blocks(&self) -> usize {
+            self.free.iter().map(BinaryHeap::len).sum()
+        }
+
+        fn ensure_active(
+            &mut self,
+            ch: usize,
+            at: SimTime,
+            is_gc: bool,
+        ) -> Result<Option<u64>, NandError> {
+            if let Some(b) = self.actives[ch] {
+                return Ok(Some(b));
+            }
+            if !is_gc && self.free_blocks() <= self.gc_low {
+                self.collect(at)?;
+                if let Some(b) = self.actives[ch] {
+                    return Ok(Some(b));
+                }
+            }
+            Ok(self.free[ch].pop().map(|Reverse((_, b))| {
+                self.state[b as usize] = State::Active;
+                self.actives[ch] = Some(b);
+                b
+            }))
+        }
+
+        /// Relocates every valid page of `victim`, then erases it. GC
+        /// counts each page as it moves, housekeeping only once the erase
+        /// is done.
+        fn reclaim(&mut self, victim: u64, at: SimTime, gc: bool) -> Result<u64, NandError> {
+            let geo = *self.media.geometry();
+            let mut moved = 0;
+            for page in 0..self.media.write_pointer(victim) {
+                let phys = PhysPage {
+                    block: victim,
+                    page,
+                };
+                let Some(&lpn) = self.p2l.get(&phys.flat_index(&geo)) else {
+                    continue;
+                };
+                let (data, _, _) = self.read_decoded(phys, at)?;
+                let fresh = self.codec.encode(data)?;
+                self.write_stored(lpn, &fresh, at, true)?;
+                moved += 1;
+                if gc {
+                    self.stats.gc_moved_pages += 1;
+                }
+            }
+            match self.media.erase(victim, at) {
+                Ok(_) => {
+                    self.state[victim as usize] = State::Free;
+                    self.valid[victim as usize] = 0;
+                    let ch = geo.split_block(victim).0 as usize;
+                    self.free[ch].push(Reverse((self.media.erase_count(victim), victim)));
+                }
+                Err(NandError::BadBlock { .. }) => {
+                    self.retire(victim);
+                    self.valid[victim as usize] = 0;
+                }
+                Err(e) => return Err(e),
+            }
+            Ok(moved)
+        }
+
+        fn collect(&mut self, at: SimTime) -> Result<(), NandError> {
+            self.stats.gc_runs += 1;
+            let mut guard = 0;
+            while self.free_blocks() <= self.gc_low {
+                guard += 1;
+                if guard > self.media.geometry().total_blocks() {
+                    break;
+                }
+                let Some(victim) = self.pick_victim() else {
+                    break;
+                };
+                self.reclaim(victim, at, true)?;
+            }
+            Ok(())
+        }
+
+        fn housekeeping(&mut self, at: SimTime) -> Result<u64, NandError> {
+            if self.free_blocks() > self.gc_low * 2 {
+                return Ok(0);
+            }
+            let Some(victim) = self.pick_victim() else {
+                return Ok(0);
+            };
+            let moved = self.reclaim(victim, at, false)?;
+            self.stats.hk_runs += 1;
+            self.stats.hk_moved_pages += moved;
+            Ok(moved)
+        }
+
+        fn wear_spread(&self) -> u32 {
+            let blocks = self.media.geometry().total_blocks();
+            let worn = (0..blocks).filter(|&b| self.state[b as usize] != State::Bad);
+            let counts: Vec<u32> = worn.map(|b| self.media.erase_count(b)).collect();
+            match (counts.iter().min(), counts.iter().max()) {
+                (Some(lo), Some(hi)) => hi - lo,
+                _ => 0,
+            }
+        }
+
+        fn pick_victim(&self) -> Option<u64> {
+            let ppb = self.media.geometry().pages_per_block;
+            let static_wl = self.wear_spread() > self.static_wl_threshold;
+            let mut best: Option<(u64, u64)> = None;
+            for b in 0..self.media.geometry().total_blocks() {
+                let v = self.valid[b as usize];
+                if self.state[b as usize] != State::Closed || v >= ppb {
+                    continue;
+                }
+                let score = if static_wl {
+                    u64::from(self.media.erase_count(b)) * u64::from(ppb) + u64::from(v)
+                } else {
+                    u64::from(v)
+                };
+                if best.is_none_or(|(s, _)| score < s) {
+                    best = Some((score, b));
+                }
+            }
+            best.map(|(_, b)| b)
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(u64, u64),
+        Read(u64),
+        Trim(u64),
+        Housekeeping,
+        /// Arms a forced-uncorrectable fault, persistent or transient.
+        Fault(bool),
+        /// Per-read bit-flip probability, in percent.
+        Ber(u8),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                6 => (0u64..100, any::<u64>()).prop_map(|(l, s)| Op::Write(l, s)),
+                6 => (0u64..100).prop_map(Op::Read),
+                1 => (0u64..100).prop_map(Op::Trim),
+                1 => Just(Op::Housekeeping),
+                1 => any::<bool>().prop_map(Op::Fault),
+                1 => prop_oneof![Just(0u8), Just(2), Just(50)].prop_map(Op::Ber),
+            ],
+            1..400,
+        )
+    }
+
+    fn payload(seed: u64) -> Vec<u8> {
+        let mut page = vec![0u8; 256];
+        DeterministicRng::new(seed).fill_bytes(&mut page);
+        page
+    }
+
+    /// Applies `op` to both FTLs and checks that they agree on the
+    /// returned data or error, every counter but `pages_decoded`, the
+    /// stored pages and the media's next random draw.
+    fn step(ftl: &mut Ftl, reference: &mut RefFtl, op: &Op, t: &mut SimTime) {
+        match *op {
+            Op::Write(lpn, seed) => {
+                let got = ftl.write(lpn, payload(seed), *t).map(|(_, done)| done);
+                let want = reference.write(lpn, &payload(seed), *t);
+                assert_eq!(got, want, "{op:?}");
+                if let Ok(done) = got {
+                    *t = done;
+                }
+            }
+            Op::Read(lpn) => {
+                let got = ftl.read(lpn, *t).map(|(data, done)| (data.to_vec(), done));
+                let want = reference.read(lpn, *t);
+                assert_eq!(got, want, "{op:?}");
+                if let Ok((_, done)) = got {
+                    *t = done;
+                }
+            }
+            Op::Trim(lpn) => assert_eq!(ftl.trim(lpn), reference.trim(lpn)),
+            Op::Housekeeping => {
+                assert_eq!(ftl.housekeeping(*t), reference.housekeeping(*t));
+            }
+            Op::Fault(persistent) => {
+                ftl.media_mut().arm_uncorrectable(persistent);
+                reference.media.arm_uncorrectable(persistent);
+            }
+            Op::Ber(percent) => {
+                let p = f64::from(percent) / 100.0;
+                ftl.media_mut().set_ber_per_read(p);
+                reference.media.set_ber_per_read(p);
+            }
+        }
+        let (memo, full) = (ftl.stats(), reference.stats);
+        assert!(memo.pages_decoded <= full.pages_decoded);
+        let all_but_decodes = |s: FtlStats| FtlStats {
+            pages_decoded: 0,
+            ..s
+        };
+        assert_eq!(all_but_decodes(memo), all_but_decodes(full), "{op:?}");
+        assert_eq!(ftl.media().stats(), reference.media.stats(), "{op:?}");
+        assert_eq!(ftl.media().stored_pages(), reference.media.stored_pages());
+        assert_eq!(
+            ftl.media().armed_uncorrectable(),
+            reference.media.armed_uncorrectable()
+        );
+        assert_eq!(
+            ftl.media().rng().clone().gen_u64(),
+            reference.media.rng().clone().gen_u64(),
+            "{op:?}"
+        );
+    }
+
+    fn run(ops: &[Op]) -> (Ftl, RefFtl) {
+        let mut ftl = Ftl::new(config());
+        let mut reference = RefFtl::new(config());
+        let mut t = SimTime::ZERO;
+        for op in ops {
+            step(&mut ftl, &mut reference, op, &mut t);
+        }
+        (ftl, reference)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn memoised_ftl_matches_the_decode_every_read_reference(ops in arb_ops()) {
+            run(&ops);
+        }
+    }
+
+    #[test]
+    fn a_marked_page_hit_by_a_persistent_fault_fails_as_before() {
+        // Written (so marked), read clean, then damaged for good: the read
+        // and all three retries decode and fail, then every later read
+        // fails the same way.
+        let (ftl, reference) = run(&[
+            Op::Write(5, 1),
+            Op::Read(5),
+            Op::Read(5),
+            Op::Fault(true),
+            Op::Read(5),
+            Op::Read(5),
+        ]);
+        let s = ftl.stats();
+        assert_eq!(s.uncorrectable_surfaced, 2);
+        assert_eq!(s.read_retries, 6);
+        assert_eq!(s.pages_decoded, 8);
+        assert_eq!(reference.stats.pages_decoded, 10);
+    }
+
+    #[test]
+    fn the_reference_exercises_every_path() {
+        // A fixed long sequence drives GC, housekeeping, retry remaps and
+        // a surfaced error, so the property above is not vacuous. (A
+        // persistent fault comes last: GC stops at a page it cannot read,
+        // so one early on would fail most later writes.)
+        let mut rng = DeterministicRng::new(0x3E30);
+        let mut ops: Vec<Op> = (0..3000)
+            .map(|i| match rng.gen_range(0..40) {
+                0 => Op::Housekeeping,
+                1 => Op::Fault(false),
+                2 => Op::Trim(rng.gen_range(0..100)),
+                3 => Op::Ber(if i % 5 == 0 { 50 } else { (i % 3) as u8 }),
+                n if n < 22 => Op::Write(rng.gen_range(0..100), rng.gen_u64()),
+                _ => Op::Read(rng.gen_range(0..100)),
+            })
+            .collect();
+        ops.extend([Op::Write(5, 1), Op::Fault(true), Op::Read(5)]);
+        let (ftl, reference) = run(&ops);
+        let s = ftl.stats();
+        assert!(s.gc_moved_pages > 0 && s.hk_moved_pages > 0, "{s:?}");
+        assert!(s.retry_remaps > 0 && s.uncorrectable_surfaced > 0, "{s:?}");
+        assert!(s.words_corrected > 0, "{s:?}");
+        assert!(
+            s.pages_decoded * 2 < reference.stats.pages_decoded,
+            "{} of {}",
+            s.pages_decoded,
+            reference.stats.pages_decoded
+        );
     }
 }
 
