@@ -87,10 +87,6 @@ pub fn check_persistence(events: &[PersistEvent]) -> Vec<Diagnostic> {
                     }
                 }
             }
-            PersistEvent::PowerFail { .. } => {
-                // The failure point itself is not a finding; claims are
-                // judged as they are made.
-            }
         }
     }
     out
@@ -188,7 +184,6 @@ mod tests {
             flush(0x100),
             PersistEvent::Sfence,
             claim(0x100, 64),
-            PersistEvent::PowerFail { adr: false },
         ];
         let diags = check_persistence(&events);
         assert!(diags.is_empty(), "{diags:?}");

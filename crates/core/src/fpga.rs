@@ -121,13 +121,43 @@ enum FpgaState {
     },
 }
 
-/// The FPGA engine. Owns no bus or NAND — both are passed per window so
-/// the [`crate::System`] stays the single owner.
+/// What of the battery-backed FPGA a power cut keeps (§V-C): the injected
+/// faults still armed, which the injector already counted as fired, and
+/// the recovery counters, so campaign accounting spans power cycles.
+#[derive(Debug, Default)]
+pub struct FpgaKept {
+    /// Injected mailbox ack faults, consumed FIFO as acks go out.
+    pub(crate) ack_faults: std::collections::VecDeque<AckFault>,
+    /// Injected command-word corruptions: each one mangles the capture of
+    /// one *new* published command, and the mangled capture persists until
+    /// the driver republishes fresh bytes — so the command is never
+    /// executed and never acked, and the driver's ladder must time out.
+    pub(crate) cmd_faults_armed: u32,
+    /// Injected window-overrun stall: the next NVMC transfer starts so
+    /// late in its window that it is split at the window edge and resumed
+    /// in the next one.
+    pub(crate) stall_armed: bool,
+    /// The recovery counters, `probes` and `acks_dropped` through
+    /// `bursts_resumed`; the per-boot fields stay zero.
+    stats: FpgaStats,
+}
+
+impl FpgaKept {
+    /// Injected faults armed but not yet consumed.
+    pub fn armed_faults(&self) -> usize {
+        self.ack_faults.len() + self.cmd_faults_armed as usize + usize::from(self.stall_armed)
+    }
+}
+
+/// The FPGA engine of one boot. Owns no bus, NAND or [`FpgaKept`] — each
+/// is passed per window so the [`crate::System`] stays the single owner.
 #[derive(Debug)]
 pub struct Fpga {
     step_delay: SimDuration,
     /// Data-byte budget per window (PoC: 4 KB).
     window_xfer_bytes: u64,
+    /// The reserved region the CP area and the cache slots live in.
+    layout: Layout,
     state: FpgaState,
     /// Earliest instant the FSM can take its next window action.
     ready_at: SimTime,
@@ -136,44 +166,47 @@ pub struct Fpga {
     proto: FpgaProto,
     /// Fill data read ahead for a merged writeback+cachefill command.
     pending_fill: Option<PageBuf>,
-    /// Injected ack faults, consumed FIFO as acks go out.
-    ack_faults: std::collections::VecDeque<AckFault>,
-    /// Injected command-word corruptions: each one mangles the capture of
-    /// one *new* published command, and the mangled capture persists until
-    /// the driver republishes fresh bytes — so the command is never
-    /// executed and never acked, and the driver's ladder must time out.
-    cmd_faults_armed: u32,
     /// The pristine word whose capture is currently mangled, so repeated
     /// polls of the same publish stay corrupted without consuming more
     /// armed faults.
     corrupted_word: Option<[u8; 16]>,
-    /// Injected window-overrun stall, armed for the next NVMC transfer.
-    stall_armed: bool,
+    /// This boot's window and command counters; the recovery counters
+    /// stay zero here.
     stats: FpgaStats,
 }
 
 impl Fpga {
-    /// Creates an idle FPGA with the given FSM step delay and per-window
-    /// transfer budget.
-    pub fn new(step_delay: SimDuration, window_xfer_bytes: u64) -> Self {
+    /// Creates an idle FPGA with the given FSM step delay, per-window
+    /// transfer budget and reserved-region layout.
+    pub fn new(step_delay: SimDuration, window_xfer_bytes: u64, layout: Layout) -> Self {
         Fpga {
             step_delay,
             window_xfer_bytes: window_xfer_bytes.max(SLOT_BYTES),
+            layout,
             state: FpgaState::Idle,
             ready_at: SimTime::ZERO,
             proto: FpgaProto::new(),
             pending_fill: None,
-            ack_faults: std::collections::VecDeque::new(),
-            cmd_faults_armed: 0,
             corrupted_word: None,
-            stall_armed: false,
             stats: FpgaStats::default(),
         }
     }
 
-    /// Counters.
-    pub fn stats(&self) -> FpgaStats {
-        self.stats
+    /// Counters: this boot's window and command counts, with the
+    /// recovery counters `kept` carries across power cycles.
+    pub fn stats(&self, kept: &FpgaKept) -> FpgaStats {
+        let b = self.stats;
+        FpgaStats {
+            windows_seen: b.windows_seen,
+            windows_used: b.windows_used,
+            windows_skipped_busy: b.windows_skipped_busy,
+            windows_wrong_bank: b.windows_wrong_bank,
+            cachefills: b.cachefills,
+            writebacks: b.writebacks,
+            merged_ops: b.merged_ops,
+            dma_bytes: b.dma_bytes,
+            ..kept.stats
+        }
     }
 
     /// Earliest instant the FSM can take its next window action.
@@ -201,53 +234,6 @@ impl Fpga {
         !matches!(self.state, FpgaState::Idle)
     }
 
-    /// Queues a mailbox ack fault: the next ack leaving the FPGA is
-    /// dropped or corrupted.
-    pub fn inject_ack_fault(&mut self, fault: AckFault) {
-        self.ack_faults.push_back(fault);
-    }
-
-    /// Arms a window-overrun stall: the next NVMC data transfer starts so
-    /// late in its window that it cannot finish and must be aborted at the
-    /// window edge and resumed in the next one.
-    pub fn inject_window_stall(&mut self) {
-        self.stall_armed = true;
-    }
-
-    /// Queues a command-word fault: the FPGA's capture of the next *new*
-    /// published command is mangled (and stays mangled until the driver
-    /// republishes), so the command is dropped as a decode failure and
-    /// the driver's retransmit ladder must recover it. Unlike
-    /// [`AckFault::Drop`] the command is never executed.
-    pub fn inject_cmd_fault(&mut self) {
-        self.cmd_faults_armed += 1;
-    }
-
-    /// Injected faults armed but not yet consumed.
-    pub fn armed_faults(&self) -> usize {
-        self.ack_faults.len() + self.cmd_faults_armed as usize + usize::from(self.stall_armed)
-    }
-
-    /// Carries what a power cycle must not lose from the pre-cycle FPGA
-    /// into this freshly assembled one: the cumulative recovery counters,
-    /// so campaign accounting spans power cycles, and the injected faults
-    /// still armed, which the injector already counted as fired.
-    pub(crate) fn carry_across_reboot(&mut self, prev: Fpga) {
-        let p = prev.stats;
-        self.stats.probes += p.probes;
-        self.stats.acks_dropped += p.acks_dropped;
-        self.stats.acks_corrupted += p.acks_corrupted;
-        self.stats.cmd_decode_failures += p.cmd_decode_failures;
-        self.stats.nand_errors_nacked += p.nand_errors_nacked;
-        self.stats.replayed_acks += p.replayed_acks;
-        self.stats.overrun_stalls += p.overrun_stalls;
-        self.stats.bursts_split += p.bursts_split;
-        self.stats.bursts_resumed += p.bursts_resumed;
-        self.ack_faults = prev.ack_faults;
-        self.cmd_faults_armed = prev.cmd_faults_armed;
-        self.stall_armed = prev.stall_armed;
-    }
-
     /// Services one detected refresh window.
     ///
     /// Performs protocol steps until the window's byte budget
@@ -266,13 +252,13 @@ impl Fpga {
         ref_at: SimTime,
         bus: &mut SharedBus,
         nvmc: &mut Nvmc,
-        layout: &Layout,
+        kept: &mut FpgaKept,
     ) -> Result<(), CoreError> {
         let (opens, closes) = {
             let t = bus.device().timing();
             (ref_at + t.trfc_base, ref_at + t.trfc_total)
         };
-        self.service_window(opens, closes, None, bus, nvmc, layout)
+        self.service_window(opens, closes, None, bus, nvmc, kept)
     }
 
     /// Services one detected *per-bank* refresh window (a snooped REFpb to
@@ -295,7 +281,7 @@ impl Fpga {
         stretch: u8,
         bus: &mut SharedBus,
         nvmc: &mut Nvmc,
-        layout: &Layout,
+        kept: &mut FpgaKept,
     ) -> Result<(), CoreError> {
         let (opens, closes) = bus.device().timing().nvmc_window_bounds_pb(ref_at, stretch);
         let opens = bus.ca_free_at(opens);
@@ -306,23 +292,23 @@ impl Fpga {
             self.stats.windows_skipped_busy += 1;
             return Ok(());
         }
-        self.service_window(opens, closes, Some(bank), bus, nvmc, layout)
+        self.service_window(opens, closes, Some(bank), bus, nvmc, kept)
     }
 
     /// The DRAM bank the FSM's next window action targets: the CP mailbox
     /// bank when polling or acking, the command's slot bank mid-transfer.
     /// The per-bank refresh planner uses this to place windows where the
     /// NVMC actually needs them.
-    pub fn wanted_bank(&self, bus: &SharedBus, layout: &Layout) -> Option<BankAddr> {
+    pub fn wanted_bank(&self, bus: &SharedBus) -> Option<BankAddr> {
         let addr = match &self.state {
-            FpgaState::Idle => layout.cp_command(),
-            FpgaState::Ack { .. } => layout.cp_ack(),
+            FpgaState::Idle => self.layout.cp_command(),
+            FpgaState::Ack { .. } => self.layout.cp_ack(),
             FpgaState::WbRead { cmd, got } => {
-                layout.slot_addr(cmd.dram_slot) + (got.len() as u64 / 64) * 64
+                self.layout.slot_addr(cmd.dram_slot) + (got.len() as u64 / 64) * 64
             }
             FpgaState::CfDmaWrite { cmd, written, .. }
             | FpgaState::MergedDmaWrite { cmd, written, .. } => {
-                layout.slot_addr(cmd.dram_slot) + written * 64
+                self.layout.slot_addr(cmd.dram_slot) + written * 64
             }
         };
         bus.device().mapping().decode(addr).ok().map(|d| d.bank)
@@ -336,13 +322,13 @@ impl Fpga {
         allowed_bank: Option<BankAddr>,
         bus: &mut SharedBus,
         nvmc: &mut Nvmc,
-        layout: &Layout,
+        kept: &mut FpgaKept,
     ) -> Result<(), CoreError> {
         self.stats.windows_seen += 1;
         let mut budget = self.window_xfer_bytes;
         let mut used = false;
         loop {
-            let consumed = self.step(opens, closes, allowed_bank, bus, nvmc, layout)?;
+            let consumed = self.step(opens, closes, allowed_bank, bus, nvmc, kept)?;
             if consumed == 0 {
                 break;
             }
@@ -369,26 +355,30 @@ impl Fpga {
         allowed_bank: Option<BankAddr>,
         bus: &mut SharedBus,
         nvmc: &mut Nvmc,
-        layout: &Layout,
+        kept: &mut FpgaKept,
     ) -> Result<u64, CoreError> {
         if let Some(allowed) = allowed_bank {
-            if self.wanted_bank(bus, layout) != Some(allowed) {
+            if self.wanted_bank(bus) != Some(allowed) {
                 self.stats.windows_wrong_bank += 1;
                 return Ok(0);
             }
         }
         let start = self.ready_at.max(opens);
-        let poll_needs = Self::poll_duration(bus);
-        let budget_for = |need: SimDuration| start + need <= closes;
+        // A poll and an ack each need one mailbox access of window.
+        let mailbox_fits = start + Self::poll_duration(bus) <= closes;
+        match self.state {
+            FpgaState::Idle if !mailbox_fits => {
+                self.stats.windows_skipped_busy += 1;
+                return Ok(0);
+            }
+            FpgaState::Ack { .. } if !mailbox_fits => return Ok(0),
+            _ => {}
+        }
 
         match std::mem::replace(&mut self.state, FpgaState::Idle) {
             FpgaState::Idle => {
-                if !budget_for(poll_needs) {
-                    self.stats.windows_skipped_busy += 1;
-                    return Ok(0);
-                }
                 let mut bytes = [0u8; 128];
-                let end = self.dma_read(bus, layout.cp_command(), &mut bytes, start)?;
+                let end = self.dma_read(bus, self.layout.cp_command(), &mut bytes, start)?;
                 let mut word = [0u8; 16];
                 word.copy_from_slice(&bytes[..16]);
                 // An armed command fault mangles the capture of a *new*
@@ -396,12 +386,12 @@ impl Fpga {
                 // polls of the same word — the command never executes and
                 // the driver's ladder must time out and retransmit.
                 if self.corrupted_word == Some(word)
-                    || (self.cmd_faults_armed > 0
+                    || (kept.cmd_faults_armed > 0
                         && CpCommand::decode(&word)
                             .is_some_and(|c| Some(c.phase) != self.proto.last_phase()))
                 {
                     if self.corrupted_word != Some(word) {
-                        self.cmd_faults_armed -= 1;
+                        kept.cmd_faults_armed -= 1;
                         self.corrupted_word = Some(word);
                     }
                     // Mangle the opcode bit-field ([59:56]) so decode fails.
@@ -413,7 +403,7 @@ impl Fpga {
                         // completed: its ack was lost. Re-ack under the
                         // new phase without re-executing.
                         self.ready_at = end + self.step_delay;
-                        self.stats.replayed_acks += 1;
+                        kept.stats.replayed_acks += 1;
                         self.state = FpgaState::Ack {
                             cmd,
                             ok,
@@ -437,7 +427,7 @@ impl Fpga {
                                             written: 0,
                                         }
                                     }
-                                    Err(e) => self.nand_nack(cmd, &e),
+                                    Err(e) => Self::nand_nack(kept, cmd, &e),
                                 }
                             }
                             CpOpcode::Writeback => FpgaState::WbRead {
@@ -455,7 +445,7 @@ impl Fpga {
                                             got: Vec::with_capacity(WB_CAPACITY),
                                         }
                                     }
-                                    Err(e) => self.nand_nack(cmd, &e),
+                                    Err(e) => Self::nand_nack(kept, cmd, &e),
                                 }
                             }
                             // A liveness probe moves no data: straight to
@@ -477,7 +467,7 @@ impl Fpga {
                         // dedups so each distinct garbage word counts once,
                         // not once per poll.
                         if count {
-                            self.stats.cmd_decode_failures += 1;
+                            kept.stats.cmd_decode_failures += 1;
                         }
                         Ok(0)
                     }
@@ -489,7 +479,8 @@ impl Fpga {
             FpgaState::WbRead { cmd, mut got } => {
                 let total = SLOT_BYTES / 64;
                 let done = (got.len() / 64) as u64;
-                let Some((xfer_at, lines)) = self.plan_chunk(
+                let Some((xfer_at, lines)) = Self::plan_chunk(
+                    kept,
                     bus,
                     start,
                     closes,
@@ -500,12 +491,12 @@ impl Fpga {
                     self.state = FpgaState::WbRead { cmd, got };
                     return Ok(0);
                 };
-                let slot_addr = layout.slot_addr(cmd.dram_slot) + done * 64;
+                let slot_addr = self.layout.slot_addr(cmd.dram_slot) + done * 64;
                 let at = got.len();
                 got.resize(at + lines as usize * 64, 0);
                 let end = self.dma_read(bus, slot_addr, &mut got[at..], xfer_at)?;
                 if done > 0 && done + lines == total {
-                    self.stats.bursts_resumed += 1;
+                    kept.stats.bursts_resumed += 1;
                 }
                 if done + lines < total {
                     // Burst aborted at the window edge; resume next window.
@@ -554,7 +545,7 @@ impl Fpga {
                     Err(e) => {
                         self.pending_fill = None;
                         self.ready_at = end + self.step_delay;
-                        self.state = self.nand_nack(cmd, &e);
+                        self.state = Self::nand_nack(kept, cmd, &e);
                     }
                 }
                 Ok(lines * 64)
@@ -570,7 +561,8 @@ impl Fpga {
                     }
                 };
                 let total = (data.len() / 64) as u64;
-                let Some((xfer_at, lines)) = self.plan_chunk(
+                let Some((xfer_at, lines)) = Self::plan_chunk(
+                    kept,
                     bus,
                     start,
                     closes,
@@ -581,7 +573,7 @@ impl Fpga {
                     self.state = restore(cmd, data, written);
                     return Ok(0);
                 };
-                let slot_addr = layout.slot_addr(cmd.dram_slot) + written * 64;
+                let slot_addr = self.layout.slot_addr(cmd.dram_slot) + written * 64;
                 let end = self.dma_write(
                     bus,
                     slot_addr,
@@ -589,7 +581,7 @@ impl Fpga {
                     xfer_at,
                 )?;
                 if written > 0 && written + lines == total {
-                    self.stats.bursts_resumed += 1;
+                    kept.stats.bursts_resumed += 1;
                 }
                 self.ready_at = end + self.step_delay;
                 self.state = if written + lines < total {
@@ -610,38 +602,29 @@ impl Fpga {
                 code,
                 done,
             } => {
-                if !budget_for(poll_needs) {
-                    self.state = FpgaState::Ack {
-                        cmd,
-                        ok,
-                        code,
-                        done,
-                    };
-                    return Ok(0);
-                }
                 // Record the completion (and build the seq-echoing ack)
                 // regardless of ack faults: the command *did* run, so a
                 // later retransmit must replay, not re-execute.
                 let ack = self.proto.complete(&cmd, ok, code);
-                let end = match self.ack_faults.pop_front() {
+                let end = match kept.ack_faults.pop_front() {
                     Some(AckFault::Drop) => {
                         // The ack is lost in flight: no bus activity, but
                         // the FSM advances as if it had been delivered.
-                        self.stats.acks_dropped += 1;
+                        kept.stats.acks_dropped += 1;
                         start
                     }
                     Some(AckFault::Corrupt) => {
                         // The ack line lands mangled: the valid bit is
                         // clear, so the driver reads it as empty.
-                        self.stats.acks_corrupted += 1;
+                        kept.stats.acks_corrupted += 1;
                         let mut line = [0u8; 64];
                         line[..8].copy_from_slice(&0xDEAD_BEEF_0000_0002u64.to_le_bytes());
-                        self.dma_write(bus, layout.cp_ack(), &line, start)?
+                        self.dma_write(bus, self.layout.cp_ack(), &line, start)?
                     }
                     None => {
                         let mut line = [0u8; 64];
                         line[..8].copy_from_slice(&ack.encode());
-                        self.dma_write(bus, layout.cp_ack(), &line, start)?
+                        self.dma_write(bus, self.layout.cp_ack(), &line, start)?
                     }
                 };
                 self.ready_at = end + self.step_delay;
@@ -650,7 +633,7 @@ impl Fpga {
                         CpOpcode::Cachefill => self.stats.cachefills += 1,
                         CpOpcode::Writeback => self.stats.writebacks += 1,
                         CpOpcode::WritebackCachefill => self.stats.merged_ops += 1,
-                        CpOpcode::Probe => self.stats.probes += 1,
+                        CpOpcode::Probe => kept.stats.probes += 1,
                     }
                 }
                 self.state = FpgaState::Idle;
@@ -662,8 +645,8 @@ impl Fpga {
     /// Maps a NAND failure during command execution to a failure ack, so
     /// the error reaches the driver as a typed nack instead of tearing
     /// down the FSM mid-command.
-    fn nand_nack(&mut self, cmd: CpCommand, e: &NandError) -> FpgaState {
-        self.stats.nand_errors_nacked += 1;
+    fn nand_nack(kept: &mut FpgaKept, cmd: CpCommand, e: &NandError) -> FpgaState {
+        kept.stats.nand_errors_nacked += 1;
         let code = match e {
             NandError::Uncorrectable { .. } => ACK_ERR_UNCORRECTABLE,
             _ => ACK_ERR_NAND,
@@ -686,7 +669,7 @@ impl Fpga {
     /// cachelines as still fit (ACT + RD/WRs + PRE all inside the window),
     /// aborts at the edge, and resumes next window.
     fn plan_chunk(
-        &mut self,
+        kept: &mut FpgaKept,
         bus: &SharedBus,
         start: SimTime,
         closes: SimTime,
@@ -697,12 +680,12 @@ impl Fpga {
         let mut start = start;
         let full = Self::burst_duration(bus, remaining);
         let fits_full = start + full <= closes;
-        if self.stall_armed && !in_progress && fits_full {
+        if kept.stall_armed && !in_progress && fits_full {
             // Model an upstream hiccup in the window where the burst would
             // have landed whole: the transfer becomes ready so late that
             // only about half of it fits before the window closes.
-            self.stall_armed = false;
-            self.stats.overrun_stalls += 1;
+            kept.stall_armed = false;
+            kept.stats.overrun_stalls += 1;
             let half = Self::chunk_duration(bus, (remaining / 2).max(1));
             if closes > start + half {
                 start = (closes - half).max(start);
@@ -718,7 +701,7 @@ impl Fpga {
             return None;
         }
         if !in_progress {
-            self.stats.bursts_split += 1;
+            kept.stats.bursts_split += 1;
         }
         Some((start, fit))
     }
@@ -900,6 +883,7 @@ mod tests {
         imc: Imc,
         nvmc: Nvmc,
         fpga: Fpga,
+        kept: FpgaKept,
         layout: Layout,
         clock: SimTime,
     }
@@ -913,7 +897,8 @@ mod tests {
             bus: SharedBus::new(DramDevice::new(timing, cap)),
             imc: Imc::new(&timing),
             nvmc: Nvmc::new(NvmcConfig::small_for_tests()).expect("nvmc"),
-            fpga: Fpga::new(SimDuration::from_us(step_delay_us), window_bytes),
+            fpga: Fpga::new(SimDuration::from_us(step_delay_us), window_bytes, layout),
+            kept: FpgaKept::default(),
             layout,
             clock: SimTime::ZERO,
         }
@@ -928,9 +913,13 @@ mod tests {
             self.clock = self.imc.pump_refresh(&mut self.bus, t).expect("pump");
             let w = self.bus.window().expect("window open");
             self.fpga
-                .on_refresh(w.ref_at, &mut self.bus, &mut self.nvmc, &self.layout)
+                .on_refresh(w.ref_at, &mut self.bus, &mut self.nvmc, &mut self.kept)
                 .expect("window service");
             w.ref_at
+        }
+
+        fn stats(&self) -> FpgaStats {
+            self.fpga.stats(&self.kept)
         }
 
         fn publish(&mut self, cmd: &CpCommand) {
@@ -970,7 +959,7 @@ mod tests {
         for _ in 0..5 {
             r.one_window();
         }
-        let s = r.fpga.stats();
+        let s = r.stats();
         assert_eq!(s.windows_seen, 5);
         assert_eq!(s.windows_used, 0, "nothing to do, nothing used");
         assert!(!r.fpga.is_busy());
@@ -1005,7 +994,7 @@ mod tests {
             .peek(r.layout.slot_addr(3), &mut slot)
             .expect("peek");
         assert_eq!(slot, data, "slot contents after cachefill");
-        assert_eq!(r.fpga.stats().cachefills, 1);
+        assert_eq!(r.stats().cachefills, 1);
     }
 
     #[test]
@@ -1031,7 +1020,7 @@ mod tests {
         );
         let (read_back, _) = r.nvmc.read_page(21, r.clock).expect("nand read");
         assert_eq!(read_back, data);
-        assert_eq!(r.fpga.stats().writebacks, 1);
+        assert_eq!(r.stats().writebacks, 1);
     }
 
     #[test]
@@ -1049,16 +1038,12 @@ mod tests {
             wb_nand_page: None,
         });
         r.run_until_ack(5, 64);
-        let fills = r.fpga.stats().cachefills;
+        let fills = r.stats().cachefills;
         // Same phase still in the mailbox: more windows, no new command.
         for _ in 0..6 {
             r.one_window();
         }
-        assert_eq!(
-            r.fpga.stats().cachefills,
-            fills,
-            "phase replay executed twice"
-        );
+        assert_eq!(r.stats().cachefills, fills, "phase replay executed twice");
     }
 
     #[test]
@@ -1123,7 +1108,7 @@ mod tests {
             .peek(r.layout.slot_addr(0), &mut slot)
             .expect("peek");
         assert_eq!(slot, vec![2u8; 4096]);
-        assert_eq!(r.fpga.stats().merged_ops, 1);
+        assert_eq!(r.stats().merged_ops, 1);
     }
 
     #[test]
@@ -1176,7 +1161,7 @@ mod tests {
         r.nvmc
             .write_page(5, data.clone(), SimTime::ZERO)
             .expect("nand write");
-        r.fpga.inject_ack_fault(AckFault::Drop);
+        r.kept.ack_faults.push_back(AckFault::Drop);
         let cmd = CpCommand {
             phase: 1,
             seq: 9,
@@ -1190,13 +1175,13 @@ mod tests {
             r.one_window();
         }
         assert!(r.ack().is_none(), "the ack should have been dropped");
-        assert_eq!(r.fpga.stats().acks_dropped, 1);
-        assert_eq!(r.fpga.stats().cachefills, 1, "command ran, ack was lost");
+        assert_eq!(r.stats().acks_dropped, 1);
+        assert_eq!(r.stats().cachefills, 1, "command ran, ack was lost");
         // The driver times out and retransmits: same seq and fields under
         // a fresh phase. The FPGA must re-ack, not re-execute.
         r.publish(&CpCommand { phase: 2, ..cmd });
         r.run_until_ack(2, 64);
-        let s = r.fpga.stats();
+        let s = r.stats();
         assert_eq!(s.replayed_acks, 1);
         assert_eq!(s.cachefills, 1, "replay must not re-execute");
         let mut slot = vec![0u8; 4096];
@@ -1213,7 +1198,7 @@ mod tests {
         r.nvmc
             .write_page(8, vec![0x61u8; 4096], SimTime::ZERO)
             .expect("nand write");
-        r.fpga.inject_ack_fault(AckFault::Corrupt);
+        r.kept.ack_faults.push_back(AckFault::Corrupt);
         let cmd = CpCommand {
             phase: 1,
             seq: 4,
@@ -1227,11 +1212,11 @@ mod tests {
             r.one_window();
         }
         assert!(r.ack().is_none(), "a mangled ack must not decode");
-        assert_eq!(r.fpga.stats().acks_corrupted, 1);
+        assert_eq!(r.stats().acks_corrupted, 1);
         r.publish(&CpCommand { phase: 2, ..cmd });
         r.run_until_ack(2, 64);
-        assert_eq!(r.fpga.stats().replayed_acks, 1);
-        assert_eq!(r.fpga.stats().cachefills, 1);
+        assert_eq!(r.stats().replayed_acks, 1);
+        assert_eq!(r.stats().cachefills, 1);
     }
 
     #[test]
@@ -1241,7 +1226,7 @@ mod tests {
         r.nvmc
             .write_page(3, data.clone(), SimTime::ZERO)
             .expect("nand write");
-        r.fpga.inject_window_stall();
+        r.kept.stall_armed = true;
         r.publish(&CpCommand {
             phase: 1,
             seq: 0,
@@ -1251,11 +1236,11 @@ mod tests {
             wb_nand_page: None,
         });
         r.run_until_ack(1, 64);
-        let s = r.fpga.stats();
+        let s = r.stats();
         assert_eq!(s.overrun_stalls, 1);
         assert_eq!(s.bursts_split, 1, "the stalled burst must split");
         assert_eq!(s.bursts_resumed, 1, "the split burst must complete");
-        assert_eq!(r.fpga.armed_faults(), 0);
+        assert_eq!(r.kept.armed_faults(), 0);
         let mut slot = vec![0u8; 4096];
         r.bus
             .device()
@@ -1291,14 +1276,21 @@ mod tests {
         for _ in 0..512 {
             let due = r.imc.next_refresh_due();
             let t = r.clock.max(due);
-            let want = r.fpga.wanted_bank(&r.bus, &r.layout);
+            let want = r.fpga.wanted_bank(&r.bus);
             r.imc
                 .set_refresh_pref(want.map(|b| (b, TimingParams::MAX_STRETCH)));
             r.clock = r.imc.pump_refresh(&mut r.bus, t).expect("pump");
             for e in r.bus.take_trace() {
                 if let Command::RefreshBank { bank, stretch } = e.cmd {
                     r.fpga
-                        .on_refresh_banked(e.at, bank, stretch, &mut r.bus, &mut r.nvmc, &r.layout)
+                        .on_refresh_banked(
+                            e.at,
+                            bank,
+                            stretch,
+                            &mut r.bus,
+                            &mut r.nvmc,
+                            &mut r.kept,
+                        )
                         .expect("banked window service");
                 }
             }
@@ -1314,7 +1306,7 @@ mod tests {
             .peek(r.layout.slot_addr(3), &mut slot)
             .expect("peek");
         assert_eq!(slot, data, "slot contents after per-bank cachefill");
-        let s = r.fpga.stats();
+        let s = r.stats();
         assert_eq!(s.cachefills, 1);
         assert!(s.windows_used >= 3, "poll + data + ack each took a window");
         assert_eq!(r.bus.stats().violations_rejected, 0);
@@ -1337,7 +1329,7 @@ mod tests {
             nand_page: 2,
             wb_nand_page: None,
         });
-        let want = r.fpga.wanted_bank(&r.bus, &r.layout).expect("poll bank");
+        let want = r.fpga.wanted_bank(&r.bus).expect("poll bank");
         let wrong = BankAddr::from_index((want.index() + 1) % BankAddr::COUNT);
         // Open a window over a bank the FSM does not target: no action.
         r.imc.set_refresh_pref(Some((wrong, 4)));
@@ -1345,9 +1337,9 @@ mod tests {
         r.clock = r.imc.pump_refresh(&mut r.bus, due).expect("pump");
         let w = r.bus.bank_window(wrong).expect("window open");
         r.fpga
-            .on_refresh_banked(w.ref_at, wrong, 4, &mut r.bus, &mut r.nvmc, &r.layout)
+            .on_refresh_banked(w.ref_at, wrong, 4, &mut r.bus, &mut r.nvmc, &mut r.kept)
             .expect("service");
-        let s = r.fpga.stats();
+        let s = r.stats();
         assert_eq!(s.windows_wrong_bank, 1);
         assert_eq!(s.windows_used, 0);
         assert_eq!(s.dma_bytes, 0, "no poll happened in the wrong bank");
@@ -1377,7 +1369,7 @@ mod tests {
         let ack = r.ack().expect("nack present");
         assert!(!ack.ok, "uncorrectable read must nack");
         assert_eq!(ack.code, ACK_ERR_UNCORRECTABLE);
-        assert_eq!(r.fpga.stats().nand_errors_nacked, 1);
-        assert_eq!(r.fpga.stats().cachefills, 0, "no completion credited");
+        assert_eq!(r.stats().nand_errors_nacked, 1);
+        assert_eq!(r.stats().cachefills, 0, "no completion credited");
     }
 }

@@ -316,10 +316,11 @@ impl MultiChannelSystem {
 
     /// One power cycle of the whole machine (§V-C): every shard's
     /// battery-backed dump runs before any shard reboots, then each
-    /// reboots in place around its kept Z-NAND controller, whose write
-    /// buffer and die clocks reset ([`ChannelShard::power_cycle`]). The
-    /// interleave map and the failover policy survive. Reports the merged
-    /// dump.
+    /// rebuilds its boot half around its kept durable half
+    /// ([`ChannelShard::power_cycle`]); the bus traces go with the boot
+    /// halves, so drain them first ([`MultiChannelSystem::set_trace_capture`]).
+    /// The interleave map and the failover policy survive. Reports the
+    /// merged dump.
     ///
     /// # Errors
     ///
@@ -333,7 +334,7 @@ impl MultiChannelSystem {
             report.merge(&s.dump(adr_works)?);
         }
         for s in &mut self.shards {
-            s.reboot()?;
+            s.reboot();
         }
         Ok(report)
     }

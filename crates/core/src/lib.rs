@@ -84,7 +84,7 @@ pub use cp::{CpAck, CpCommand, CpOpcode};
 pub use error::CoreError;
 pub use exec::{Completion, ExecStats, ExecutorConfig, ShardExecutor, Submitted};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, RecoveryParams, RecoveryStats};
-pub use fpga::{AckFault, Fpga};
+pub use fpga::{AckFault, Fpga, FpgaKept};
 pub use front::{MultiChannelConfig, MultiChannelSystem};
 pub use health::{DegradeReason, FailoverPolicy, HealthState, HealthTransition, RebuildReport};
 pub use interleave::{InterleaveMap, Segment};

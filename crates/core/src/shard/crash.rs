@@ -1,15 +1,14 @@
 //! Power loss: the typed crash boundaries where a cut lands (armed by
 //! the crash sweep or by an injected `PowerFail`), and the one power
 //! cycle of §V-C — the battery-backed dirty-slot dump followed by a
-//! reboot that keeps the Z-NAND controller in place.
+//! reboot that rebuilds the shard's boot half and keeps its durable
+//! half.
 
-use super::{build_nvmc, ChannelShard, DramBackdoor};
+use super::{Boot, ChannelShard, DramBackdoor};
 use crate::config::PAGE_BYTES;
 use crate::error::CoreError;
-use crate::faults::RecoveryStats;
 use nvdimmc_host::Memory;
 use nvdimmc_sim::SimTime;
-use std::collections::HashMap;
 
 /// Report from a simulated power failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,17 +109,17 @@ impl ChannelShard {
     /// path, a recording in rehearsal mode, a power cut
     /// ([`CoreError::PowerInterrupted`]) when this boundary is armed.
     pub(super) fn crash_tick(&mut self, kind: CrashPointKind) -> Result<(), CoreError> {
-        let Some(hook) = &mut self.crash else {
+        let Some(hook) = &mut self.boot.crash else {
             return Ok(());
         };
-        let index = self.crash_counter;
-        self.crash_counter += 1;
+        let index = self.boot.crash_counter;
+        self.boot.crash_counter += 1;
         match hook {
             CrashHook::Enumerate { points } => {
                 points.push(CrashPoint {
                     index,
                     kind,
-                    at: self.clock,
+                    at: self.boot.clock,
                 });
                 Ok(())
             }
@@ -128,8 +127,8 @@ impl ChannelShard {
                 if index == *target {
                     // Fire once; the counter keeps advancing so a later
                     // rehearsal over the recovered shard starts fresh.
-                    self.crash = None;
-                    self.rec.power_fails_fired += 1;
+                    self.boot.crash = None;
+                    self.kept.rec.power_fails_fired += 1;
                     Err(CoreError::PowerInterrupted)
                 } else {
                     Ok(())
@@ -141,14 +140,14 @@ impl ChannelShard {
     /// Starts a rehearsal: every crash boundary crossed from here on is
     /// recorded (and the boundary counter restarts at zero).
     pub fn crash_enumerate_begin(&mut self) {
-        self.crash = Some(CrashHook::Enumerate { points: Vec::new() });
-        self.crash_counter = 0;
+        self.boot.crash = Some(CrashHook::Enumerate { points: Vec::new() });
+        self.boot.crash_counter = 0;
     }
 
     /// Ends a rehearsal and returns the boundaries it crossed (empty if
     /// no rehearsal was running).
     pub fn crash_enumerate_take(&mut self) -> Vec<CrashPoint> {
-        match self.crash.take() {
+        match self.boot.crash.take() {
             Some(CrashHook::Enumerate { points }) => points,
             _ => Vec::new(),
         }
@@ -158,23 +157,23 @@ impl ChannelShard {
     /// restarting now). Replaying the rehearsal workload then fails with
     /// [`CoreError::PowerInterrupted`] exactly at that boundary.
     pub fn crash_arm(&mut self, target: u64) {
-        self.crash = Some(CrashHook::Armed { target });
-        self.crash_counter = 0;
+        self.boot.crash = Some(CrashHook::Armed { target });
+        self.boot.crash_counter = 0;
     }
 
     /// Disarms any crash hook without firing it.
     pub fn crash_disarm(&mut self) {
-        self.crash = None;
+        self.boot.crash = None;
     }
 
     /// Whether an armed crash point is still waiting to fire.
     pub fn crash_armed(&self) -> bool {
-        matches!(self.crash, Some(CrashHook::Armed { .. }))
+        matches!(self.boot.crash, Some(CrashHook::Armed { .. }))
     }
 
     /// Crash boundaries crossed since the hook was last (re)armed.
     pub fn crash_boundaries_crossed(&self) -> u64 {
-        self.crash_counter
+        self.boot.crash_counter
     }
 
     /// Crosses one [`CrashPointKind::Maintenance`] boundary. Callers
@@ -195,20 +194,20 @@ impl ChannelShard {
     /// With `adr_works == false`, CPU-cache contents that were never
     /// flushed are lost first — the weak persistence domain.
     ///
-    /// The reboot keeps only the Z-NAND media and FTL map (the NVMC
-    /// stays in place; [`nvdimmc_nand::Nvmc::power_cycle`] drops its SRAM
-    /// buffer and die-busy clocks with the power) plus the carried
-    /// ledgers: FPGA recovery counters and armed FPGA faults, the
-    /// driver's recovery stats, the fault injector, the CP sequence
-    /// number and the rebuild log. Everything else — DRAM cache, CPU
-    /// cache, clock, health log, bus trace — starts over as at boot.
+    /// The reboot keeps the shard's durable half and rebuilds its boot
+    /// half from the configuration (DESIGN.md §12 lists both). The bus
+    /// trace recorder and the persistence journal are boot state, so the
+    /// reboot drops them: drain them first, with
+    /// [`ChannelShard::set_trace_capture`]`(false)` (as the fault
+    /// campaign's `splice_traces` does) and
+    /// [`ChannelShard::take_persist_journal`], and re-enable them after.
     ///
     /// # Errors
     ///
     /// Propagates NAND errors from the dump.
     pub fn power_cycle(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
         let report = self.dump(adr_works)?;
-        self.reboot()?;
+        self.reboot();
         Ok(report)
     }
 
@@ -216,14 +215,13 @@ impl ChannelShard {
     /// area and writes every dirty slot to Z-NAND, ignoring the tRFC
     /// serialisation (the host is dead).
     pub(crate) fn dump(&mut self, adr_works: bool) -> Result<PowerFailReport, CoreError> {
-        self.cpu
-            .journal_push(nvdimmc_host::PersistEvent::PowerFail { adr: adr_works });
+        let b = &mut self.boot;
         if adr_works {
-            self.cpu.flush_all(&mut DramBackdoor(&mut self.bus));
+            b.cpu.flush_all(&mut DramBackdoor(&mut b.bus));
         } else {
-            self.cpu.discard_all();
+            b.cpu.discard_all();
         }
-        let entries: Vec<(u64, u64, bool)> = self.cache.resident_entries().collect();
+        let entries: Vec<(u64, u64, bool)> = self.boot.cache.resident_entries().collect();
         let mut report = PowerFailReport {
             adr_worked: adr_works,
             ..PowerFailReport::default()
@@ -241,37 +239,22 @@ impl ChannelShard {
                 continue;
             }
             let mut data = vec![0u8; PAGE_BYTES as usize];
-            let addr = self.layout.slot_addr(slot);
-            DramBackdoor(&mut self.bus).read(addr, &mut data);
-            self.nvmc.write_page(page, data, self.clock)?;
+            let addr = self.boot.layout.slot_addr(slot);
+            DramBackdoor(&mut self.boot.bus).read(addr, &mut data);
+            self.kept.nvmc.write_page(page, data, self.boot.clock)?;
             report.slots_flushed += 1;
             report.bytes_flushed += PAGE_BYTES;
         }
         Ok(report)
     }
 
-    /// The reboot half of [`ChannelShard::power_cycle`], in place. The
-    /// controller built for the fresh shard only holds the slot while the
-    /// old shard is taken apart; the old controller moves back in.
-    pub(crate) fn reboot(&mut self) -> Result<(), CoreError> {
-        let fresh = Self::assemble(self.cfg.clone(), build_nvmc(&self.cfg)?);
-        let old = std::mem::replace(self, fresh);
-        self.nvmc = old.nvmc;
-        self.nvmc.power_cycle();
-        self.fpga.carry_across_reboot(old.fpga);
-        self.rec = RecoveryStats {
-            power_fails_recovered: old.rec.power_fails_fired,
-            ..old.rec
-        };
-        self.injector = old.injector;
-        self.scrub = old.scrub.map(|_| HashMap::new());
-        self.seq = old.seq;
-        // The rebuild ledgers are per-attempt facts and span power
-        // cycles; the health log restarts with the clock (fresh boot =
-        // fresh `Healthy`).
-        self.rebuild_log = old.rebuild_log;
-        self.shard_index = old.shard_index;
-        Ok(())
+    /// The reboot half of [`ChannelShard::power_cycle`]: a fresh boot
+    /// half over the kept one, whose controller drops its write buffer
+    /// and die clocks with the power.
+    pub(crate) fn reboot(&mut self) {
+        self.boot = Boot::new(&self.cfg);
+        self.kept.nvmc.power_cycle();
+        self.kept.rec.power_fails_recovered = self.kept.rec.power_fails_fired;
     }
 }
 
@@ -279,7 +262,8 @@ impl ChannelShard {
 mod tests {
     use super::*;
     use crate::config::NvdimmCConfig;
-    use crate::faults::FaultKind;
+    use crate::faults::{FaultKind, FaultPlan, RecoveryStats};
+    use crate::fpga::FpgaStats;
     use crate::shard::tests::{page, sys};
     use crate::shard::{BlockDevice, System};
 
@@ -450,6 +434,128 @@ mod tests {
         assert_eq!(buf, page(0x60), "data came back from NAND");
         assert_eq!(s.stats().writebacks, 1, "the miss wrote a victim back");
         assert!(lat < 90.0, "first Uncached miss after reboot = {lat:.2}us");
+    }
+
+    /// FPGA faults armed but not yet consumed.
+    fn armed_fpga_faults(s: &System) -> usize {
+        s.kept.fpga.armed_faults()
+    }
+
+    /// A shard holding some of every durable fact: an injector (so scrub
+    /// is on), shard index 3, a retransmit, a rebuild, a fired power cut
+    /// and one armed FPGA fault still pending, with a bus recorder on.
+    fn partitioned_shard() -> System {
+        let mut cfg = NvdimmCConfig::small_for_tests();
+        cfg.cache_slots = 4;
+        cfg.recovery.cp_max_retransmits = 1;
+        let mut s = System::new(cfg).unwrap();
+        s.set_shard_index(3);
+        let plan = FaultPlan::new(7).with(FaultKind::AckDrop, 1).horizon(2);
+        s.attach_injector(plan.build_injectors(1).remove(0));
+        // Evictions drive writebacks; the first ack is dropped and its
+        // retransmit recovers.
+        for i in 0..8u64 {
+            s.write_at(i * PAGE_BYTES, &page(0x30 + i as u8)).unwrap();
+        }
+        // Two more drops exhaust the two-attempt budget: degrade, repair.
+        s.inject_fault(FaultKind::AckDrop);
+        s.inject_fault(FaultKind::AckDrop);
+        let mut buf = page(0);
+        let err = s.read_at(0, &mut buf).unwrap_err();
+        assert!(matches!(err, CoreError::CpTimeout { .. }), "{err}");
+        s.repair().unwrap();
+        // A power cut fires at the next boundary...
+        s.inject_fault(FaultKind::PowerFail);
+        let err = s.read_at(7 * PAGE_BYTES, &mut buf).unwrap_err();
+        assert!(matches!(err, CoreError::PowerInterrupted), "{err}");
+        // ...with a window stall armed behind it.
+        s.inject_fault(FaultKind::WindowOverrun);
+        assert_eq!(s.set_trace_capture(true), None);
+        s
+    }
+
+    #[test]
+    fn power_cycle_keeps_the_durable_half_and_rebuilds_the_boot_half() {
+        // The twin dumps but does not reboot: everything durable it holds
+        // is what the rebooted shard must still hold.
+        let mut twin = partitioned_shard();
+        let twin_report = twin.dump(true).unwrap();
+        let mut s = partitioned_shard();
+        assert_eq!(s.power_cycle(true).unwrap(), twin_report);
+        let fresh = System::new(s.config().clone()).unwrap();
+
+        // Durable half: carried over.
+        let kept = twin.recovery_stats();
+        assert_eq!(kept.cp_retransmits, 2, "{kept:?}");
+        assert_eq!(kept.power_fails_fired, 1);
+        assert_eq!(kept.power_fails_recovered, 0);
+        assert_eq!(
+            s.recovery_stats(),
+            RecoveryStats {
+                power_fails_recovered: 1,
+                ..kept
+            }
+        );
+        assert_eq!(s.nvmc_stats(), twin.nvmc_stats());
+        assert_eq!(s.ftl_stats(), twin.ftl_stats());
+        assert_eq!(s.rebuild_reports().len(), 1);
+        assert_eq!(s.rebuild_reports(), twin.rebuild_reports());
+        assert_eq!(armed_fpga_faults(&twin), 1);
+        assert_eq!(armed_fpga_faults(&s), 1);
+        let (inj, twin_inj) = (s.injector().unwrap(), twin.injector().unwrap());
+        assert_eq!(inj.counts(), twin_inj.counts());
+        assert_eq!(inj.pending(), twin_inj.pending());
+        let f = twin.fpga_stats();
+        assert_eq!(
+            s.fpga_stats(),
+            FpgaStats {
+                probes: f.probes,
+                acks_dropped: f.acks_dropped,
+                acks_corrupted: f.acks_corrupted,
+                cmd_decode_failures: f.cmd_decode_failures,
+                nand_errors_nacked: f.nand_errors_nacked,
+                replayed_acks: f.replayed_acks,
+                overrun_stalls: f.overrun_stalls,
+                bursts_split: f.bursts_split,
+                bursts_resumed: f.bursts_resumed,
+                ..fresh.fpga_stats()
+            }
+        );
+
+        // Boot half: equal to a freshly built shard's.
+        assert_ne!(twin.bus_stats(), fresh.bus_stats(), "the twin ran traffic");
+        assert_eq!(format!("{:?}", s.stats()), format!("{:?}", fresh.stats()));
+        assert_eq!(s.bus_stats(), fresh.bus_stats());
+        assert_eq!(s.imc_stats(), fresh.imc_stats());
+        assert_eq!(s.cache_stats(), fresh.cache_stats());
+        assert_eq!(s.detector_stats(), fresh.detector_stats());
+        assert_eq!(s.refresh_planner_counts(), fresh.refresh_planner_counts());
+        assert_eq!(s.now(), SimTime::ZERO);
+        assert_eq!(s.health(), crate::health::HealthState::Healthy);
+        assert!(!twin.health_log().is_empty());
+        assert!(s.health_log().is_empty());
+        assert!(!s.crash_armed());
+        assert_eq!(s.crash_boundaries_crossed(), 0);
+        assert!(s.crash_enumerate_take().is_empty());
+        // The reboot dropped the recorder attached before the cycle.
+        assert_eq!(s.set_trace_capture(false), None);
+
+        // The data came through, and typed errors still name shard 3.
+        let mut buf = page(0);
+        for i in 0..8u64 {
+            s.read_at(i * PAGE_BYTES, &mut buf).unwrap();
+            assert_eq!(buf, page(0x30 + i as u8), "page {i}");
+        }
+        // Page 0 was evicted clean, so reading it again is a cachefill.
+        s.inject_fault(FaultKind::AckDrop);
+        s.inject_fault(FaultKind::AckDrop);
+        let err = s.read_at(0, &mut buf).unwrap_err();
+        assert!(matches!(err, CoreError::CpTimeout { .. }), "{err}");
+        let err = s.write_at(0, &page(1)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::DegradedShard { shard: 3, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! with its evictions, CP mailbox transactions, refresh-window servicing
 //! and application-level persist.
 
-use super::{BlockDevice, ChannelShard, CrashPointKind, DramBackdoor, QueuedDevice, ZERO_PAGE};
+use super::{
+    BlockDevice, Boot, ChannelShard, CrashPointKind, DramBackdoor, QueuedDevice, ZERO_PAGE,
+};
 use crate::config::{Backend, PAGE_BYTES};
 use crate::cp::{CpAck, CpCommand, CpOpcode, ACK_ERR_UNCORRECTABLE};
 use crate::error::{check_range, CoreError};
@@ -30,16 +32,16 @@ impl ChannelShard {
         io: Io<'_>,
     ) -> Result<SimTime, CoreError> {
         if io.is_empty() {
-            return Ok(not_before.map_or(self.clock, |t| self.clock.max(t)));
+            return Ok(not_before.map_or(self.boot.clock, |t| self.boot.clock.max(t)));
         }
         let len = io.len() as u64;
-        check_range(offset, len, self.nvmc.export_bytes())?;
+        check_range(offset, len, self.kept.nvmc.export_bytes())?;
         self.begin_op();
         let write = io.is_write();
         if write {
-            if let HealthState::Degraded { reason, .. } = self.health {
+            if let HealthState::Degraded { reason, .. } = self.boot.health {
                 return Err(CoreError::DegradedShard {
-                    shard: self.shard_index,
+                    shard: self.kept.shard_index,
                     reason,
                 });
             }
@@ -48,13 +50,13 @@ impl ChannelShard {
             None => {
                 let first = offset / PAGE_BYTES;
                 let last = (offset + len - 1) / PAGE_BYTES;
-                self.clock += self.sw_cost(len, last - first + 1, write);
+                self.boot.clock += self.sw_cost(len, last - first + 1, write);
                 true
             }
-            Some(t) if self.clock <= t => {
+            Some(t) if self.boot.clock <= t => {
                 // Device idle at arrival: the op runs lock-step with the
                 // issuing thread's copy, exactly like a direct blocking call.
-                self.clock = t;
+                self.boot.clock = t;
                 true
             }
             Some(_) => false,
@@ -63,25 +65,25 @@ impl ChannelShard {
             // Paced at the CPU copy rate so the transfer's refresh exposure
             // matches a load-driven copy. The CPU-side copy overlaps the
             // bus transfer; the slower wins.
-            let copy_done = self.clock + self.cfg.perf.copy_time(len);
+            let copy_done = self.boot.clock + self.cfg.perf.copy_time(len);
             self.access(offset, io, self.cfg.perf.copy_time(64))?;
-            self.clock = self.clock.max(copy_done);
+            self.boot.clock = self.boot.clock.max(copy_done);
         } else {
             // Contended: the issuing thread's copy overlaps other
             // requests' transfers, so the shard holds only the per-op
             // serialized section — the mapping lock plus the raw
             // (tCCD-pipelined) bus occupancy. This is the serialized
             // demand the paper's Figure 9 knee comes from.
-            self.clock += self.cfg.perf.mapping_serial;
+            self.boot.clock += self.cfg.perf.mapping_serial;
             self.access(offset, io, SimDuration::ZERO)?;
         }
-        self.drain_detector_idle();
+        self.boot.drain_detector_idle();
         if write {
-            self.stats.writes += 1;
+            self.boot.stats.writes += 1;
         } else {
-            self.stats.reads += 1;
+            self.boot.stats.reads += 1;
         }
-        Ok(self.clock)
+        Ok(self.boot.clock)
     }
 
     /// The functional+timing core of an access: per-page fault-in (the
@@ -103,26 +105,27 @@ impl ChannelShard {
             if was_resident {
                 self.scrub_verify(slot, page)?;
             }
+            let b = &mut self.boot;
             if write {
-                self.cache.mark_dirty(slot);
+                b.cache.mark_dirty(slot);
             }
             let in_page = (offset + pos as u64) % PAGE_BYTES;
             let n = ((PAGE_BYTES - in_page) as usize).min(len - pos);
-            let addr = self.layout.slot_addr(slot) + in_page;
+            let addr = b.layout.slot_addr(slot) + in_page;
             // Timing: a real bus transfer (stalls behind refresh windows).
             // A store stream occupies the bus like a read of the same
             // lines (tCWL ≈ tCL at this fidelity).
-            self.clock =
-                self.imc
-                    .read_timing_paced(&mut self.bus, self.clock, addr, n as u64, pace)?;
+            b.clock = b
+                .imc
+                .read_timing_paced(&mut b.bus, b.clock, addr, n as u64, pace)?;
             // Function: through the CPU cache. Loads see dirty lines;
             // stores land in the CPU cache (write-back!) and reach the
             // DRAM array only at clflush/eviction time — which is exactly
             // the §V-B hazard the driver's coherence handles.
             match io.slice(pos..pos + n) {
-                Io::Read(buf) => self.cpu.load(&mut DramBackdoor(&mut self.bus), addr, buf),
+                Io::Read(buf) => b.cpu.load(&mut DramBackdoor(&mut b.bus), addr, buf),
                 Io::Write(data) => {
-                    self.cpu.store(&mut DramBackdoor(&mut self.bus), addr, data);
+                    b.cpu.store(&mut DramBackdoor(&mut b.bus), addr, data);
                     self.scrub_note(slot);
                 }
             }
@@ -159,33 +162,33 @@ impl ChannelShard {
     /// resident already. This is the DAX fault path: `device_access` →
     /// cachefill (plus writeback when evicting a dirty victim).
     fn ensure_resident(&mut self, page: u64) -> Result<(u64, bool), CoreError> {
-        if let Some(slot) = self.cache.lookup(page) {
+        if let Some(slot) = self.boot.cache.lookup(page) {
             return Ok((slot, true));
         }
-        if let HealthState::Degraded { reason, .. } = self.health {
+        if let HealthState::Degraded { reason, .. } = self.boot.health {
             // Degraded mode still serves what it can without the CP
             // mailbox: a never-written page with a free slot is a pure
             // CPU zero-fill.
-            if self.nvmc.is_mapped(page) || self.cache.free_slots() == 0 {
+            if self.kept.nvmc.is_mapped(page) || self.boot.cache.free_slots() == 0 {
                 return Err(CoreError::DegradedShard {
-                    shard: self.shard_index,
+                    shard: self.kept.shard_index,
                     reason,
                 });
             }
         }
-        self.stats.faults += 1;
-        self.clock += self.cfg.perf.fault_base;
+        self.boot.stats.faults += 1;
+        self.boot.clock += self.cfg.perf.fault_base;
         let slot = match self.cfg.backend {
             Backend::Hypothetical { td } => self.hypothetical_fill(page, td)?,
             Backend::Znand => {
                 let (slot, filled) = self.obtain_slot(page)?;
                 if !filled {
-                    if self.nvmc.is_mapped(page) {
+                    if self.kept.nvmc.is_mapped(page) {
                         if let Err(e) = self.cp_transaction(CpOpcode::Cachefill, slot, page, None) {
                             // The slot obtained above is mapped to no page
                             // yet; leaking it would shrink the cache on
                             // every failed fill.
-                            self.cache.release(slot);
+                            self.boot.cache.release(slot);
                             return Err(e);
                         }
                     } else {
@@ -194,13 +197,13 @@ impl ChannelShard {
                         // what keeps the cached phase of the file copy at
                         // SSD speed (§VII-B1) instead of paying a CP
                         // round-trip per fresh page.
-                        let addr = self.layout.slot_addr(slot);
+                        let addr = self.boot.layout.slot_addr(slot);
                         // Zero with non-temporal stores: straight to DRAM,
                         // no cache allocation (the post-fill invalidation
                         // below must not drop the zeros).
-                        DramBackdoor(&mut self.bus).write(addr, &ZERO_PAGE);
-                        self.clock += self.cfg.perf.copy_time(PAGE_BYTES);
-                        self.stats.zero_fills += 1;
+                        DramBackdoor(&mut self.boot.bus).write(addr, &ZERO_PAGE);
+                        self.boot.clock += self.cfg.perf.copy_time(PAGE_BYTES);
+                        self.boot.stats.zero_fills += 1;
                     }
                 }
                 slot
@@ -208,9 +211,8 @@ impl ChannelShard {
         };
         // Post-fill coherence: drop any stale CPU-cache lines over the
         // slot the FPGA just rewrote (§V-B).
-        self.cpu
-            .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
-        self.cache.fill(slot, page);
+        self.boot.invalidate_slot(slot);
+        self.boot.cache.fill(slot, page);
         self.scrub_note(slot);
         Ok((slot, false))
     }
@@ -222,29 +224,28 @@ impl ChannelShard {
         // three tD waits, but its own Figure 12 data — 1503/914/681/451
         // MB/s at tD = 0/1.85/3.9/7.8 µs — fits ~0.8–1.0 tD per miss;
         // we reproduce the measured behaviour. See EXPERIMENTS.md.)
-        self.clock += td;
+        self.boot.clock += td;
         // Functional data movement without FPGA involvement.
-        let slot = match self.cache.take_free_slot() {
+        let slot = match self.boot.cache.take_free_slot() {
             Some(s) => s,
             None => {
                 let (victim, vpage, dirty) = self
+                    .boot
                     .cache
                     .pick_victim()
                     .ok_or_else(|| CoreError::Protocol("no slots to evict".into()))?;
-                let addr = self.layout.slot_addr(victim);
-                self.cpu
-                    .clflush_range(&mut DramBackdoor(&mut self.bus), addr, PAGE_BYTES);
+                let addr = self.boot.clflush_slot(victim);
                 if dirty {
                     let mut data = vec![0u8; PAGE_BYTES as usize];
-                    DramBackdoor(&mut self.bus).read(addr, &mut data);
-                    self.nvmc.write_page(vpage, data, self.clock)?;
+                    DramBackdoor(&mut self.boot.bus).read(addr, &mut data);
+                    self.kept.nvmc.write_page(vpage, data, self.boot.clock)?;
                 }
-                self.cache.evict(victim);
+                self.boot.cache.evict(victim);
                 victim
             }
         };
-        let (data, _) = self.nvmc.read_page(page, self.clock)?;
-        DramBackdoor(&mut self.bus).write(self.layout.slot_addr(slot), &data);
+        let (data, _) = self.kept.nvmc.read_page(page, self.boot.clock)?;
+        DramBackdoor(&mut self.boot.bus).write(self.boot.layout.slot_addr(slot), &data);
         Ok(slot)
     }
 
@@ -253,10 +254,11 @@ impl ChannelShard {
     /// `filled` is true when the merged writeback+cachefill opcode already
     /// loaded `fill_page` into the slot.
     fn obtain_slot(&mut self, fill_page: u64) -> Result<(u64, bool), CoreError> {
-        if let Some(slot) = self.cache.take_free_slot() {
+        if let Some(slot) = self.boot.cache.take_free_slot() {
             return Ok((slot, false));
         }
         let (victim, vpage, dirty) = self
+            .boot
             .cache
             .pick_victim()
             .ok_or_else(|| CoreError::Protocol("no slots and nothing to evict".into()))?;
@@ -264,7 +266,7 @@ impl ChannelShard {
         let mut filled = false;
         if dirty {
             self.flush_for_fpga(victim);
-            if self.cfg.merge_wb_cf && self.nvmc.is_mapped(fill_page) {
+            if self.cfg.merge_wb_cf && self.kept.nvmc.is_mapped(fill_page) {
                 // §VII-C optimisation 4: one merged CP command covers both
                 // the writeback and the fill, processed in parallel. (A
                 // never-written fill page skips the fill entirely, so the
@@ -275,10 +277,9 @@ impl ChannelShard {
                 self.cp_transaction(CpOpcode::Writeback, victim, vpage, None)?;
             }
         } else {
-            self.cpu
-                .invalidate_range(self.layout.slot_addr(victim), PAGE_BYTES);
+            self.boot.invalidate_slot(victim);
         }
-        self.cache.evict(victim);
+        self.boot.cache.evict(victim);
         self.scrub_forget(victim);
         Ok((victim, filled))
     }
@@ -286,17 +287,15 @@ impl ChannelShard {
     /// Explicit coherence before the FPGA reads a dirty slot (§V-B):
     /// `clflush` the slot's page, fence, and charge the flush time.
     pub(super) fn flush_for_fpga(&mut self, slot: u64) {
-        let addr = self.layout.slot_addr(slot);
-        self.cpu
-            .clflush_range(&mut DramBackdoor(&mut self.bus), addr, PAGE_BYTES);
-        self.cpu.sfence();
-        self.clock += self.cfg.perf.clflush_line * (PAGE_BYTES / 64);
+        self.boot.clflush_slot(slot);
+        self.boot.cpu.sfence();
+        self.boot.clock += self.cfg.perf.clflush_line * (PAGE_BYTES / 64);
     }
 
     fn next_phase(&mut self) -> u8 {
         // 1..=15, never 0, so an all-zero mailbox never decodes as new.
-        self.phase = (self.phase % 15) + 1;
-        self.phase
+        self.boot.phase = (self.boot.phase % 15) + 1;
+        self.boot.phase
     }
 
     /// Runs one CP transaction to completion: publish the command with
@@ -319,19 +318,20 @@ impl ChannelShard {
     ) -> Result<(), CoreError> {
         // Only `Degraded` refuses the mailbox — the `Rebuilding` repair
         // path drives its scrub traffic through this very function.
-        if let HealthState::Degraded { reason, .. } = self.health {
+        if let HealthState::Degraded { reason, .. } = self.boot.health {
             return Err(CoreError::DegradedShard {
-                shard: self.shard_index,
+                shard: self.kept.shard_index,
                 reason,
             });
         }
         // Catch up any refresh backlog from plain host activity while the
         // FPGA is still idle, so the wait loop below sees at most one new
         // refresh per iteration.
-        self.imc.pump_refresh(&mut self.bus, self.clock)?;
-        self.drain_detector_idle();
-        self.seq = self.seq.wrapping_add(1);
-        let seq = self.seq;
+        let b = &mut self.boot;
+        b.imc.pump_refresh(&mut b.bus, b.clock)?;
+        b.drain_detector_idle();
+        self.kept.seq = self.kept.seq.wrapping_add(1);
+        let seq = self.kept.seq;
         let rp = self.cfg.recovery;
         // The retransmit ladder itself — attempt budget, backoff, ack
         // matching — lives in the pure [`crate::proto::DriverTxn`] shared
@@ -354,12 +354,12 @@ impl ChannelShard {
             // up-to-date data in the next tRFC window).
             let mut line = [0u8; 64];
             line[..16].copy_from_slice(&cmd.encode());
-            let cp_addr = self.layout.cp_command();
-            self.cpu
-                .store(&mut DramBackdoor(&mut self.bus), cp_addr, &line);
-            self.cpu.clflush(&mut DramBackdoor(&mut self.bus), cp_addr);
-            self.cpu.sfence();
-            self.clock += self.cfg.perf.cp_submit;
+            let b = &mut self.boot;
+            let cp_addr = b.layout.cp_command();
+            b.cpu.store(&mut DramBackdoor(&mut b.bus), cp_addr, &line);
+            b.cpu.clflush(&mut DramBackdoor(&mut b.bus), cp_addr);
+            b.cpu.sfence();
+            b.clock += self.cfg.perf.cp_submit;
 
             // Wait for the acknowledgement, one window at a time.
             loop {
@@ -368,13 +368,14 @@ impl ChannelShard {
                 // landed — the crash sweep probes both sides.
                 self.crash_tick(CrashPointKind::CpWindow)?;
                 self.advance_one_window()?;
-                self.clock += self.cfg.perf.driver_poll_interval;
-                let ack_addr = self.layout.cp_ack();
+                let b = &mut self.boot;
+                b.clock += self.cfg.perf.driver_poll_interval;
+                let ack_addr = b.layout.cp_ack();
                 // Poll with a fresh load (drop any stale cached line first).
-                self.cpu.invalidate(ack_addr);
+                b.cpu.invalidate(ack_addr);
                 let mut ack_bytes = [0u8; 8];
-                self.cpu
-                    .load(&mut DramBackdoor(&mut self.bus), ack_addr, &mut ack_bytes);
+                b.cpu
+                    .load(&mut DramBackdoor(&mut b.bus), ack_addr, &mut ack_bytes);
                 match txn.on_ack(CpAck::decode(&ack_bytes).as_ref()) {
                     AckOutcome::Ignored => {}
                     AckOutcome::Nacked { code } => {
@@ -389,11 +390,11 @@ impl ChannelShard {
                     }
                     AckOutcome::Accepted { recovered } => {
                         if recovered {
-                            self.rec.cp_recovered += 1;
+                            self.kept.rec.cp_recovered += 1;
                         }
                         match opcode {
-                            CpOpcode::Cachefill => self.stats.cachefills += 1,
-                            CpOpcode::Writeback => self.stats.writebacks += 1,
+                            CpOpcode::Cachefill => self.boot.stats.cachefills += 1,
+                            CpOpcode::Writeback => self.boot.stats.writebacks += 1,
                             // The FPGA counts merged commands and probes
                             // on its side; probes are handshake traffic,
                             // not host operations.
@@ -406,17 +407,17 @@ impl ChannelShard {
                     break;
                 }
             }
-            self.rec.cp_attempt_timeouts += 1;
+            self.kept.rec.cp_attempt_timeouts += 1;
             match txn.next_attempt() {
                 RetryOutcome::Retransmit => {
-                    self.rec.cp_retransmits += 1;
+                    self.kept.rec.cp_retransmits += 1;
                     let phase = self.next_phase();
                     txn.republish(phase);
                 }
                 RetryOutcome::Exhausted => break,
             }
         }
-        self.rec.cp_transactions_failed += 1;
+        self.kept.rec.cp_transactions_failed += 1;
         self.enter_degraded(DegradeReason::CpExhausted {
             opcode,
             attempts: rp.cp_max_retransmits + 1,
@@ -426,35 +427,12 @@ impl ChannelShard {
         })
     }
 
-    /// Consumes pending CA captures while the FPGA is idle (refreshes that
-    /// elapsed during plain host activity; polls would observe nothing).
-    /// Per-bank refreshes still feed the planner's bank deadlines so a
-    /// bank refreshed during idle traffic is not immediately re-picked.
-    fn drain_detector_idle(&mut self) {
-        let log = self.bus.drain_ca_log();
-        for ev in self.pipeline.process(&log) {
-            if let Some(bank) = ev.bank {
-                self.note_refreshed(bank, ev.at, ev.stretch);
-            }
-        }
-    }
-
-    /// Feeds one snooped REFpb, with the close of the window it opened,
-    /// into the planner.
-    fn note_refreshed(&mut self, bank: BankAddr, at: SimTime, stretch: u8) {
-        let (_, closes) = self
-            .bus
-            .device()
-            .timing()
-            .nvmc_window_bounds_pb(at, stretch);
-        self.planner.note_refreshed(bank, at, closes);
-    }
-
     /// Advances to (and services) the next refresh window.
     fn advance_one_window(&mut self) -> Result<(), CoreError> {
-        let due = self.imc.next_refresh_due();
-        let t = self.clock.max(due);
-        if self.imc.refresh_mode() == RefreshMode::PerBank {
+        let b = &mut self.boot;
+        let due = b.imc.next_refresh_due();
+        let t = b.clock.max(due);
+        if b.imc.refresh_mode() == RefreshMode::PerBank {
             // Steer the next REFpb toward the bank the FPGA's FSM needs,
             // stretched per current queue pressure — but only when the FSM
             // can run its next action in the window that demand pick would
@@ -465,47 +443,45 @@ impl ChannelShard {
             // earliest-deadline bank at the base window, earning credit
             // for when the FSM is ready. The planner overrides either pick
             // once a bank's deadline has lapsed past its postpone credit.
-            let (opens, closes) = self
+            let (opens, closes) = b
                 .bus
                 .device()
                 .timing()
-                .nvmc_window_bounds_pb(due, self.planner.stretch_hint());
-            let need = self
-                .fpga
-                .next_step_duration(&self.bus)
-                .min(closes.since(opens));
-            let wanted = if self.fpga.ready_at().max(opens) + need <= closes {
-                self.fpga.wanted_bank(&self.bus, &self.layout)
+                .nvmc_window_bounds_pb(due, b.planner.stretch_hint());
+            let need = b.fpga.next_step_duration(&b.bus).min(closes.since(opens));
+            let wanted = if b.fpga.ready_at().max(opens) + need <= closes {
+                b.fpga.wanted_bank(&b.bus)
             } else {
                 None
             };
-            let pick = self.planner.choose(due, wanted);
-            self.imc.set_refresh_pref(Some(pick));
+            let pick = b.planner.choose(due, wanted);
+            b.imc.set_refresh_pref(Some(pick));
         }
-        let resumed = self.imc.pump_refresh(&mut self.bus, t)?;
-        self.clock = self.clock.max(resumed);
-        let log = self.bus.drain_ca_log();
-        let events = self.pipeline.process(&log);
-        if self.imc.refresh_mode() == RefreshMode::PerBank {
+        let resumed = b.imc.pump_refresh(&mut b.bus, t)?;
+        b.clock = b.clock.max(resumed);
+        let log = b.bus.drain_ca_log();
+        let events = b.pipeline.process(&log);
+        if b.imc.refresh_mode() == RefreshMode::PerBank {
             // Per-bank windows are bank-scoped: each event's window stays
             // usable regardless of traffic to *other* banks, so service
             // every snooped refresh, not just the latest.
             for ev in &events {
                 match ev.bank {
                     Some(bank) => {
-                        self.note_refreshed(bank, ev.at, ev.stretch);
-                        self.fpga.on_refresh_banked(
+                        self.boot.note_refreshed(bank, ev.at, ev.stretch);
+                        self.boot.fpga.on_refresh_banked(
                             ev.at,
                             bank,
                             ev.stretch,
-                            &mut self.bus,
-                            &mut self.nvmc,
-                            &self.layout,
+                            &mut self.boot.bus,
+                            &mut self.kept.nvmc,
+                            &mut self.kept.fpga,
                         )?;
                     }
                     None => {
-                        self.fpga
-                            .on_refresh(ev.at, &mut self.bus, &mut self.nvmc, &self.layout)?;
+                        let (b, k) = (&mut self.boot, &mut self.kept);
+                        b.fpga
+                            .on_refresh(ev.at, &mut b.bus, &mut k.nvmc, &mut k.fpga)?;
                     }
                 }
                 // Each serviced per-bank window is one NVMC burst edge:
@@ -520,8 +496,9 @@ impl ChannelShard {
         // commands — the FPGA can only use the most recent one, exactly
         // as real hardware would simply miss those windows.
         if let Some(ev) = events.last() {
-            self.fpga
-                .on_refresh(ev.at, &mut self.bus, &mut self.nvmc, &self.layout)?;
+            let (b, k) = (&mut self.boot, &mut self.kept);
+            b.fpga
+                .on_refresh(ev.at, &mut b.bus, &mut k.nvmc, &mut k.fpga)?;
             self.crash_tick(CrashPointKind::NvmcBurst)?;
         }
         Ok(())
@@ -537,7 +514,7 @@ impl ChannelShard {
         offset: u64,
         len: u64,
     ) -> Result<(u64, Vec<u64>), CoreError> {
-        check_range(offset, len, self.nvmc.export_bytes())?;
+        check_range(offset, len, self.kept.nvmc.export_bytes())?;
         let first = offset / PAGE_BYTES;
         let last = (offset + len - 1) / PAGE_BYTES;
         let mut lines = 0u64;
@@ -547,11 +524,8 @@ impl ChannelShard {
             // classic torn-flush window: some lines pushed to the ADR
             // domain, the rest still in the CPU cache.
             self.crash_tick(CrashPointKind::BusOp)?;
-            if let Some(slot) = self.cache.peek(page) {
-                let addr = self.layout.slot_addr(slot);
-                self.cpu
-                    .clflush_range(&mut DramBackdoor(&mut self.bus), addr, PAGE_BYTES);
-                flushed.push(addr);
+            if let Some(slot) = self.boot.cache.peek(page) {
+                flushed.push(self.boot.clflush_slot(slot));
                 lines += PAGE_BYTES / 64;
             }
         }
@@ -560,19 +534,20 @@ impl ChannelShard {
 
     /// Fence phase of a persist: orders all prior flushes on this shard.
     pub(crate) fn persist_fence(&mut self) {
-        self.cpu.sfence();
+        self.boot.cpu.sfence();
     }
 
     /// Claim phase of a persist: declares durability for the flushed
     /// addresses (journal claims) and charges the flush time.
     pub(crate) fn persist_claim(&mut self, flushed: &[u64], lines: u64) {
+        let cpu = &mut self.boot.cpu;
         for &addr in flushed {
-            self.cpu.journal_push(nvdimmc_host::PersistEvent::Claim {
+            cpu.journal_push(nvdimmc_host::PersistEvent::Claim {
                 addr,
                 len: PAGE_BYTES,
             });
         }
-        self.clock += self.cfg.perf.clflush_line * lines;
+        self.boot.clock += self.cfg.perf.clflush_line * lines;
     }
 
     /// Application-level persistence: `clflush` + `sfence` over a byte
@@ -607,37 +582,63 @@ impl ChannelShard {
     }
 }
 
+impl Boot {
+    /// Consumes pending CA captures while the FPGA is idle (refreshes that
+    /// elapsed during plain host activity; polls would observe nothing).
+    /// Per-bank refreshes still feed the planner's bank deadlines so a
+    /// bank refreshed during idle traffic is not immediately re-picked.
+    fn drain_detector_idle(&mut self) {
+        let log = self.bus.drain_ca_log();
+        for ev in self.pipeline.process(&log) {
+            if let Some(bank) = ev.bank {
+                self.note_refreshed(bank, ev.at, ev.stretch);
+            }
+        }
+    }
+
+    /// Feeds one snooped REFpb, with the close of the window it opened,
+    /// into the planner.
+    fn note_refreshed(&mut self, bank: BankAddr, at: SimTime, stretch: u8) {
+        let (_, closes) = self
+            .bus
+            .device()
+            .timing()
+            .nvmc_window_bounds_pb(at, stretch);
+        self.planner.note_refreshed(bank, at, closes);
+    }
+}
+
 impl BlockDevice for ChannelShard {
     fn capacity_bytes(&self) -> u64 {
-        self.nvmc.export_bytes()
+        self.kept.nvmc.export_bytes()
     }
 
     fn now(&self) -> SimTime {
-        self.clock
+        self.boot.clock
     }
 
     fn advance(&mut self, d: SimDuration) {
-        self.clock += d;
+        self.boot.clock += d;
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration, CoreError> {
-        let t0 = self.clock;
+        let t0 = self.boot.clock;
         Ok(self.serve(None, offset, Io::Read(buf))?.since(t0))
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration, CoreError> {
-        let t0 = self.clock;
+        let t0 = self.boot.clock;
         Ok(self.serve(None, offset, Io::Write(data))?.since(t0))
     }
 }
 
 impl QueuedDevice for ChannelShard {
     fn capacity_bytes(&self) -> u64 {
-        self.nvmc.export_bytes()
+        self.kept.nvmc.export_bytes()
     }
 
     fn clock(&self) -> SimTime {
-        self.clock
+        self.boot.clock
     }
 
     fn pre_cost(&self, len: u64, write: bool) -> SimDuration {
@@ -671,7 +672,7 @@ impl QueuedDevice for ChannelShard {
     }
 
     fn note_queue_depth(&mut self, depth: usize) {
-        self.planner.note_queue_depth(depth);
+        self.boot.planner.note_queue_depth(depth);
     }
 }
 

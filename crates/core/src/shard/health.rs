@@ -17,28 +17,28 @@ impl ChannelShard {
     /// Without an injector none of the recovery machinery perturbs the
     /// fast path.
     pub fn attach_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.kept.injector = Some(injector);
         self.enable_scrub();
     }
 
     /// The attached fault injector, if any.
     pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+        self.kept.injector.as_ref()
     }
 
     /// The shard's current health state.
     pub fn health(&self) -> HealthState {
-        self.health
+        self.boot.health
     }
 
     /// Whether the shard is in degraded (read-mostly) mode.
     pub fn is_degraded(&self) -> bool {
-        self.health.is_degraded()
+        self.boot.health.is_degraded()
     }
 
     /// Why and since when the shard is degraded, if it is.
     pub fn degraded_info(&self) -> Option<(DegradeReason, SimTime)> {
-        match self.health {
+        match self.boot.health {
             HealthState::Degraded { reason, since } => Some((reason, since)),
             _ => None,
         }
@@ -46,19 +46,19 @@ impl ChannelShard {
 
     /// Every recorded health-state transition of this boot, in order.
     pub fn health_log(&self) -> &[HealthTransition] {
-        &self.health_log
+        &self.boot.health_log
     }
 
     /// The conservation ledger of every rebuild attempt, oldest first
     /// (carried across power cycles).
     pub fn rebuild_reports(&self) -> &[RebuildReport] {
-        &self.rebuild_log
+        &self.kept.rebuild_log
     }
 
     /// Sets the shard's index within a multi-channel front-end, so typed
     /// errors name the shard they came from.
     pub(crate) fn set_shard_index(&mut self, idx: u32) {
-        self.shard_index = idx;
+        self.kept.shard_index = idx;
     }
 
     /// Applies one fault immediately (test/bench hook — campaigns schedule
@@ -67,9 +67,9 @@ impl ChannelShard {
     /// no clean scrub-tracked slot resident).
     pub fn inject_fault(&mut self, kind: FaultKind) -> bool {
         self.enable_scrub();
-        let mut inj = self.injector.take();
+        let mut inj = self.kept.injector.take();
         let applied = self.apply_fault(kind, inj.as_mut().map(FaultInjector::rng_mut));
-        self.injector = inj;
+        self.kept.injector = inj;
         applied
     }
 
@@ -77,13 +77,13 @@ impl ChannelShard {
     /// shard: the campaign drain loop runs until this holds, so every
     /// injected fault is exercised before the final verification pass.
     pub fn faults_quiescent(&self) -> bool {
-        let pending = match &self.injector {
+        let pending = match &self.kept.injector {
             Some(i) => i.pending() > 0,
             None => false,
         };
         !pending
-            && self.nvmc.ftl().media().armed_uncorrectable() == 0
-            && self.fpga.armed_faults() == 0
+            && self.kept.nvmc.ftl().media().armed_uncorrectable() == 0
+            && self.kept.fpga.armed_faults() == 0
             && !self.crash_armed()
     }
 
@@ -91,10 +91,11 @@ impl ChannelShard {
     /// injection, FPGA mailbox/window counters, and the driver's own
     /// retransmit/scrub/power accounting.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let m = self.nvmc.ftl().media().stats();
-        let fl = self.nvmc.ftl_stats();
-        let fg = self.fpga.stats();
+        let m = self.kept.nvmc.ftl().media().stats();
+        let fl = self.kept.nvmc.ftl_stats();
+        let fg = self.fpga_stats();
         let (sched, fired) = self
+            .kept
             .injector
             .as_ref()
             .map_or(([0; FAULT_KINDS], [0; FAULT_KINDS]), FaultInjector::counts);
@@ -114,7 +115,7 @@ impl ChannelShard {
             bursts_resumed: fg.bursts_resumed,
             faults_scheduled: sched.iter().sum(),
             faults_fired: fired.iter().sum(),
-            ..self.rec
+            ..self.kept.rec
         }
     }
 
@@ -122,7 +123,7 @@ impl ChannelShard {
     /// injector). Faults with no current target are deferred to the next
     /// operation.
     pub(super) fn begin_op(&mut self) {
-        let Some(mut inj) = self.injector.take() else {
+        let Some(mut inj) = self.kept.injector.take() else {
             return;
         };
         for kind in inj.begin_op() {
@@ -132,56 +133,53 @@ impl ChannelShard {
                 inj.defer(kind);
             }
         }
-        self.injector = Some(inj);
+        self.kept.injector = Some(inj);
     }
 
     /// Records a health-state edge and switches to `to`.
     fn set_health(&mut self, to: HealthState) {
-        self.health_log.push(HealthTransition {
-            from: self.health,
+        self.boot.health_log.push(HealthTransition {
+            from: self.boot.health,
             to,
-            at: self.clock,
+            at: self.boot.clock,
         });
-        self.health = to;
+        self.boot.health = to;
     }
 
     /// Enters degraded mode from `Healthy` or `Rebuilding` (idempotent
     /// when already degraded, so `degraded_entries` counts entries, not
     /// bounced requests).
     pub(super) fn enter_degraded(&mut self, reason: DegradeReason) {
-        if !self.health.is_degraded() {
-            self.rec.degraded_entries += 1;
+        if !self.boot.health.is_degraded() {
+            self.kept.rec.degraded_entries += 1;
             self.set_health(HealthState::Degraded {
                 reason,
-                since: self.clock,
+                since: self.boot.clock,
             });
         }
     }
 
     fn apply_fault(&mut self, kind: FaultKind, rng: Option<&mut DeterministicRng>) -> bool {
         match kind {
-            FaultKind::NandTransient => {
-                self.nvmc.ftl_mut().media_mut().arm_uncorrectable(false);
-                true
-            }
-            FaultKind::NandPersistent => {
-                self.nvmc.ftl_mut().media_mut().arm_uncorrectable(true);
+            FaultKind::NandTransient | FaultKind::NandPersistent => {
+                let media = self.kept.nvmc.ftl_mut().media_mut();
+                media.arm_uncorrectable(kind == FaultKind::NandPersistent);
                 true
             }
             FaultKind::AckDrop => {
-                self.fpga.inject_ack_fault(AckFault::Drop);
+                self.kept.fpga.ack_faults.push_back(AckFault::Drop);
                 true
             }
             FaultKind::AckCorrupt => {
-                self.fpga.inject_ack_fault(AckFault::Corrupt);
+                self.kept.fpga.ack_faults.push_back(AckFault::Corrupt);
                 true
             }
             FaultKind::WindowOverrun => {
-                self.fpga.inject_window_stall();
+                self.kept.fpga.stall_armed = true;
                 true
             }
             FaultKind::CmdCorrupt => {
-                self.fpga.inject_cmd_fault();
+                self.kept.fpga.cmd_faults_armed += 1;
                 true
             }
             FaultKind::PowerFail => {
@@ -198,13 +196,11 @@ impl ChannelShard {
     /// DRAM backdoor — a bit-flip in the module DRAM that slipped past
     /// ECC. Returns `false` (fault deferred) when no such slot exists.
     fn corrupt_clean_slot(&mut self, rng: Option<&mut DeterministicRng>) -> bool {
-        let Some(scrub) = &self.scrub else {
-            return false;
-        };
-        let candidates: Vec<u64> = self
+        let b = &self.boot;
+        let candidates: Vec<u64> = b
             .cache
             .resident_entries()
-            .filter(|&(slot, _, dirty)| !dirty && scrub.contains_key(&slot))
+            .filter(|&(slot, _, dirty)| !dirty && b.scrub_crcs.contains_key(&slot))
             .map(|(slot, _, _)| slot)
             .collect();
         if candidates.is_empty() {
@@ -215,20 +211,22 @@ impl ChannelShard {
                 r.gen_range(0..candidates.len() as u64) as usize,
                 r.gen_range(0..PAGE_BYTES - 8),
             ),
-            None => ((self.rec.slots_corrupted as usize) % candidates.len(), 128),
+            None => (
+                (self.kept.rec.slots_corrupted as usize) % candidates.len(),
+                128,
+            ),
         };
         let slot = candidates[idx];
-        let addr = self.layout.slot_addr(slot) + off;
+        let addr = self.boot.layout.slot_addr(slot) + off;
         let mut bytes = [0u8; 8];
-        DramBackdoor(&mut self.bus).read(addr, &mut bytes);
+        DramBackdoor(&mut self.boot.bus).read(addr, &mut bytes);
         for b in &mut bytes {
             *b ^= 0xFF;
         }
-        DramBackdoor(&mut self.bus).write(addr, &bytes);
+        DramBackdoor(&mut self.boot.bus).write(addr, &bytes);
         // Drop any correct CPU-cached copies so loads see the corruption.
-        self.cpu
-            .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
-        self.rec.slots_corrupted += 1;
+        self.boot.invalidate_slot(slot);
+        self.kept.rec.slots_corrupted += 1;
         true
     }
 
@@ -252,55 +250,55 @@ impl ChannelShard {
     /// the interrupting fault is propagated and the shard stays
     /// degraded.
     pub fn repair(&mut self) -> Result<RebuildReport, CoreError> {
-        if !self.health.is_degraded() {
+        if !self.boot.health.is_degraded() {
             return Err(CoreError::Protocol(
                 "repair requires a degraded shard".into(),
             ));
         }
-        self.rebuild_attempt += 1;
-        let attempt = self.rebuild_attempt;
-        self.rec.rebuilds_started += 1;
+        self.boot.rebuild_attempt += 1;
+        let attempt = self.boot.rebuild_attempt;
+        self.kept.rec.rebuilds_started += 1;
         self.set_health(HealthState::Rebuilding {
             attempt,
-            since: self.clock,
+            since: self.boot.clock,
         });
         let mut report = RebuildReport {
             attempt,
-            started: self.clock,
+            started: self.boot.clock,
             ..RebuildReport::default()
         };
         let run = self.rebuild(&mut report);
-        report.finished = self.clock;
+        report.finished = self.boot.clock;
         let outcome = match run {
             Ok(()) => match report.audit() {
                 Ok(()) => {
                     report.readmitted = true;
-                    self.rec.rebuilds_completed += 1;
-                    self.rebuild_attempt = 0;
+                    self.kept.rec.rebuilds_completed += 1;
+                    self.boot.rebuild_attempt = 0;
                     self.set_health(HealthState::Healthy);
                     Ok(report.clone())
                 }
                 Err(_) => {
-                    self.rec.rebuilds_failed += 1;
+                    self.kept.rec.rebuilds_failed += 1;
                     self.enter_degraded(DegradeReason::AuditFailed);
                     Err(CoreError::DegradedShard {
-                        shard: self.shard_index,
+                        shard: self.kept.shard_index,
                         reason: DegradeReason::AuditFailed,
                     })
                 }
             },
             Err(e) => {
-                self.rec.rebuilds_failed += 1;
+                self.kept.rec.rebuilds_failed += 1;
                 // A CP exhaustion inside the rebuild already re-degraded
                 // the shard with its own reason; anything else (power
                 // failure, NAND error) re-degrades here.
-                if !self.health.is_degraded() {
+                if !self.boot.health.is_degraded() {
                     self.enter_degraded(DegradeReason::RebuildInterrupted);
                 }
                 Err(e)
             }
         };
-        self.rebuild_log.push(report);
+        self.kept.rebuild_log.push(report);
         outcome
     }
 
@@ -313,7 +311,7 @@ impl ChannelShard {
     fn rebuild(&mut self, report: &mut RebuildReport) -> Result<(), CoreError> {
         // Fresh sequence epoch: rebuild traffic can never alias a
         // retransmit of the transaction that killed the mailbox.
-        self.seq = self.seq.wrapping_add(0x10);
+        self.kept.seq = self.kept.seq.wrapping_add(0x10);
         // Re-handshake through the ordinary retransmit machinery — the
         // probe consumes any mailbox faults still armed and proves the
         // FPGA acknowledges again.
@@ -322,7 +320,7 @@ impl ChannelShard {
 
         // `resident_entries` iterates the slot array in slot order, so
         // the scrub sequence is deterministic.
-        let entries: Vec<(u64, u64, bool)> = self.cache.resident_entries().collect();
+        let entries: Vec<(u64, u64, bool)> = self.boot.cache.resident_entries().collect();
         report.resident_at_start = entries.len() as u64;
         report.dirty_at_start = entries.iter().filter(|&&(_, _, dirty)| dirty).count() as u64;
         for (slot, page, dirty) in entries {
@@ -334,24 +332,23 @@ impl ChannelShard {
                     // stays resident, now clean.
                     self.flush_for_fpga(slot);
                     self.cp_transaction(CpOpcode::Writeback, slot, page, None)?;
-                    self.cache.mark_clean(slot);
-                    self.rec.rebuild_writebacks += 1;
+                    self.boot.cache.mark_clean(slot);
+                    self.kept.rec.rebuild_writebacks += 1;
                     report.dirty_written_back += 1;
                     self.scrub_note(slot);
                 }
                 continue;
             }
-            self.rec.scrub_detected += 1;
+            self.kept.rec.scrub_detected += 1;
             if dirty {
                 // No intact copy anywhere: invalidate the slot and
                 // surface the loss in the ledger.
-                self.rec.cache_corruption_surfaced += 1;
-                self.rec.rebuild_pages_lost += 1;
+                self.kept.rec.cache_corruption_surfaced += 1;
+                self.kept.rec.rebuild_pages_lost += 1;
                 report.pages_lost.push(page);
-                self.cpu
-                    .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
-                self.cache.evict(slot);
-                self.cache.release(slot);
+                self.boot.invalidate_slot(slot);
+                self.boot.cache.evict(slot);
+                self.boot.cache.release(slot);
                 self.scrub_forget(slot);
                 continue;
             }

@@ -2,53 +2,35 @@
 //! eviction gate and background sweep) and bounded FTL housekeeping.
 
 use super::{ChannelShard, DramBackdoor, ZERO_PAGE};
-use crate::config::PAGE_BYTES;
 use crate::cp::CpOpcode;
 use crate::error::CoreError;
 use nvdimmc_host::Memory;
-use std::collections::HashMap;
 
 impl ChannelShard {
     /// Enables the per-slot CRC scrub without attaching an injector
     /// (direct-injection tests). Slots already resident start untracked;
     /// they are picked up at their next fill or write.
     pub fn enable_scrub(&mut self) {
-        if self.scrub.is_none() {
-            self.scrub = Some(HashMap::new());
-        }
-    }
-
-    /// CRC of the CPU-visible view of a slot's full page.
-    fn page_crc(&mut self, slot: u64) -> u32 {
-        let addr = self.layout.slot_addr(slot);
-        let mut data = [0u8; PAGE_BYTES as usize];
-        self.cpu
-            .load(&mut DramBackdoor(&mut self.bus), addr, &mut data);
-        nvdimmc_nand::ecc::crc32(&data)
+        self.kept.scrub = true;
     }
 
     pub(super) fn scrub_note(&mut self, slot: u64) {
-        if self.scrub.is_none() {
-            return;
-        }
-        let crc = self.page_crc(slot);
-        if let Some(m) = self.scrub.as_mut() {
-            m.insert(slot, crc);
+        if self.kept.scrub {
+            let crc = self.boot.page_crc(slot);
+            self.boot.scrub_crcs.insert(slot, crc);
         }
     }
 
     pub(super) fn scrub_forget(&mut self, slot: u64) {
-        if let Some(m) = self.scrub.as_mut() {
-            m.remove(&slot);
-        }
+        self.boot.scrub_crcs.remove(&slot);
     }
 
     /// Whether a scrub-tracked slot's page no longer matches its CRC.
     /// An untracked slot (scrub off, or enabled after the slot was
     /// filled) has no reference CRC and counts as intact.
     pub(super) fn slot_corrupt(&mut self, slot: u64) -> bool {
-        match self.scrub.as_ref().and_then(|m| m.get(&slot).copied()) {
-            Some(expect) => self.page_crc(slot) != expect,
+        match self.boot.scrub_crcs.get(&slot).copied() {
+            Some(expect) => self.boot.page_crc(slot) != expect,
             None => false,
         }
     }
@@ -61,9 +43,9 @@ impl ChannelShard {
         if !self.slot_corrupt(slot) {
             return Ok(());
         }
-        self.rec.scrub_detected += 1;
-        if self.cache.is_dirty(slot) {
-            self.rec.cache_corruption_surfaced += 1;
+        self.kept.rec.scrub_detected += 1;
+        if self.boot.cache.is_dirty(slot) {
+            self.kept.rec.cache_corruption_surfaced += 1;
             return Err(CoreError::CacheCorruption { page });
         }
         self.heal_clean_slot(slot, page)
@@ -73,14 +55,13 @@ impl ChannelShard {
     /// a cachefill from Z-NAND, or the zero page for a never-written
     /// block. Drops stale CPU-cached lines and re-tracks the slot's CRC.
     pub(super) fn heal_clean_slot(&mut self, slot: u64, page: u64) -> Result<(), CoreError> {
-        let addr = self.layout.slot_addr(slot);
-        if self.nvmc.is_mapped(page) {
+        if self.kept.nvmc.is_mapped(page) {
             self.cp_transaction(CpOpcode::Cachefill, slot, page, None)?;
         } else {
-            DramBackdoor(&mut self.bus).write(addr, &ZERO_PAGE);
+            DramBackdoor(&mut self.boot.bus).write(self.boot.layout.slot_addr(slot), &ZERO_PAGE);
         }
-        self.cpu.invalidate_range(addr, PAGE_BYTES);
-        self.rec.scrub_refills += 1;
+        self.boot.invalidate_slot(slot);
+        self.kept.rec.scrub_refills += 1;
         self.scrub_note(slot);
         Ok(())
     }
@@ -97,12 +78,12 @@ impl ChannelShard {
         if !self.slot_corrupt(victim) {
             return Ok(());
         }
-        self.rec.scrub_detected += 1;
+        self.kept.rec.scrub_detected += 1;
         if dirty {
-            self.rec.cache_corruption_surfaced += 1;
+            self.kept.rec.cache_corruption_surfaced += 1;
             return Err(CoreError::CacheCorruption { page: vpage });
         }
-        self.rec.scrub_dropped_clean += 1;
+        self.kept.rec.scrub_dropped_clean += 1;
         Ok(())
     }
 
@@ -116,17 +97,17 @@ impl ChannelShard {
     /// until [`ChannelShard::enable_scrub`] arms CRC tracking, so the
     /// non-campaign fast path stays byte-exact.
     pub fn scrub_step(&mut self, budget: u64) -> u64 {
-        if self.scrub.is_none() {
+        if !self.kept.scrub {
             return 0;
         }
-        let total = self.cache.slot_count();
+        let total = self.boot.cache.slot_count();
         let mut checked = 0;
         let mut visited = 0;
         while checked < budget && visited < total {
-            let slot = self.scrub_cursor % total;
-            self.scrub_cursor = (self.scrub_cursor + 1) % total;
+            let slot = self.boot.scrub_cursor % total;
+            self.boot.scrub_cursor = (self.boot.scrub_cursor + 1) % total;
             visited += 1;
-            let Some(page) = self.cache.page_of(slot) else {
+            let Some(page) = self.boot.cache.page_of(slot) else {
                 continue;
             };
             // Errors (dirty corruption) are already ledgered inside
@@ -144,7 +125,7 @@ impl ChannelShard {
     /// block stays eligible and the next foreground access surfaces any
     /// persistent fault through the normal typed path.
     pub fn ftl_housekeeping(&mut self) -> u64 {
-        let at = self.clock;
-        self.nvmc.ftl_mut().housekeeping(at).unwrap_or(0)
+        let at = self.boot.clock;
+        self.kept.nvmc.ftl_mut().housekeeping(at).unwrap_or(0)
     }
 }

@@ -16,12 +16,16 @@
 //! share no mutable state, the [`crate::exec::ShardExecutor`] can serve
 //! them in any order with the same result (see [`QueuedDevice`]).
 //!
+//! Its state is split where a power cut splits the hardware (§V-C):
+//! `Kept` survives the cut, `Boot` is rebuilt from the configuration on
+//! every reboot (DESIGN.md §12 lists the fields of each).
+//!
 //! The shard's methods live in four modules, one per concern:
 //! - `datapath` — the one op body behind every read and write, the DAX
 //!   fault path, CP transactions and refresh-window servicing;
 //! - `health` — fault injection, degraded mode and online repair;
 //! - `crash` — the crash-boundary hooks where a power cut lands and the
-//!   one power cycle (dump, then reboot around the kept NAND controller);
+//!   one power cycle (dump, then a fresh boot half over the kept one);
 //! - `maint` — the CRC scrub and FTL housekeeping.
 
 mod crash;
@@ -35,7 +39,7 @@ use crate::cache::DramCache;
 use crate::config::{NvdimmCConfig, PAGE_BYTES};
 use crate::error::CoreError;
 use crate::faults::{FaultInjector, RecoveryStats};
-use crate::fpga::Fpga;
+use crate::fpga::{Fpga, FpgaKept};
 use crate::health::{HealthState, HealthTransition, RebuildReport};
 use crate::layout::Layout;
 use crate::refresh::DetectorPipeline;
@@ -188,7 +192,8 @@ pub struct SystemStats {
     pub writebacks: u64,
 }
 
-/// One fully assembled NVDIMM-C channel.
+/// One fully assembled NVDIMM-C channel: its configuration, the half
+/// each boot builds afresh and the half a power cut keeps.
 ///
 /// # Example
 ///
@@ -208,11 +213,46 @@ pub struct SystemStats {
 #[derive(Debug)]
 pub struct ChannelShard {
     cfg: NvdimmCConfig,
+    boot: Boot,
+    kept: Kept,
+}
+
+/// What a power cut keeps (§V-C): the Z-NAND side, with the controller
+/// built once per shard lifetime, and the driver's ledgers.
+#[derive(Debug)]
+struct Kept {
+    /// The NAND controller: Z-NAND media and FTL.
+    nvmc: Nvmc,
+    /// The battery-backed FPGA's armed faults and recovery counters.
+    fpga: FpgaKept,
+    /// Scheduled faults for this shard (campaign mode).
+    injector: Option<FaultInjector>,
+    /// The driver's own recovery counters (CP retransmit machinery, cache
+    /// scrub, power-fail and repair accounting). The FTL, media, FPGA and
+    /// injector fields stay zero here; [`ChannelShard::recovery_stats`]
+    /// fills them in from their owners.
+    rec: RecoveryStats,
+    /// Conservation ledger of every rebuild attempt, oldest first.
+    rebuild_log: Vec<RebuildReport>,
+    /// Index within a multi-channel front-end (0 for the single-channel
+    /// system); carried in typed errors so callers know which shard is
+    /// out.
+    shard_index: u32,
+    /// Per-transaction CP sequence number (stable across retransmits).
+    seq: u8,
+    /// Whether the driver's CRC scrub is on (campaign mode only; off
+    /// keeps the fast path exact).
+    scrub: bool,
+}
+
+/// What each boot builds afresh from the configuration: the host, the
+/// bus and DRAM, the FPGA's engine and everything timed by the clock.
+#[derive(Debug)]
+struct Boot {
     layout: Layout,
     bus: SharedBus,
     imc: Imc,
     cpu: CpuCache,
-    nvmc: Nvmc,
     fpga: Fpga,
     cache: DramCache,
     pipeline: DetectorPipeline,
@@ -221,37 +261,20 @@ pub struct ChannelShard {
     planner: RefreshPlanner,
     clock: SimTime,
     phase: u8,
-    /// Per-transaction CP sequence number (stable across retransmits).
-    seq: u8,
     stats: SystemStats,
-    /// Scheduled faults for this shard (campaign mode).
-    injector: Option<FaultInjector>,
     /// Health state: `Degraded` once a CP transaction exhausted its
     /// retransmit budget (writes and NAND-backed fills are refused),
     /// `Rebuilding` while [`ChannelShard::repair`] runs.
     health: HealthState,
-    /// Every health-state edge with its simulation time, for the
-    /// `check::health` audit pass. Reset (like the clock) on a power
-    /// cycle: each boot gets its own log.
+    /// Every health-state edge of this boot with its simulation time, for
+    /// the `check::health` audit pass.
     health_log: Vec<HealthTransition>,
-    /// Conservation ledger of every rebuild attempt, oldest first.
-    /// Carried across power cycles.
-    rebuild_log: Vec<RebuildReport>,
     /// 1-based repair attempt counter since the shard last left
     /// `Healthy`; resets on re-admission.
     rebuild_attempt: u32,
-    /// Index within a multi-channel front-end (0 for the single-channel
-    /// system); carried in typed errors so callers know which shard is
-    /// out.
-    shard_index: u32,
-    /// CRC per tracked cache slot — the driver's scrub, enabled with the
-    /// injector (campaign mode only; `None` keeps the fast path exact).
-    scrub: Option<HashMap<u64, u32>>,
-    /// The driver's own recovery counters (CP retransmit machinery, cache
-    /// scrub, power-fail and repair accounting), carried across power
-    /// cycles. The FTL, media, FPGA and injector fields stay zero here;
-    /// [`ChannelShard::recovery_stats`] fills them in from their owners.
-    rec: RecoveryStats,
+    /// CRC per tracked cache slot — the driver's scrub, while
+    /// [`Kept::scrub`] is on.
+    scrub_crcs: HashMap<u64, u32>,
     /// Round-robin position of the background CRC scrub sweep
     /// ([`ChannelShard::scrub_step`]).
     scrub_cursor: u64,
@@ -264,20 +287,74 @@ pub struct ChannelShard {
     crash_counter: u64,
 }
 
+impl Boot {
+    /// A freshly booted host side for `cfg`.
+    fn new(cfg: &NvdimmCConfig) -> Self {
+        let layout = Layout::new(0, cfg.cache_slots);
+        // Round the DRAM capacity up to the device's 16-bank row stripe.
+        let stripe = 8 * 1024 * 16;
+        let dram_bytes = Layout::required_bytes(cfg.cache_slots)
+            .max(cfg.dram_bytes)
+            .div_ceil(stripe)
+            * stripe;
+        let mut bus = SharedBus::new(DramDevice::new(cfg.timing, dram_bytes));
+        bus.set_ca_capture(true);
+        bus.set_refresh_mode(cfg.refresh_mode);
+        let mut imc = Imc::new(&cfg.timing);
+        imc.set_refresh_mode(cfg.refresh_mode);
+        let fpga = Fpga::new(cfg.perf.fsm_step_delay, cfg.window_xfer_bytes, layout);
+        let cache = DramCache::new(cfg.cache_slots, cfg.eviction);
+        Boot {
+            layout,
+            bus,
+            imc,
+            cpu: CpuCache::new(cfg.cpu_cache_bytes, 8),
+            fpga,
+            cache,
+            pipeline: DetectorPipeline::new(),
+            planner: RefreshPlanner::new(cfg.timing.trefi),
+            clock: SimTime::ZERO,
+            phase: 0,
+            stats: SystemStats::default(),
+            health: HealthState::Healthy,
+            health_log: Vec::new(),
+            rebuild_attempt: 0,
+            scrub_crcs: HashMap::new(),
+            scrub_cursor: 0,
+            crash: None,
+            crash_counter: 0,
+        }
+    }
+
+    /// Drops any CPU-cached lines over `slot`'s page.
+    fn invalidate_slot(&mut self, slot: u64) {
+        self.cpu
+            .invalidate_range(self.layout.slot_addr(slot), PAGE_BYTES);
+    }
+
+    /// `clflush`es `slot`'s page from the CPU cache into DRAM; returns
+    /// the slot's address.
+    fn clflush_slot(&mut self, slot: u64) -> u64 {
+        let addr = self.layout.slot_addr(slot);
+        self.cpu
+            .clflush_range(&mut DramBackdoor(&mut self.bus), addr, PAGE_BYTES);
+        addr
+    }
+
+    /// CRC of the CPU-visible view of a slot's full page.
+    fn page_crc(&mut self, slot: u64) -> u32 {
+        let addr = self.layout.slot_addr(slot);
+        let mut data = [0u8; PAGE_BYTES as usize];
+        self.cpu
+            .load(&mut DramBackdoor(&mut self.bus), addr, &mut data);
+        nvdimmc_nand::ecc::crc32(&data)
+    }
+}
+
 /// The single-channel system — the paper's artifact. One shard *is* the
 /// whole machine in the default configuration, so the historical name
 /// stays as an alias.
 pub type System = ChannelShard;
-
-/// Builds the NAND controller for `cfg`. `RecoveryParams` is the single
-/// home for recovery knobs: the FTL-level retry depth is overridden from
-/// it here, at every assembly, so a config cannot carry two disagreeing
-/// ladder depths.
-fn build_nvmc(cfg: &NvdimmCConfig) -> Result<Nvmc, CoreError> {
-    let mut nvmc_cfg = cfg.nvmc;
-    nvmc_cfg.ftl.read_retries = cfg.recovery.nand_read_retries;
-    Ok(Nvmc::new(nvmc_cfg)?)
-}
 
 impl ChannelShard {
     /// Builds a shard from `cfg`.
@@ -287,54 +364,25 @@ impl ChannelShard {
     /// Returns [`CoreError::Config`] for inconsistent configurations.
     pub fn new(cfg: NvdimmCConfig) -> Result<Self, CoreError> {
         cfg.validate().map_err(CoreError::Config)?;
-        let nvmc = build_nvmc(&cfg)?;
-        Ok(Self::assemble(cfg, nvmc))
-    }
-
-    fn assemble(cfg: NvdimmCConfig, nvmc: Nvmc) -> Self {
-        let layout = Layout::new(0, cfg.cache_slots);
-        // Round the DRAM capacity up to the device's 16-bank row stripe.
-        let stripe = 8 * 1024 * 16;
-        let dram_bytes = Layout::required_bytes(cfg.cache_slots)
-            .max(cfg.dram_bytes)
-            .div_ceil(stripe)
-            * stripe;
-        let device = DramDevice::new(cfg.timing, dram_bytes);
-        let mut bus = SharedBus::new(device);
-        bus.set_ca_capture(true);
-        bus.set_refresh_mode(cfg.refresh_mode);
-        let mut imc = Imc::new(&cfg.timing);
-        imc.set_refresh_mode(cfg.refresh_mode);
-        let fpga = Fpga::new(cfg.perf.fsm_step_delay, cfg.window_xfer_bytes);
-        let cache = DramCache::new(cfg.cache_slots, cfg.eviction);
-        let cpu = CpuCache::new(cfg.cpu_cache_bytes, 8);
-        ChannelShard {
-            layout,
-            bus,
-            imc,
-            cpu,
-            nvmc,
-            fpga,
-            cache,
-            pipeline: DetectorPipeline::new(),
-            planner: RefreshPlanner::new(cfg.timing.trefi),
-            clock: SimTime::ZERO,
-            phase: 0,
-            seq: 0,
+        // `RecoveryParams` is the single home for recovery knobs: the
+        // FTL-level retry depth is overridden from it, so a config cannot
+        // carry two disagreeing ladder depths.
+        let mut nvmc_cfg = cfg.nvmc;
+        nvmc_cfg.ftl.read_retries = cfg.recovery.nand_read_retries;
+        Ok(ChannelShard {
+            kept: Kept {
+                nvmc: Nvmc::new(nvmc_cfg)?,
+                fpga: FpgaKept::default(),
+                injector: None,
+                rec: RecoveryStats::default(),
+                rebuild_log: Vec::new(),
+                shard_index: 0,
+                seq: 0,
+                scrub: false,
+            },
+            boot: Boot::new(&cfg),
             cfg,
-            stats: SystemStats::default(),
-            injector: None,
-            health: HealthState::Healthy,
-            health_log: Vec::new(),
-            rebuild_log: Vec::new(),
-            rebuild_attempt: 0,
-            shard_index: 0,
-            scrub: None,
-            rec: RecoveryStats::default(),
-            scrub_cursor: 0,
-            crash: None,
-            crash_counter: 0,
-        }
+        })
     }
 
     /// The configuration.
@@ -344,53 +392,53 @@ impl ChannelShard {
 
     /// System statistics.
     pub fn stats(&self) -> &SystemStats {
-        &self.stats
+        &self.boot.stats
     }
 
     /// DRAM-cache statistics.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+        self.boot.cache.stats()
     }
 
     /// FPGA statistics.
     pub fn fpga_stats(&self) -> crate::fpga::FpgaStats {
-        self.fpga.stats()
+        self.boot.fpga.stats(&self.kept.fpga)
     }
 
     /// Shared-bus statistics.
     pub fn bus_stats(&self) -> nvdimmc_ddr::BusStats {
-        self.bus.stats()
+        self.boot.bus.stats()
     }
 
     /// Refresh-detector statistics.
     pub fn detector_stats(&self) -> crate::refresh::DetectorStats {
-        self.pipeline.detector().stats()
+        self.boot.pipeline.detector().stats()
     }
 
     /// NAND controller statistics.
     pub fn nvmc_stats(&self) -> nvdimmc_nand::NvmcStats {
-        self.nvmc.stats()
+        self.kept.nvmc.stats()
     }
 
     /// FTL statistics.
     pub fn ftl_stats(&self) -> nvdimmc_nand::FtlStats {
-        self.nvmc.ftl_stats()
+        self.kept.nvmc.ftl_stats()
     }
 
     /// Host iMC statistics.
     pub fn imc_stats(&self) -> nvdimmc_ddr::imc::ImcStats {
-        self.imc.stats()
+        self.boot.imc.stats()
     }
 
     /// Per-bank refresh-placement counters: `(demand_placed,
     /// deadline_forced)`. Both zero in rank-level mode.
     pub fn refresh_planner_counts(&self) -> (u64, u64) {
-        self.planner.placement_counts()
+        self.boot.planner.placement_counts()
     }
 
     /// The DRAM cache manager (hit rates, residency).
     pub fn cache(&self) -> &DramCache {
-        &self.cache
+        &self.boot.cache
     }
 
     /// Enables or disables bus-trace capture for `nvdimmc-check`.
@@ -402,28 +450,28 @@ impl ChannelShard {
     /// when no recorder was attached.
     pub fn set_trace_capture(&mut self, on: bool) -> Option<Vec<TraceEntry>> {
         if on {
-            self.bus.attach_recorder();
+            self.boot.bus.attach_recorder();
             None
         } else {
-            self.bus.detach_recorder().map(|mut r| r.take())
+            self.boot.bus.detach_recorder().map(|mut r| r.take())
         }
     }
 
     /// Drains the captured bus trace (empty when capture is off).
     pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.bus.take_trace()
+        self.boot.bus.take_trace()
     }
 
     /// Enables or disables the CPU-cache persistence journal for
     /// `nvdimmc-check`'s pmemcheck-style pass. Enabling clears any
     /// previously captured events.
     pub fn set_persist_journal(&mut self, on: bool) {
-        self.cpu.set_journal(on);
+        self.boot.cpu.set_journal(on);
     }
 
     /// Drains the captured persistence journal (empty when capture is off).
     pub fn take_persist_journal(&mut self) -> Vec<nvdimmc_host::PersistEvent> {
-        self.cpu.take_journal()
+        self.boot.cpu.take_journal()
     }
 }
 

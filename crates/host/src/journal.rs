@@ -5,8 +5,7 @@
 //! fence is appended to an ordered journal. Higher layers add
 //! [`PersistEvent::Claim`] markers when the application declares a range
 //! durable (the libpmem `persist` contract: clflush each line, then
-//! sfence) and [`PersistEvent::PowerFail`] markers at simulated failure
-//! points. The `nvdimmc-check` crate replays the journal and verifies
+//! sfence). The `nvdimmc-check` crate replays the journal and verifies
 //! that every claimed range really was flushed and fenced — catching a
 //! driver that "persists" without draining the CPU cache.
 
@@ -42,13 +41,6 @@ pub enum PersistEvent {
         addr: u64,
         /// Length in bytes.
         len: u64,
-    },
-    /// Simulated power failure. With `adr` true, the platform flushed
-    /// in-flight state (strong persistence domain); with `adr` false,
-    /// volatile cache contents were lost.
-    PowerFail {
-        /// Whether ADR saved the volatile state.
-        adr: bool,
     },
 }
 
