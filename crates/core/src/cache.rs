@@ -9,7 +9,7 @@
 
 use crate::config::EvictionPolicyKind;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,22 +36,28 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotMeta {
+/// End-of-list marker for the slot links.
+const NIL: u64 = u64::MAX;
+
+/// One slot's record. Resident slots are linked in fill order (LRU: in
+/// recency order), oldest at the head; a free slot's links are unused.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
     nand_page: Option<u64>,
     dirty: bool,
     /// CLOCK reference bit.
     referenced: bool,
-    /// LRU timestamp.
-    last_touch: u64,
-    /// Tick at which the slot was last filled (validates LRC queue
-    /// entries lazily).
-    fill_tick: u64,
+    prev: u64,
+    next: u64,
 }
 
 /// The slot manager: NAND page → slot mapping plus eviction policy state.
 ///
 /// Pure bookkeeping — data movement and timing live in the driver/FPGA.
+/// Records exist only for slots below a high-water mark, so building and
+/// dropping a cache costs nothing per slot: slots at or above the mark
+/// are free and never used, and are handed out in ascending order before
+/// any released slot, which come back in release order.
 ///
 /// # Example
 ///
@@ -67,17 +73,18 @@ struct SlotMeta {
 /// ```
 #[derive(Debug)]
 pub struct DramCache {
-    slots: Vec<SlotMeta>,
+    slot_count: u64,
+    /// Records of the slots below the high-water mark (`slots.len()`).
+    slots: Vec<Slot>,
     map: HashMap<u64, u64>,
-    free: VecDeque<u64>,
+    /// Released slots below the mark, in release order.
+    released: VecDeque<u64>,
+    /// Oldest and newest resident slot of the fill/recency list.
+    head: u64,
+    tail: u64,
     policy: EvictionPolicyKind,
-    /// LRC: FIFO of (slot, fill_tick); stale entries are skipped lazily.
-    lrc_queue: VecDeque<(u64, u64)>,
-    /// LRU: ordered (last_touch, slot) set.
-    lru_index: BTreeSet<(u64, u64)>,
     /// CLOCK hand position.
     clock_hand: u64,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -90,35 +97,26 @@ impl DramCache {
     pub fn new(slot_count: u64, policy: EvictionPolicyKind) -> Self {
         assert!(slot_count > 0, "cache needs at least one slot");
         DramCache {
-            slots: vec![
-                SlotMeta {
-                    nand_page: None,
-                    dirty: false,
-                    referenced: false,
-                    last_touch: 0,
-                    fill_tick: 0,
-                };
-                slot_count as usize
-            ],
+            slot_count,
+            slots: Vec::new(),
             map: HashMap::new(),
-            free: (0..slot_count).collect(),
+            released: VecDeque::new(),
+            head: NIL,
+            tail: NIL,
             policy,
-            lrc_queue: VecDeque::new(),
-            lru_index: BTreeSet::new(),
             clock_hand: 0,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
 
     /// Total slots.
     pub fn slot_count(&self) -> u64 {
-        self.slots.len() as u64
+        self.slot_count
     }
 
     /// Free slots remaining.
     pub fn free_slots(&self) -> u64 {
-        self.free.len() as u64
+        self.slot_count - self.slots.len() as u64 + self.released.len() as u64
     }
 
     /// Occupied slots.
@@ -138,17 +136,17 @@ impl DramCache {
 
     /// Looks up a NAND page; touches policy state on hit.
     pub fn lookup(&mut self, nand_page: u64) -> Option<u64> {
-        match self.map.get(&nand_page).copied() {
-            Some(slot) => {
-                self.stats.hits += 1;
-                self.touch(slot);
-                Some(slot)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let Some(slot) = self.map.get(&nand_page).copied() else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.slots[slot as usize].referenced = true;
+        if self.policy == EvictionPolicyKind::Lru {
+            self.unlink(slot);
+            self.push_tail(slot);
         }
+        Some(slot)
     }
 
     /// Peeks without counting a hit/miss or touching recency.
@@ -156,20 +154,33 @@ impl DramCache {
         self.map.get(&nand_page).copied()
     }
 
-    fn touch(&mut self, slot: u64) {
-        self.tick += 1;
-        let meta = &mut self.slots[slot as usize];
-        meta.referenced = true;
-        match self.policy {
-            EvictionPolicyKind::Lru => {
-                self.lru_index.remove(&(meta.last_touch, slot));
-                meta.last_touch = self.tick;
-                self.lru_index.insert((meta.last_touch, slot));
-            }
-            EvictionPolicyKind::Lrc | EvictionPolicyKind::Clock => {
-                meta.last_touch = self.tick;
-            }
+    fn unlink(&mut self, slot: u64) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_tail(&mut self, slot: u64) {
+        let meta = &mut self.slots[slot as usize];
+        meta.prev = self.tail;
+        meta.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.slots[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// The record of a resident slot.
+    fn resident_slot(&mut self, slot: u64, what: &str) -> &mut Slot {
+        assert!(self.page_of(slot).is_some(), "{what} a free slot");
+        &mut self.slots[slot as usize]
     }
 
     /// Marks a resident slot dirty (CPU stored to it).
@@ -178,9 +189,7 @@ impl DramCache {
     ///
     /// Panics if the slot is not resident.
     pub fn mark_dirty(&mut self, slot: u64) {
-        let meta = &mut self.slots[slot as usize];
-        assert!(meta.nand_page.is_some(), "dirtying a free slot");
-        meta.dirty = true;
+        self.resident_slot(slot, "dirtying").dirty = true;
     }
 
     /// Marks a resident slot clean again (its contents were written back
@@ -190,24 +199,28 @@ impl DramCache {
     ///
     /// Panics if the slot is not resident.
     pub fn mark_clean(&mut self, slot: u64) {
-        let meta = &mut self.slots[slot as usize];
-        assert!(meta.nand_page.is_some(), "cleaning a free slot");
-        meta.dirty = false;
+        self.resident_slot(slot, "cleaning").dirty = false;
     }
 
     /// Whether the slot is dirty.
     pub fn is_dirty(&self, slot: u64) -> bool {
-        self.slots[slot as usize].dirty
+        self.slots.get(slot as usize).is_some_and(|m| m.dirty)
     }
 
     /// The NAND page resident in `slot`, if any.
     pub fn page_of(&self, slot: u64) -> Option<u64> {
-        self.slots[slot as usize].nand_page
+        self.slots.get(slot as usize).and_then(|m| m.nand_page)
     }
 
-    /// Takes a free slot, if any.
+    /// Takes a free slot, if any: the lowest never-used slot, else the
+    /// earliest released one.
     pub fn take_free_slot(&mut self) -> Option<u64> {
-        self.free.pop_front()
+        let mark = self.slots.len() as u64;
+        if mark == self.slot_count {
+            return self.released.pop_front();
+        }
+        self.slots.push(Slot::default());
+        Some(mark)
     }
 
     /// Chooses the eviction victim per the configured policy without
@@ -219,36 +232,27 @@ impl DramCache {
             return None;
         }
         let slot = match self.policy {
-            // The first *live* FIFO entry; stale front entries are
-            // dropped on the way (cheap, keeps the queue bounded).
-            EvictionPolicyKind::Lrc => loop {
-                let &(s, t) = self.lrc_queue.front()?;
-                let meta = &self.slots[s as usize];
-                if meta.nand_page.is_some() && meta.fill_tick == t {
-                    break s;
-                }
-                self.lrc_queue.pop_front();
-            },
-            EvictionPolicyKind::Lru => self.lru_index.first()?.1,
-            EvictionPolicyKind::Clock => {
-                let n = self.slots.len() as u64;
-                loop {
-                    let s = self.clock_hand % n;
-                    self.clock_hand = (self.clock_hand + 1) % n;
-                    let meta = &mut self.slots[s as usize];
-                    if meta.nand_page.is_none() {
-                        continue;
-                    }
-                    if meta.referenced {
+            EvictionPolicyKind::Lrc | EvictionPolicyKind::Lru => self.head,
+            EvictionPolicyKind::Clock => loop {
+                let s = self.clock_hand;
+                self.clock_hand = (s + 1) % self.slot_count;
+                match self.slots.get_mut(s as usize) {
+                    Some(meta) if meta.nand_page.is_some() => {
+                        if !meta.referenced {
+                            break s;
+                        }
                         meta.referenced = false;
-                    } else {
-                        break s;
                     }
+                    Some(_) => {}
+                    // Every slot from the mark up is free: wrap.
+                    None => self.clock_hand = 0,
                 }
-            }
+            },
         };
-        let meta = self.slots[slot as usize];
-        Some((slot, meta.nand_page?, meta.dirty))
+        let Slot {
+            nand_page, dirty, ..
+        } = self.slots[slot as usize];
+        Some((slot, nand_page?, dirty))
     }
 
     /// Evicts a resident slot. Returns the page it held. The slot is NOT
@@ -260,15 +264,14 @@ impl DramCache {
     /// Panics if the slot is not resident.
     #[allow(clippy::expect_used)] // documented contract: resident slot required
     pub fn evict(&mut self, slot: u64) -> u64 {
+        let page = self.page_of(slot).expect("evicting a free slot");
         let meta = &mut self.slots[slot as usize];
-        let page = meta.nand_page.take().expect("evicting a free slot");
+        meta.nand_page = None;
         let was_dirty = meta.dirty;
-        let last = meta.last_touch;
         meta.dirty = false;
         meta.referenced = false;
         self.map.remove(&page);
-        // The LRC queue entry goes stale and is skipped lazily.
-        self.lru_index.remove(&(last, slot));
+        self.unlink(slot);
         self.stats.evictions += 1;
         if was_dirty {
             self.stats.dirty_evictions += 1;
@@ -276,49 +279,40 @@ impl DramCache {
         page
     }
 
-    /// Returns an evicted (or never-used) slot to the free list.
+    /// Returns an evicted (or taken but never filled) slot to the free
+    /// list.
     ///
     /// # Panics
     ///
     /// Panics if the slot is resident.
     pub fn release(&mut self, slot: u64) {
-        assert!(
-            self.slots[slot as usize].nand_page.is_none(),
-            "releasing a resident slot"
-        );
-        self.free.push_back(slot);
+        assert!(self.page_of(slot).is_none(), "releasing a resident slot");
+        self.released.push_back(slot);
     }
 
-    /// Fills a free slot with `nand_page`.
+    /// Fills a slot taken from the free list (or just evicted) with
+    /// `nand_page`.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is occupied or the page is already resident.
+    /// Panics if the slot is occupied or was never taken, or the page is
+    /// already resident.
     pub fn fill(&mut self, slot: u64, nand_page: u64) {
-        assert!(
-            self.slots[slot as usize].nand_page.is_none(),
-            "filling an occupied slot"
-        );
+        let meta = &mut self.slots[slot as usize];
+        assert!(meta.nand_page.is_none(), "filling an occupied slot");
         assert!(
             !self.map.contains_key(&nand_page),
             "page {nand_page} already resident"
         );
-        self.tick += 1;
-        let meta = &mut self.slots[slot as usize];
         meta.nand_page = Some(nand_page);
         meta.dirty = false;
         meta.referenced = true;
-        meta.last_touch = self.tick;
-        meta.fill_tick = self.tick;
         self.map.insert(nand_page, slot);
-        self.lrc_queue.push_back((slot, self.tick));
-        if self.policy == EvictionPolicyKind::Lru {
-            self.lru_index.insert((self.tick, slot));
-        }
+        self.push_tail(slot);
     }
 
-    /// Iterates over resident `(slot, page, dirty)` entries — the
-    /// power-fail flush walks this via the metadata area.
+    /// Iterates over resident `(slot, page, dirty)` entries in slot order
+    /// — the power-fail flush walks this via the metadata area.
     pub fn resident_entries(&self) -> impl Iterator<Item = (u64, u64, bool)> + '_ {
         self.slots
             .iter()
@@ -441,7 +435,39 @@ mod tests {
         assert!(entries.contains(&(a, 7, true)));
     }
 
-    /// The three victim policies from their textbook definitions, kept
+    #[test]
+    fn new_builds_no_slot_records() {
+        let c = DramCache::new(3_932_160, EvictionPolicyKind::Lru);
+        assert_eq!(c.slots.capacity(), 0);
+        assert_eq!(c.free_slots(), 3_932_160);
+        assert_eq!((c.page_of(3_932_159), c.is_dirty(7)), (None, false));
+        assert_eq!(c.resident_entries().count(), 0);
+    }
+
+    #[test]
+    fn free_slots_come_unused_ascending_then_in_release_order() {
+        let mut c = DramCache::new(4, EvictionPolicyKind::Lrc);
+        let a = fill_next(&mut c, 1);
+        let b = fill_next(&mut c, 2);
+        c.evict(b);
+        c.release(b);
+        c.evict(a);
+        c.release(a);
+        let order: Vec<_> = std::iter::from_fn(|| c.take_free_slot()).collect();
+        assert_eq!(order, [2, 3, b, a]);
+    }
+
+    #[test]
+    fn clock_hand_wraps_past_never_used_slots() {
+        let mut c = DramCache::new(6, EvictionPolicyKind::Clock);
+        fill_next(&mut c, 10);
+        fill_next(&mut c, 11);
+        // Slots 2..6 are free: the hand sweeps them, clears both bits and
+        // comes back round to slot 0.
+        assert_eq!(c.pick_victim(), Some((0, 10, false)));
+        assert_eq!(c.pick_victim(), Some((1, 11, false)));
+    }
+
     /// apart from the cache's own bookkeeping.
     struct Reference {
         policy: EvictionPolicyKind,

@@ -95,17 +95,17 @@ enum FpgaState {
     Idle,
     /// Writeback: read the victim slot out of DRAM (needs a window).
     /// `got` accumulates the lines read so far — a burst aborted at the
-    /// window edge resumes from here next window.
-    WbRead { cmd: CpCommand, got: Vec<u8> },
-    /// Cachefill: wait for the NAND read, then DMA into the slot.
-    /// `written` counts lines already landed by earlier (split) chunks.
-    CfDmaWrite {
+    /// window edge resumes from here next window. A merged op carries
+    /// its fill data, read ahead while the victim streams out.
+    WbRead {
         cmd: CpCommand,
-        data: PageBuf,
-        written: u64,
+        got: Vec<u8>,
+        fill: Option<PageBuf>,
     },
-    /// Merged op: victim read done and programmed; fill data ready to DMA.
-    MergedDmaWrite {
+    /// Cachefill, or a merged op once its victim is programmed: DMA the
+    /// NAND data into the slot. `written` counts lines already landed by
+    /// earlier (split) chunks.
+    DmaWrite {
         cmd: CpCommand,
         data: PageBuf,
         written: u64,
@@ -164,8 +164,6 @@ pub struct Fpga {
     /// The pure mailbox protocol state (phase tracking, retransmit
     /// detection by txn key, garbage dedup) — shared with `nvdimmc-model`.
     proto: FpgaProto,
-    /// Fill data read ahead for a merged writeback+cachefill command.
-    pending_fill: Option<PageBuf>,
     /// The pristine word whose capture is currently mangled, so repeated
     /// polls of the same publish stay corrupted without consuming more
     /// armed faults.
@@ -186,7 +184,6 @@ impl Fpga {
             state: FpgaState::Idle,
             ready_at: SimTime::ZERO,
             proto: FpgaProto::new(),
-            pending_fill: None,
             corrupted_word: None,
             stats: FpgaStats::default(),
         }
@@ -222,8 +219,7 @@ impl Fpga {
             FpgaState::WbRead { got, .. } => {
                 Self::burst_duration(bus, (SLOT_BYTES - got.len() as u64) / 64)
             }
-            FpgaState::CfDmaWrite { data, written, .. }
-            | FpgaState::MergedDmaWrite { data, written, .. } => {
+            FpgaState::DmaWrite { data, written, .. } => {
                 Self::burst_duration(bus, data.len() as u64 / 64 - written)
             }
         }
@@ -303,11 +299,10 @@ impl Fpga {
         let addr = match &self.state {
             FpgaState::Idle => self.layout.cp_command(),
             FpgaState::Ack { .. } => self.layout.cp_ack(),
-            FpgaState::WbRead { cmd, got } => {
+            FpgaState::WbRead { cmd, got, .. } => {
                 self.layout.slot_addr(cmd.dram_slot) + (got.len() as u64 / 64) * 64
             }
-            FpgaState::CfDmaWrite { cmd, written, .. }
-            | FpgaState::MergedDmaWrite { cmd, written, .. } => {
+            FpgaState::DmaWrite { cmd, written, .. } => {
                 self.layout.slot_addr(cmd.dram_slot) + written * 64
             }
         };
@@ -421,7 +416,7 @@ impl Fpga {
                                 match nvmc.read_page(cmd.nand_page, self.ready_at) {
                                     Ok((data, ready)) => {
                                         self.ready_at = ready + self.step_delay;
-                                        FpgaState::CfDmaWrite {
+                                        FpgaState::DmaWrite {
                                             cmd,
                                             data,
                                             written: 0,
@@ -433,18 +428,17 @@ impl Fpga {
                             CpOpcode::Writeback => FpgaState::WbRead {
                                 cmd,
                                 got: Vec::with_capacity(WB_CAPACITY),
+                                fill: None,
                             },
                             CpOpcode::WritebackCachefill => {
                                 // The fill read overlaps the victim
-                                // read-out: kick it off now and stash it.
+                                // read-out: kick it off now and carry it.
                                 match nvmc.read_page(cmd.nand_page, self.ready_at) {
-                                    Ok((data, _ready)) => {
-                                        self.pending_fill = Some(data);
-                                        FpgaState::WbRead {
-                                            cmd,
-                                            got: Vec::with_capacity(WB_CAPACITY),
-                                        }
-                                    }
+                                    Ok((data, _ready)) => FpgaState::WbRead {
+                                        cmd,
+                                        got: Vec::with_capacity(WB_CAPACITY),
+                                        fill: Some(data),
+                                    },
                                     Err(e) => Self::nand_nack(kept, cmd, &e),
                                 }
                             }
@@ -476,7 +470,7 @@ impl Fpga {
                     PollVerdict::Stale => Ok(0),
                 }
             }
-            FpgaState::WbRead { cmd, mut got } => {
+            FpgaState::WbRead { cmd, mut got, fill } => {
                 let total = SLOT_BYTES / 64;
                 let done = (got.len() / 64) as u64;
                 let Some((xfer_at, lines)) = Self::plan_chunk(
@@ -488,7 +482,7 @@ impl Fpga {
                     done > 0,
                     allowed_bank.is_some(),
                 ) else {
-                    self.state = FpgaState::WbRead { cmd, got };
+                    self.state = FpgaState::WbRead { cmd, got, fill };
                     return Ok(0);
                 };
                 let slot_addr = self.layout.slot_addr(cmd.dram_slot) + done * 64;
@@ -501,7 +495,7 @@ impl Fpga {
                 if done + lines < total {
                     // Burst aborted at the window edge; resume next window.
                     self.ready_at = end + self.step_delay;
-                    self.state = FpgaState::WbRead { cmd, got };
+                    self.state = FpgaState::WbRead { cmd, got, fill };
                     return Ok(lines * 64);
                 }
                 let wb_page = match cmd.opcode {
@@ -510,7 +504,6 @@ impl Fpga {
                         None => {
                             // Malformed merged command: nack instead of
                             // writing to a bogus page.
-                            self.pending_fill = None;
                             self.ready_at = end + self.step_delay;
                             self.state = FpgaState::Ack {
                                 cmd,
@@ -526,15 +519,13 @@ impl Fpga {
                 match nvmc.write_page(wb_page, got, end + self.step_delay) {
                     Ok(ack_at) => {
                         self.ready_at = ack_at + self.step_delay;
-                        self.state = match (cmd.opcode, self.pending_fill.take()) {
-                            (CpOpcode::WritebackCachefill, Some(data)) => {
-                                FpgaState::MergedDmaWrite {
-                                    cmd,
-                                    data,
-                                    written: 0,
-                                }
-                            }
-                            _ => FpgaState::Ack {
+                        self.state = match fill {
+                            Some(data) => FpgaState::DmaWrite {
+                                cmd,
+                                data,
+                                written: 0,
+                            },
+                            None => FpgaState::Ack {
                                 cmd,
                                 ok: true,
                                 code: ACK_OK,
@@ -543,23 +534,13 @@ impl Fpga {
                         };
                     }
                     Err(e) => {
-                        self.pending_fill = None;
                         self.ready_at = end + self.step_delay;
                         self.state = Self::nand_nack(kept, cmd, &e);
                     }
                 }
                 Ok(lines * 64)
             }
-            FpgaState::CfDmaWrite { cmd, data, written }
-            | FpgaState::MergedDmaWrite { cmd, data, written } => {
-                let merged = matches!(cmd.opcode, CpOpcode::WritebackCachefill);
-                let restore = |cmd, data, written| {
-                    if merged {
-                        FpgaState::MergedDmaWrite { cmd, data, written }
-                    } else {
-                        FpgaState::CfDmaWrite { cmd, data, written }
-                    }
-                };
+            FpgaState::DmaWrite { cmd, data, written } => {
                 let total = (data.len() / 64) as u64;
                 let Some((xfer_at, lines)) = Self::plan_chunk(
                     kept,
@@ -570,7 +551,7 @@ impl Fpga {
                     written > 0,
                     allowed_bank.is_some(),
                 ) else {
-                    self.state = restore(cmd, data, written);
+                    self.state = FpgaState::DmaWrite { cmd, data, written };
                     return Ok(0);
                 };
                 let slot_addr = self.layout.slot_addr(cmd.dram_slot) + written * 64;
@@ -585,7 +566,11 @@ impl Fpga {
                 }
                 self.ready_at = end + self.step_delay;
                 self.state = if written + lines < total {
-                    restore(cmd, data, written + lines)
+                    FpgaState::DmaWrite {
+                        cmd,
+                        data,
+                        written: written + lines,
+                    }
                 } else {
                     FpgaState::Ack {
                         cmd,

@@ -511,36 +511,7 @@ impl Ftl {
             let Some(victim) = self.pick_victim() else {
                 break;
             };
-            // Relocate still-valid pages.
-            for page in 0..self.media.write_pointer(victim) {
-                let phys = PhysPage {
-                    block: victim,
-                    page,
-                };
-                let flat = phys.flat_index(&geo);
-                let Some(&lpn) = self.p2l.get(&flat) else {
-                    continue;
-                };
-                // Scrub through the codec (with the same read-retry ladder
-                // as host reads) so latent single-bit errors do not
-                // accumulate across relocations.
-                let page = self.read_decoded(phys, at)?;
-                self.relocate(lpn, page, at)?;
-                self.stats.gc_moved_pages += 1;
-            }
-            match self.media.erase(victim, at) {
-                Ok(_) => {
-                    self.state[victim as usize] = BlockState::Free;
-                    self.valid[victim as usize] = 0;
-                    let (ch, _, _, _) = geo.split_block(victim);
-                    self.free[ch as usize].push(Reverse((self.media.erase_count(victim), victim)));
-                }
-                Err(NandError::BadBlock { .. }) => {
-                    self.retire(victim);
-                    self.valid[victim as usize] = 0;
-                }
-                Err(e) => return Err(e),
-            }
+            self.reclaim(victim, at, true)?;
         }
         Ok(())
     }
@@ -563,20 +534,35 @@ impl Ftl {
         let Some(victim) = self.pick_victim() else {
             return Ok(0);
         };
+        let moved = self.reclaim(victim, at, false)?;
+        self.stats.hk_runs += 1;
+        self.stats.hk_moved_pages += moved;
+        Ok(moved)
+    }
+
+    /// Relocates every valid page of `victim`, then erases it (retiring
+    /// it if the erase finds it bad); returns the pages moved. GC counts
+    /// each page as it moves, housekeeping only once the erase is done.
+    fn reclaim(&mut self, victim: u64, at: SimTime, gc: bool) -> Result<u64, NandError> {
         let geo = *self.media.geometry();
-        let mut moved = 0u64;
+        let mut moved = 0;
         for page in 0..self.media.write_pointer(victim) {
             let phys = PhysPage {
                 block: victim,
                 page,
             };
-            let flat = phys.flat_index(&geo);
-            let Some(&lpn) = self.p2l.get(&flat) else {
+            let Some(&lpn) = self.p2l.get(&phys.flat_index(&geo)) else {
                 continue;
             };
+            // Scrub through the codec (with the same read-retry ladder as
+            // host reads) so latent single-bit errors do not accumulate
+            // across relocations.
             let page = self.read_decoded(phys, at)?;
             self.relocate(lpn, page, at)?;
             moved += 1;
+            if gc {
+                self.stats.gc_moved_pages += 1;
+            }
         }
         match self.media.erase(victim, at) {
             Ok(_) => {
@@ -591,8 +577,6 @@ impl Ftl {
             }
             Err(e) => return Err(e),
         }
-        self.stats.hk_runs += 1;
-        self.stats.hk_moved_pages += moved;
         Ok(moved)
     }
 

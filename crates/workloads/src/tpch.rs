@@ -257,8 +257,10 @@ pub fn hit_rate_study(
     let round = scan_pages + rand_ops;
     let rand_every = (round / rand_ops.max(1)).max(1);
     let mut seq = 0u64;
-    // Warm for two rounds, measure the third (steady state — compulsory
-    // misses excluded, as a resident IMDB would behave).
+    // Run two unmeasured warm rounds, then measure the third. The warm
+    // rounds only fill the cache; they do not exclude compulsory misses:
+    // a page the warm rounds never touched still misses on its first touch
+    // in the measured round (4.3 % of its accesses at 16/16, ROADMAP item 9).
     let mut measured_hits = 0u64;
     let mut measured_total = 0u64;
     for round_idx in 0..3 {

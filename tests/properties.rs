@@ -5,7 +5,8 @@
 //!   errors;
 //! - the DDR4 CA encode/decode truth table round-trips every command;
 //! - the DRAM cache never aliases pages or leaks slots under arbitrary
-//!   operation sequences, for all three policies;
+//!   operation sequences, for all three policies, and its slot table
+//!   matches the timestamped cache it replaced call for call;
 //! - the FTL matches a flat HashMap model under arbitrary I/O, and its
 //!   decode memo matches an FTL that decodes every read, under bit flips
 //!   and forced faults;
@@ -172,6 +173,286 @@ mod cache_props {
                 let mut seen = std::collections::HashSet::new();
                 for &s in model.values() {
                     prop_assert!(seen.insert(s), "slot {} aliased", s);
+                }
+            }
+        }
+    }
+}
+
+mod dram_cache_props {
+    use super::*;
+    use nvdimmc::core::cache::CacheStats;
+    use nvdimmc::core::{DramCache, EvictionPolicyKind};
+    use std::collections::{BTreeSet, HashMap, VecDeque};
+
+    /// The slot manager as it was before the slot table: a record per
+    /// slot built up front, a free list of every slot, a global tick, an
+    /// LRC FIFO of `(slot, fill_tick)` whose stale entries are skipped
+    /// lazily, and an LRU index ordered by last-touch tick.
+    struct RefDramCache {
+        slots: Vec<RefSlot>,
+        map: HashMap<u64, u64>,
+        free: VecDeque<u64>,
+        policy: EvictionPolicyKind,
+        lrc_queue: VecDeque<(u64, u64)>,
+        lru_index: BTreeSet<(u64, u64)>,
+        clock_hand: u64,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct RefSlot {
+        nand_page: Option<u64>,
+        dirty: bool,
+        referenced: bool,
+        last_touch: u64,
+        fill_tick: u64,
+    }
+
+    impl RefDramCache {
+        fn new(slot_count: u64, policy: EvictionPolicyKind) -> Self {
+            let slot = RefSlot {
+                nand_page: None,
+                dirty: false,
+                referenced: false,
+                last_touch: 0,
+                fill_tick: 0,
+            };
+            RefDramCache {
+                slots: vec![slot; slot_count as usize],
+                map: HashMap::new(),
+                free: (0..slot_count).collect(),
+                policy,
+                lrc_queue: VecDeque::new(),
+                lru_index: BTreeSet::new(),
+                clock_hand: 0,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, nand_page: u64) -> Option<u64> {
+            let Some(slot) = self.map.get(&nand_page).copied() else {
+                self.stats.misses += 1;
+                return None;
+            };
+            self.stats.hits += 1;
+            self.tick += 1;
+            let meta = &mut self.slots[slot as usize];
+            meta.referenced = true;
+            if self.policy == EvictionPolicyKind::Lru {
+                self.lru_index.remove(&(meta.last_touch, slot));
+                self.lru_index.insert((self.tick, slot));
+            }
+            meta.last_touch = self.tick;
+            Some(slot)
+        }
+
+        fn pick_victim(&mut self) -> Option<(u64, u64, bool)> {
+            if self.map.is_empty() {
+                return None;
+            }
+            let slot = match self.policy {
+                EvictionPolicyKind::Lrc => loop {
+                    let &(s, t) = self.lrc_queue.front()?;
+                    let meta = &self.slots[s as usize];
+                    if meta.nand_page.is_some() && meta.fill_tick == t {
+                        break s;
+                    }
+                    self.lrc_queue.pop_front();
+                },
+                EvictionPolicyKind::Lru => self.lru_index.first()?.1,
+                EvictionPolicyKind::Clock => {
+                    let n = self.slots.len() as u64;
+                    loop {
+                        let s = self.clock_hand % n;
+                        self.clock_hand = (self.clock_hand + 1) % n;
+                        let meta = &mut self.slots[s as usize];
+                        if meta.nand_page.is_none() {
+                            continue;
+                        }
+                        if meta.referenced {
+                            meta.referenced = false;
+                        } else {
+                            break s;
+                        }
+                    }
+                }
+            };
+            let meta = self.slots[slot as usize];
+            Some((slot, meta.nand_page?, meta.dirty))
+        }
+
+        fn evict(&mut self, slot: u64) -> u64 {
+            let meta = &mut self.slots[slot as usize];
+            let page = meta.nand_page.take().expect("evicting a free slot");
+            let was_dirty = meta.dirty;
+            meta.dirty = false;
+            meta.referenced = false;
+            self.map.remove(&page);
+            self.lru_index.remove(&(meta.last_touch, slot));
+            self.stats.evictions += 1;
+            if was_dirty {
+                self.stats.dirty_evictions += 1;
+            }
+            page
+        }
+
+        fn fill(&mut self, slot: u64, nand_page: u64) {
+            assert!(self.slots[slot as usize].nand_page.is_none());
+            assert!(!self.map.contains_key(&nand_page));
+            self.tick += 1;
+            let meta = &mut self.slots[slot as usize];
+            meta.nand_page = Some(nand_page);
+            meta.dirty = false;
+            meta.referenced = true;
+            meta.last_touch = self.tick;
+            meta.fill_tick = self.tick;
+            self.map.insert(nand_page, slot);
+            self.lrc_queue.push_back((slot, self.tick));
+            if self.policy == EvictionPolicyKind::Lru {
+                self.lru_index.insert((self.tick, slot));
+            }
+        }
+
+        fn resident_entries(&self) -> Vec<(u64, u64, bool)> {
+            let entries = self.slots.iter().enumerate();
+            entries
+                .filter_map(|(i, m)| m.nand_page.map(|p| (i as u64, p, m.dirty)))
+                .collect()
+        }
+    }
+
+    /// One call on the cache. Slot arguments index the resident slots
+    /// (in slot order) or the slots the caller holds — taken or evicted,
+    /// not yet filled or released — so every call keeps to the contract.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Lookup(u64),
+        Peek(u64),
+        TakeFree,
+        PickVictim,
+        EvictVictim,
+        Evict(usize),
+        Release(usize),
+        Fill(usize, u64),
+        MarkDirty(usize),
+        MarkClean(usize),
+    }
+
+    const PAGES: u64 = 64;
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                6 => (0..PAGES).prop_map(Op::Lookup),
+                1 => (0..PAGES).prop_map(Op::Peek),
+                4 => Just(Op::TakeFree),
+                2 => Just(Op::PickVictim),
+                3 => Just(Op::EvictVictim),
+                1 => any::<usize>().prop_map(Op::Evict),
+                2 => any::<usize>().prop_map(Op::Release),
+                6 => (any::<usize>(), 0..PAGES).prop_map(|(i, p)| Op::Fill(i, p)),
+                2 => any::<usize>().prop_map(Op::MarkDirty),
+                1 => any::<usize>().prop_map(Op::MarkClean),
+            ],
+            1..300,
+        )
+    }
+
+    fn arb_policy() -> impl Strategy<Value = EvictionPolicyKind> {
+        prop_oneof![
+            Just(EvictionPolicyKind::Lrc),
+            Just(EvictionPolicyKind::Lru),
+            Just(EvictionPolicyKind::Clock),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The slot table against the timestamped cache it replaced:
+        /// same return values, counters, free and resident counts, and
+        /// resident entries in slot order after every call, for all three
+        /// policies.
+        #[test]
+        fn slot_table_matches_the_timestamped_cache(
+            slots in 1u64..=40,
+            policy in arb_policy(),
+            ops in arb_ops(),
+        ) {
+            let mut cache = DramCache::new(slots, policy);
+            let mut reference = RefDramCache::new(slots, policy);
+            let mut held: Vec<u64> = Vec::new();
+            for (step, op) in ops.iter().enumerate() {
+                let resident = reference.resident_entries();
+                let pick = |i: usize| resident.get(i % resident.len().max(1)).map(|e| e.0);
+                match *op {
+                    Op::Lookup(page) => {
+                        prop_assert_eq!(cache.lookup(page), reference.lookup(page), "step {}", step);
+                    }
+                    Op::Peek(page) => {
+                        prop_assert_eq!(cache.peek(page), reference.map.get(&page).copied());
+                    }
+                    Op::TakeFree => {
+                        let slot = cache.take_free_slot();
+                        prop_assert_eq!(slot, reference.free.pop_front(), "step {}", step);
+                        held.extend(slot);
+                    }
+                    Op::PickVictim => {
+                        prop_assert_eq!(cache.pick_victim(), reference.pick_victim(), "step {}", step);
+                    }
+                    Op::EvictVictim => {
+                        let victim = cache.pick_victim();
+                        prop_assert_eq!(victim, reference.pick_victim(), "step {}", step);
+                        if let Some((slot, _, _)) = victim {
+                            prop_assert_eq!(cache.evict(slot), reference.evict(slot));
+                            held.push(slot);
+                        }
+                    }
+                    Op::Evict(i) => {
+                        if let Some(slot) = pick(i) {
+                            prop_assert_eq!(cache.evict(slot), reference.evict(slot));
+                            held.push(slot);
+                        }
+                    }
+                    Op::Release(i) => {
+                        if !held.is_empty() {
+                            let slot = held.swap_remove(i % held.len());
+                            cache.release(slot);
+                            reference.free.push_back(slot);
+                        }
+                    }
+                    Op::Fill(i, page) => {
+                        if !held.is_empty() && !reference.map.contains_key(&page) {
+                            let slot = held.swap_remove(i % held.len());
+                            cache.fill(slot, page);
+                            reference.fill(slot, page);
+                        }
+                    }
+                    Op::MarkDirty(i) => {
+                        if let Some(slot) = pick(i) {
+                            cache.mark_dirty(slot);
+                            reference.slots[slot as usize].dirty = true;
+                        }
+                    }
+                    Op::MarkClean(i) => {
+                        if let Some(slot) = pick(i) {
+                            cache.mark_clean(slot);
+                            reference.slots[slot as usize].dirty = false;
+                        }
+                    }
+                }
+                prop_assert_eq!(cache.stats(), reference.stats, "stats at step {}: {:?}", step, op);
+                prop_assert_eq!(cache.free_slots(), reference.free.len() as u64, "step {}", step);
+                prop_assert_eq!(cache.resident(), reference.map.len() as u64, "step {}", step);
+                let entries: Vec<_> = cache.resident_entries().collect();
+                prop_assert_eq!(entries, reference.resident_entries(), "step {}: {:?}", step, op);
+                for slot in 0..slots {
+                    let meta = reference.slots[slot as usize];
+                    prop_assert_eq!(cache.page_of(slot), meta.nand_page);
+                    prop_assert_eq!(cache.is_dirty(slot), meta.dirty);
                 }
             }
         }
